@@ -5,17 +5,15 @@
 //     synthetic workload), and
 //   * a strongly skewed IPPP dataset (inhomogeneous Poisson point
 //     process, after Hohmann 2019) where a few dense cores dominate the
-//     result set — the stress case for batch load balance, which the
-//     async pipeline's work queue should absorb and the barrier-per-round
-//     scheme cannot.
-// gpu_async sweeps streams x assembly_threads; streams=1/assembly=1
-// degenerates to the serial schedule. SJ_SCALE scales |D| as usual.
+//     result set — the stress case for batch load balance.
+// Both engines run the same exact two-pass batch pipeline; gpu_async
+// sweeps `streams` (rotating result buffers whose landing copies overlap
+// later fills), and streams=1 degenerates to the serial schedule. Every
+// configuration returns the same bytes. SJ_SCALE scales |D| as usual.
 //
 // Output: the usual CSV under SJ_RESULTS_DIR plus BENCH_async.json (path
 // overridable via SJ_BENCH_JSON) — the perf-trajectory artefact tracking
-// the pipeline overlap AND the host assembly path (the pooled segment
-// staging buffers show up here: every configuration's transfer/assembly
-// tail crosses them).
+// the copy overlap of the output path.
 #include <algorithm>
 #include <iostream>
 #include <map>
@@ -35,10 +33,9 @@ struct Row {
   std::string workload;
   std::string algo;
   int streams = 0;
-  int assembly = 0;
   double seconds = 0.0;
   std::uint64_t pairs = 0;
-  std::uint64_t retries = 0;
+  std::uint64_t batches = 0;
   double speedup = 0.0;
 };
 
@@ -71,61 +68,40 @@ int main(int argc, char** argv) {
     }
 
     const auto& registry = api::BackendRegistry::instance();
-    TextTable t({"workload", "algo", "streams", "assembly", "time (s)",
-                 "pairs", "retries", "speedup vs gpu"});
-    csv::Table out({"workload", "algo", "streams", "assembly_threads",
-                    "seconds", "pairs", "overflow_retries", "speedup"});
+    TextTable t({"workload", "algo", "streams", "time (s)", "pairs",
+                 "batches", "speedup vs gpu"});
+    csv::Table out({"workload", "algo", "streams", "seconds", "pairs",
+                    "batches", "speedup"});
+    auto record = [&](const std::string& workload, const std::string& algo,
+                      int streams, const api::JoinOutcome& r,
+                      double speedup) {
+      const auto batches =
+          static_cast<std::uint64_t>(r.stats.native_value("batches_run"));
+      rows.push_back({workload, algo, streams, r.stats.seconds,
+                      r.pairs.size(), batches, speedup});
+      const std::vector<std::string> cells = {
+          workload, algo, std::to_string(streams), csv::fmt(r.stats.seconds),
+          std::to_string(r.pairs.size()), std::to_string(batches),
+          csv::fmt(speedup)};
+      t.add_row(cells);
+      out.add_row(cells);
+    };
     for (const auto& w : workloads) {
       const auto gpu = registry.at("gpu").run(w.data, w.eps);
-      rows.push_back({w.name, "gpu", 3, 0, gpu.stats.seconds,
-                      gpu.pairs.size(),
-                      static_cast<std::uint64_t>(
-                          gpu.stats.native_value("overflow_retries")),
-                      1.0});
-      t.add_row({w.name, "gpu", "3", "-", csv::fmt(gpu.stats.seconds),
-                 std::to_string(gpu.pairs.size()),
-                 std::to_string(static_cast<std::uint64_t>(
-                     gpu.stats.native_value("overflow_retries"))),
-                 "1.00"});
-      out.add_row({w.name, "gpu", "3", "", csv::fmt(gpu.stats.seconds),
-                   std::to_string(gpu.pairs.size()),
-                   std::to_string(static_cast<std::uint64_t>(
-                       gpu.stats.native_value("overflow_retries"))),
-                   "1.0"});
-
+      record(w.name, "gpu", 3, gpu, 1.0);
       for (int streams : {1, 2, 4}) {
-        for (int assembly : {1, 2}) {
-          api::RunConfig config;
-          config.extra["streams"] = std::to_string(streams);
-          config.extra["assembly_threads"] = std::to_string(assembly);
-          const auto r = registry.at("gpu_async").run(w.data, w.eps, config);
-          const double speedup = r.stats.seconds > 0.0
-                                     ? gpu.stats.seconds / r.stats.seconds
-                                     : 0.0;
-          rows.push_back({w.name, "gpu_async", streams, assembly,
-                          r.stats.seconds, r.pairs.size(),
-                          static_cast<std::uint64_t>(
-                              r.stats.native_value("overflow_retries")),
-                          speedup});
-          t.add_row({w.name, "gpu_async", std::to_string(streams),
-                     std::to_string(assembly), csv::fmt(r.stats.seconds),
-                     std::to_string(r.pairs.size()),
-                     std::to_string(static_cast<std::uint64_t>(
-                         r.stats.native_value("overflow_retries"))),
-                     csv::fmt(speedup)});
-          out.add_row({w.name, "gpu_async", std::to_string(streams),
-                       std::to_string(assembly), csv::fmt(r.stats.seconds),
-                       std::to_string(r.pairs.size()),
-                       std::to_string(static_cast<std::uint64_t>(
-                           r.stats.native_value("overflow_retries"))),
-                       csv::fmt(speedup)});
-        }
+        api::RunConfig config;
+        config.extra["streams"] = std::to_string(streams);
+        const auto r = registry.at("gpu_async").run(w.data, w.eps, config);
+        record(w.name, "gpu_async", streams, r,
+               r.stats.seconds > 0.0 ? gpu.stats.seconds / r.stats.seconds
+                                     : 0.0);
       }
     }
     std::cout << "\n== ablation: gpu vs gpu_async (overlapped pipeline) ==\n";
     t.print(std::cout);
-    std::cout << "(gpu_async merges by batch key, so every configuration "
-                 "returns the identical pair set)\n";
+    std::cout << "(exact two-pass output: every configuration returns the "
+                 "identical pair set)\n";
     out.write(Collector::results_dir() + "/ablation_async.csv");
   });
   if (rc != 0) return rc;
@@ -142,10 +118,9 @@ int main(int argc, char** argv) {
                            .field("workload", r.workload)
                            .field("algo", r.algo)
                            .field("streams", r.streams)
-                           .field("assembly_threads", r.assembly)
                            .field("seconds", r.seconds)
                            .field("pairs", r.pairs)
-                           .field("overflow_retries", r.retries)
+                           .field("batches", r.batches)
                            .field("speedup", r.speedup)
                            .str());
   }

@@ -87,9 +87,10 @@ struct RunConfig {
 
   /// What to materialise (see ResultMode). kPairs fills JoinOutcome::pairs
   /// as before; kCountOnly/kHistogram skip pair buffers entirely and fill
-  /// only total_pairs / histogram; kSink streams sorted batches through
-  /// `sink`. Every backend honors kPairs/kCountOnly/kHistogram; kSink is
-  /// gated per backend and throws a one-line error where unsupported.
+  /// only total_pairs / histogram; kSink streams the output's batches,
+  /// in order, through `sink`. Every backend honors
+  /// kPairs/kCountOnly/kHistogram; kSink is gated per backend and throws a
+  /// one-line error where unsupported.
   ResultMode mode = ResultMode::kPairs;
 
   /// Batch consumer for ResultMode::kSink (required in that mode).

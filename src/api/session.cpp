@@ -300,8 +300,6 @@ void QuerySession::execute(std::vector<std::shared_ptr<Request>> batch) {
         o.block_size = opt_.block_size;
         o.num_streams = opt_.num_streams;
         o.min_batches = opt_.min_batches;
-        o.sample_rate = opt_.sample_rate;
-        o.safety = opt_.safety;
         o.max_buffer_pairs = opt_.max_buffer_pairs;
         o.retry = opt_.retry;
         o.control = &ctl;
@@ -316,8 +314,6 @@ void QuerySession::execute(std::vector<std::shared_ptr<Request>> batch) {
         o.block_size = opt_.block_size;
         o.num_streams = opt_.num_streams;
         o.min_batches = opt_.min_batches;
-        o.sample_rate = opt_.sample_rate;
-        o.safety = opt_.safety;
         o.max_buffer_pairs = opt_.max_buffer_pairs;
         o.retry = opt_.retry;
         o.control = &ctl;
@@ -384,8 +380,6 @@ void QuerySession::run_range_batch(
   o.block_size = opt_.block_size;
   o.num_streams = opt_.num_streams;
   o.min_batches = opt_.min_batches;
-  o.sample_rate = opt_.sample_rate;
-  o.safety = opt_.safety;
   o.max_buffer_pairs = opt_.max_buffer_pairs;
   o.retry = opt_.retry;
   o.mode = count_only ? ResultMode::kHistogram : ResultMode::kPairs;

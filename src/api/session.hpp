@@ -97,8 +97,6 @@ struct SessionOptions {
   int block_size = 256;
   int num_streams = 3;
   std::size_t min_batches = 3;
-  double sample_rate = 0.01;
-  double safety = 1.25;
   std::uint64_t max_buffer_pairs = 1ULL << 24;
   RetryPolicy retry;
   gpu::DeviceSpec device = gpu::DeviceSpec::titan_x_pascal();

@@ -18,7 +18,7 @@
 //
 // ExecControl is the per-query handle threaded from the service boundary
 // down through ResultRequest into the BatchPipeline's checkpoint seams
-// (task pop, pre-launch, pre-transfer). Checks are cooperative: a batch
+// (entry, pre-launch, pre-transfer). Checks are cooperative: a batch
 // already launched completes, the next checkpoint aborts. CancelToken is
 // a monotonic atomic flag safe to trip from any thread.
 #pragma once

@@ -125,15 +125,13 @@ const char* site_name(Site site) {
       return "stream";
     case Site::kSync:
       return "sync";
-    case Site::kSort:
-      return "sort";
   }
   return "?";
 }
 
 std::string spec_grammar() {
   return "spec grammar: comma-separated entries of "
-         "<site>:<rate> (site: alloc|stream|sync|sort, rate in [0,1]), "
+         "<site>:<rate> (site: alloc|stream|sync, rate in [0,1]), "
          "device:shard<S>@batch<B> (S < 64, B >= 1), seed:<N> — "
          "e.g. \"alloc:0.01,stream:0.005,device:shard2@batch7,seed:42\"";
 }
@@ -158,8 +156,6 @@ Spec parse_spec(const std::string& text) {
       spec.rate[static_cast<int>(Site::kStream)] = parse_rate(entry, value);
     } else if (key == "sync") {
       spec.rate[static_cast<int>(Site::kSync)] = parse_rate(entry, value);
-    } else if (key == "sort") {
-      spec.rate[static_cast<int>(Site::kSort)] = parse_rate(entry, value);
     } else if (key == "seed") {
       spec.seed = parse_u64(entry, value);
     } else if (key == "device") {

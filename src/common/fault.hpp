@@ -8,24 +8,25 @@
 //   ├── DeviceLost             fail the device; gpu_shard re-plans the
 //   │                          shard onto a surviving device
 //   └── ResourceExhausted      degrade: halve the batch through the
-//       └── gpu::DeviceOutOfMemory (gpusim/arena.hpp)   overflow-split
+//       └── gpu::DeviceOutOfMemory (gpusim/arena.hpp)   range-halving
 //
 // The injector is seeded and deterministic: whether hit #n at a site
 // fires depends only on (seed, site, n), never on wall clock or
 // scheduling. Hooks are placed at the gpusim seams — arena allocation,
-// kernel launch, stream transfer, event sync, device sort — and ALWAYS
-// BEFORE the operation's side effects, so an injected failure leaves the
-// batch untouched and a retry is exact. Hooks only fire on threads armed
-// with a DeviceScope (the pipeline arms exactly the span of one batch),
-// which keeps every injected fault attributable to a batch and therefore
-// recoverable; setup phases (upload, adjacency, estimator) run unarmed.
+// kernel launch, stream transfer, event sync — and ALWAYS BEFORE the
+// operation's side effects, so an injected failure leaves the batch
+// untouched and a retry is exact. Hooks only fire on threads armed with
+// a DeviceScope (the pipeline arms exactly the span of one batch or of
+// the count pass), which keeps every injected fault attributable to a
+// range and therefore recoverable; setup phases (upload, adjacency,
+// buffer allocation) run unarmed.
 //
 // Spec grammar (SJ_FAULTS env var, sjtool --faults, --opt faults=):
 //
 //   alloc:0.01,stream:0.005,device:shard2@batch7,seed:42
 //
 //   <site>:<rate>           inject at `site` with probability `rate`
-//                           (site: alloc | stream | sync | sort)
+//                           (site: alloc | stream | sync)
 //   device:shard<S>@batch<B> kill device S when it starts its B-th batch
 //                           (1-based); later work on S throws DeviceLost
 //   seed:<N>                decorrelate runs (default 1)
@@ -49,7 +50,7 @@ class FaultError : public std::runtime_error {
 };
 
 /// A failure expected to succeed on re-execution (spurious launch/
-/// transfer/sync/sort faults). The pipeline retries the batch.
+/// transfer/sync faults). The pipeline retries the batch.
 class TransientDeviceError : public FaultError {
  public:
   explicit TransientDeviceError(const std::string& what) : FaultError(what) {}
@@ -66,8 +67,8 @@ class DeviceLost : public FaultError {
 };
 
 /// A resource limit was hit (device memory, buffers). The pipeline
-/// degrades gracefully: the batch is halved through the overflow-split
-/// machinery instead of failing the run.
+/// degrades gracefully: the batch's unit range is halved instead of
+/// failing the run.
 class ResourceExhausted : public FaultError {
  public:
   explicit ResourceExhausted(const std::string& what) : FaultError(what) {}
@@ -78,9 +79,8 @@ enum class Site : int {
   kAlloc = 0,   ///< GlobalMemoryArena::allocate -> ResourceExhausted
   kStream = 1,  ///< kernel launch / stream transfer -> TransientDeviceError
   kSync = 2,    ///< Event::wait -> TransientDeviceError
-  kSort = 3,    ///< sort_pairs_by_key -> TransientDeviceError
 };
-inline constexpr int kNumSites = 4;
+inline constexpr int kNumSites = 3;
 
 const char* site_name(Site site);
 
@@ -91,7 +91,7 @@ struct DeviceLossPlan {
 };
 
 struct Spec {
-  double rate[kNumSites] = {0.0, 0.0, 0.0, 0.0};
+  double rate[kNumSites] = {0.0, 0.0, 0.0};
   std::uint64_t seed = 1;
   bool has_loss = false;
   DeviceLossPlan loss;

@@ -1,9 +1,11 @@
 // Self-join result representations.
 //
 // The GPU kernel emits key/value pairs (query id, neighbour id) — paper
-// Section IV-E — which are then sorted by key (the paper uses a key/value
-// sort before transferring each batch). ResultSet is that pair store with
-// helpers to normalise and compare results across the five algorithm
+// Section IV-E. The paper key/value-sorts each batch before transferring
+// it; the exact two-pass output here needs no sort: each query's pairs
+// land contiguously at offsets fixed by a count pass, in scan order
+// (core/batcher.hpp). ResultSet is that pair store with helpers to
+// normalise and compare results across the five algorithm
 // implementations; NeighborTable is the CSR view that downstream
 // applications (e.g. DBSCAN, example apps) consume.
 #pragma once
@@ -19,20 +21,21 @@ namespace sj {
 struct Pair;
 
 /// What a join/self-join call materialises for the caller. The expensive
-/// part of a large join is the output path — writing, sorting, and
+/// part of a large join is the output path — counting, writing and
 /// transferring Pair records — so callers that only need aggregate
 /// information can opt out of it entirely.
 enum class ResultMode {
   kPairs,      ///< materialise the flat (key, value) pair vector (default)
   kCountOnly,  ///< total pair count only; no result buffers at all
   kHistogram,  ///< per-point neighbour counts (includes self pairs)
-  kSink,       ///< stream sorted batches through a callback, O(batch) memory
+  kSink,       ///< stream batches through a callback, O(batch) memory
 };
 
-/// Consumer for ResultMode::kSink. Invoked with sorted-by-key batches in
-/// ascending key order; the concatenation of all batches equals the
-/// pairs-mode output byte for byte. The pointer is only valid during the
-/// call.
+/// Consumer for ResultMode::kSink. Invoked serially with consecutive
+/// batches of the output in order — each query's pairs contiguous, in
+/// scan order, queries ascending in the engine's unit order — so the
+/// concatenation of all batches equals the pairs-mode output byte for
+/// byte. The pointer is only valid during the call.
 using PairSink = std::function<void(const Pair* pairs, std::size_t count)>;
 
 /// Strict parser for the user-facing mode names ("pairs", "count",
@@ -63,6 +66,13 @@ inline const char* result_mode_name(ResultMode m) {
 /// every implementation (dist = 0 <= eps), matching the convention of the
 /// authors' implementation.
 struct Pair {
+  /// Leaves both fields uninitialised, even when value-initialised (a
+  /// defaulted constructor would zero them): a pair vector sized for an
+  /// exact result — the batch pipeline's landing target — then costs no
+  /// zero-fill that the landing copies overwrite anyway.
+  Pair() {}
+  Pair(std::uint32_t k, std::uint32_t v) : key(k), value(v) {}
+
   std::uint32_t key;
   std::uint32_t value;
 

@@ -1,30 +1,20 @@
-// The gpu_async engine: GPU-SJ with its three stages overlapped.
+// The gpu_async engine: GPU-SJ with the serial metrics pass overlapped.
 //
-// Where GpuSelfJoin runs estimate -> batched kernels -> host assembly
-// mostly back to back, AsyncGpuSelfJoin kicks the sampling estimator off
-// on its own stream immediately after the upload (batch sizing still
-// waits on its event, but in metrics mode the expensive serial Table II
-// pass runs concurrently with it), then executes the batches through the
-// BatchPipeline: a work queue feeding a pool of kernel streams whose
-// completed, device-sorted batches are staged by dedicated host-assembly
-// threads while further kernels run, with the final batch-key-ordered
-// concatenation parallelised across those same workers. Overflow splits
-// feed back into the same queue, so a skewed batch never stalls the
-// other streams behind a retry barrier.
-//
-// Exactness and output order are identical to GpuSelfJoin by
-// construction — both engines share the BatchPipeline and its
-// deterministic batch-keyed merge.
+// AsyncGpuSelfJoin runs the same exact two-pass BatchPipeline as
+// GpuSelfJoin (count launch, prefix sum, in-order fills whose copies
+// overlap later fills), so its output is byte-identical to GpuSelfJoin's
+// for the same options. What it adds is overlap on the host: in metrics
+// mode the expensive serial Table II cache/occupancy pass — which only
+// reads the grid — runs on its own thread alongside the adjacency build
+// and the join instead of after them.
 #pragma once
 
 #include "core/self_join.hpp"
 
 namespace sj {
 
-struct AsyncSelfJoinOptions : GpuSelfJoinOptions {
-  /// Host-side assembly workers merging completed batch segments.
-  int assembly_threads = 2;
-};
+/// gpu_async runs on gpu's options.
+using AsyncSelfJoinOptions = GpuSelfJoinOptions;
 
 class AsyncGpuSelfJoin {
  public:

@@ -1,36 +1,29 @@
-// Asynchronous batch pipeline — the Section V-A batching scheme
-// restructured into three overlapped stages.
+// Batch pipeline — the Section V-A batching scheme as exact two-pass
+// output (see batcher.hpp for the scheme itself).
 //
-// The original Batcher ran kernel batches round by round with a barrier
-// before every overflow retry, and appended results to the final set from
-// whichever stream finished first. This file is the reusable replacement:
+//   count launch (per-unit pair counts) -> exclusive prefix sum (offsets)
+//   -> batches cut from the exact counts -> per batch, in ascending order:
+//      fill launch into one of `streams` rotating device result buffers,
+//      then one async copy that lands the batch at its final offset of
+//      the output (pairs mode) or in a host staging buffer handed to the
+//      sink (sink mode).
 //
-//   [bounded task queue] -> kernel workers (stream pool: per-batch kernel,
-//   device key/value sort, async device->host transfer, double-buffered)
-//   -> [bounded assembly queue] -> host assembly threads (merge segments
-//   by batch key)
+// Fill launches run one at a time, in batch order — each gpu::launch
+// already spans every host core — while earlier batches' copies drain on
+// the transfer stream; a buffer is refilled only once its previous copy
+// landed. Every unit's offset is fixed before any fill runs, so a range
+// re-run after a transient fault, or halved after resource exhaustion,
+// writes exactly the bytes the first attempt would have: the output is
+// deterministic by construction.
 //
-// A batch whose result buffer overflows is split in two and fed back into
-// the SAME task queue — no barrier: the other streams keep executing
-// while the halves are retried. The final output is deterministic no
-// matter how streams and assembly threads interleave: batches own
-// disjoint query-id sets, every segment is device-sorted before transfer,
-// and segments are concatenated in ascending order of each batch's first
-// query id.
+// Count-only and histogram runs need no offsets: they skip the count
+// pass and the buffers and run min_batches equal unit ranges.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "common/result.hpp"
 #include "core/batcher.hpp"
 #include "core/device_view.hpp"
 #include "core/work_counters.hpp"
@@ -42,107 +35,30 @@ namespace sj {
 struct CellAdjacency;  // kernels.hpp
 struct JoinAdjacency;  // kernels.hpp
 
-/// Bounded MPMC queue connecting pipeline stages. push() blocks while the
-/// queue is full — backpressure on the seeding producer. push_overflow()
-/// never blocks: the overflow-split feedback path pushes from the same
-/// worker threads that pop, and blocking there could deadlock with every
-/// worker waiting for queue space that only workers can free.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-  void push(T item) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      space_cv_.wait(lock,
-                     [this] { return items_.size() < capacity_ || closed_; });
-      if (closed_) return;  // shutting down; the item is dropped
-      items_.push_back(std::move(item));
-    }
-    item_cv_.notify_one();
-  }
-
-  void push_overflow(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return;
-      items_.push_back(std::move(item));
-    }
-    item_cv_.notify_one();
-  }
-
-  /// Blocks until an item is available or the queue is closed; returns
-  /// false only when closed AND drained.
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    item_cv_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    space_cv_.notify_one();
-    return true;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    item_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable item_cv_;
-  std::condition_variable space_cv_;
-  std::deque<T> items_;
-  std::size_t capacity_;
-  bool closed_ = false;
-};
-
-/// Device allocations one pipeline stream worker holds: two double-
-/// buffered slots, each a result buffer plus the O(n) sort scratch.
-/// size_buffer_pairs() (batcher.hpp) divides free device memory by this.
-inline constexpr std::uint64_t kDeviceBuffersPerStream = 4;
-
-/// Recycled host-side staging buffers for completed batch segments.
-/// Allocating a fresh std::vector<Pair> per segment value-initialises it —
-/// a full O(result) zero-fill immediately overwritten by the device->host
-/// transfer — and churns the allocator on every batch. The pool hands out
-/// UNINITIALISED storage (cudaMallocHost semantics) and takes segments
-/// back after the final concatenation, so repeated runs on the same
-/// pipeline (and overflow-heavy runs) reuse the same allocations.
-class SegmentPool {
- public:
-  struct Buffer {
-    std::unique_ptr<Pair[]> data;
-    std::uint64_t capacity = 0;
-    std::uint64_t count = 0;  ///< pairs actually staged (<= capacity)
-  };
-
-  /// A buffer with capacity >= `count` and undefined contents; `count` of
-  /// 0 returns an empty buffer without touching the pool.
-  Buffer acquire(std::uint64_t count);
-
-  /// Return a buffer for reuse (empty buffers are dropped).
-  void release(Buffer b);
-
- private:
-  std::mutex mu_;
-  std::vector<Buffer> free_;
-};
-
 struct PipelineConfig {
-  int streams = 3;           ///< kernel-stage workers, one gpu::Stream each
-  int assembly_threads = 1;  ///< host-side merge workers
+  int streams = 3;  ///< rotating device result buffers (copy overlap)
   int block_size = 256;
-  std::size_t task_queue_capacity = 0;  ///< 0 -> 2 * streams
-  RetryPolicy retry;  ///< transient-fault response (batcher.hpp)
+  std::size_t min_batches = 3;  ///< the paper's minimum batch count
+  /// Cap on one device result buffer (pairs); the arena's free memory
+  /// caps it further.
+  std::uint64_t max_buffer_pairs = 1ULL << 24;
+  RetryPolicy retry;   ///< transient-fault response (batcher.hpp)
   int device_id = -1;  ///< simulated device id (gpu_shard); -1 = unsharded
 };
+
+/// The pipeline configuration a GPU engine's options describe (every
+/// engine option struct carries these batching members).
+template <typename Options>
+PipelineConfig pipeline_config(const Options& opt, int device_id = -1) {
+  PipelineConfig config;
+  config.streams = opt.num_streams;
+  config.block_size = opt.block_size;
+  config.min_batches = opt.min_batches;
+  config.max_buffer_pairs = opt.max_buffer_pairs;
+  config.retry = opt.retry;
+  config.device_id = device_id;
+  return config;
+}
 
 /// Rebuild `e` with `context + ": "` prefixed to its message, preserving
 /// the sj::fault taxonomy type (and DeviceOutOfMemory's byte counts /
@@ -153,78 +69,54 @@ struct PipelineConfig {
 std::exception_ptr annotate_exception(std::exception_ptr e,
                                       const std::string& context);
 
-/// The three-stage pipeline. Construct one per join run; run() spins up
-/// the worker and assembly threads, executes the plan, and joins them.
+/// The two-pass executor. One pipeline may serve many runs (gpu_shard
+/// re-arms one per device across its chunklets), one run at a time.
 class BatchPipeline {
  public:
   BatchPipeline(gpu::GlobalMemoryArena& arena, const gpu::DeviceSpec& spec,
                 const PipelineConfig& config);
 
-  /// Execute the full self-join over `grid` according to `plan`. Exact:
-  /// overflowed batches are split and retried through the same queue;
-  /// throws gpu::DeviceOutOfMemory when a single point's neighbourhood
-  /// exceeds the buffer (unsplittable).
-  ResultSet run(const GridDeviceView& grid, bool unicomp,
-                const BatchPlan& plan, AtomicWork* work, BatchRunStats* stats);
-
-  /// Mode-aware variants (see ResultRequest); the ResultSet-returning
-  /// overloads above and below are the kPairs special case.
+  /// Point-centric self-join (or legacy-layout join, when the view
+  /// carries an external query set): the units are the query ids.
   PipelineOutput run(const ResultRequest& req, const GridDeviceView& grid,
-                     bool unicomp, const BatchPlan& plan, AtomicWork* work,
-                     BatchRunStats* stats);
+                     bool unicomp, AtomicWork* work, BatchRunStats* stats);
+
+  /// Cell-centric self-join over a cell-major grid: the units are the
+  /// point slots, scanned through the precomputed `adjacency`
+  /// (build_cell_adjacency). A batch's slot range may cut a cell, so one
+  /// oversized cell splits by slot range.
   PipelineOutput run_cells(const ResultRequest& req,
                            const GridDeviceView& grid, bool unicomp,
-                           const CellBatchPlan& plan,
-                           const CellAdjacency* adjacency, AtomicWork* work,
+                           const CellAdjacency& adjacency, AtomicWork* work,
                            BatchRunStats* stats);
+
+  /// Query/data join over a cell-major data grid with an external query
+  /// set (grid.qpoints): the units are the positions of the adjacency's
+  /// sorted query order, scanned group by group (build_join_adjacency).
   PipelineOutput run_join_groups(const ResultRequest& req,
                                  const GridDeviceView& grid,
-                                 const CellBatchPlan& plan,
                                  const JoinAdjacency& adjacency,
                                  AtomicWork* work, BatchRunStats* stats);
 
-  /// Cell-centric variant: `grid` must be cell-major and batches are the
-  /// plan's contiguous cell ranges, executed by the cell-centric kernel
-  /// through the same three-stage machinery. `adjacency` (from
-  /// build_cell_adjacency) supplies the precomputed candidate ranges;
-  /// when null each launch enumerates them inline. Overflowed batches
-  /// split by cells first, then by point subranges of a single oversized
-  /// cell, so the unsplittable-overflow condition is the same as run()'s:
-  /// one point's neighbourhood exceeding the buffer.
-  ResultSet run_cells(const GridDeviceView& grid, bool unicomp,
-                      const CellBatchPlan& plan,
-                      const CellAdjacency* adjacency, AtomicWork* work,
-                      BatchRunStats* stats);
-
-  /// Query/data-join variant over a cell-major data grid with an external
-  /// query set (grid.qpoints): batches are the plan's contiguous QUERY
-  /// GROUP ranges (queries sharing a data-grid home cell, see
-  /// build_join_adjacency), executed by the cell-centric join kernel.
-  /// Overflowed batches split by groups, then by query subranges of a
-  /// single oversized group — the fatal condition is one QUERY's
-  /// neighbourhood exceeding the buffer, as in run().
-  ResultSet run_join_groups(const GridDeviceView& grid,
-                            const CellBatchPlan& plan,
-                            const JoinAdjacency& adjacency, AtomicWork* work,
-                            BatchRunStats* stats);
-
  private:
   template <typename Mode>
-  PipelineOutput run_impl(const Mode& mode, std::size_t num_roots,
-                          std::uint64_t buffer_pairs,
-                          const ResultRequest& req, AtomicWork* work,
-                          BatchRunStats* stats);
+  PipelineOutput run_impl(const Mode& mode, const ResultRequest& req,
+                          AtomicWork* work, BatchRunStats* stats);
+
+  template <typename Body>
+  void for_each_range(const std::vector<std::uint32_t>& bounds,
+                      const std::string& what, const char* unit_name,
+                      BatchRunStats& acc, Body&& body);
 
   gpu::GlobalMemoryArena& arena_;
   gpu::DeviceSpec spec_;
   PipelineConfig config_;
-  SegmentPool pool_;
-  /// 1-based batch start ordinal, cumulative over every run on this
+  /// 1-based range start ordinal, cumulative over every run on this
   /// pipeline — the trigger for targeted `device:shard<S>@batch<B>` loss
   /// injection. A pipeline re-armed across many chunklets (gpu_shard's
   /// stealing scheduler) counts the DEVICE's batches, not one chunklet's,
   /// matching the spec grammar's per-device wording.
-  std::atomic<std::uint64_t> batch_ordinal_{0};
+  std::uint64_t batch_ordinal_ = 0;
 };
 
 }  // namespace sj

@@ -1,30 +1,12 @@
 #include "core/batcher.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <string>
 
 #include "common/contracts.hpp"
-#include "core/batch_pipeline.hpp"
+#include "gpusim/arena.hpp"
 
 namespace sj {
-
-BatchPlan plan_batches(std::uint64_t estimated_total, std::uint64_t n_queries,
-                       std::size_t min_batches, std::uint64_t buffer_pairs,
-                       double safety) {
-  BatchPlan plan;
-  plan.buffer_pairs = std::max<std::uint64_t>(buffer_pairs, 1);
-  const auto padded = static_cast<std::uint64_t>(
-      std::ceil(static_cast<double>(estimated_total) * safety));
-  std::size_t by_volume = static_cast<std::size_t>(
-      (padded + plan.buffer_pairs - 1) / plan.buffer_pairs);
-  plan.num_batches = std::max(min_batches, std::max<std::size_t>(by_volume, 1));
-  // Never more batches than queries (each batch needs at least one point).
-  if (n_queries > 0) {
-    plan.num_batches =
-        std::min<std::size_t>(plan.num_batches, static_cast<std::size_t>(n_queries));
-  }
-  return plan;
-}
 
 std::vector<std::uint32_t> weighted_partition(
     const std::vector<std::uint64_t>& weights, std::size_t parts) {
@@ -62,128 +44,58 @@ std::vector<std::uint32_t> weighted_partition(
   return boundaries;
 }
 
-CellBatchPlan plan_cell_batches(const std::vector<std::uint64_t>& cell_weights,
-                                std::uint64_t estimated_total,
-                                std::size_t min_batches,
-                                std::uint64_t buffer_pairs, double safety) {
-  CellBatchPlan plan;
-  plan.buffer_pairs = std::max<std::uint64_t>(buffer_pairs, 1);
-  const std::size_t num_cells = cell_weights.size();
-  if (num_cells == 0) return plan;  // no batches
+std::vector<std::uint32_t> plan_batches(const std::uint64_t* offsets,
+                                        std::uint32_t units,
+                                        std::size_t min_batches,
+                                        std::uint64_t buffer_pairs) {
+  if (units == 0) return {0};
+  const std::uint64_t total = offsets[units];
+  buffer_pairs = std::max<std::uint64_t>(buffer_pairs, 1);
+  const std::uint64_t by_volume = (total + buffer_pairs - 1) / buffer_pairs;
+  const std::uint64_t parts = std::clamp<std::uint64_t>(
+      std::max<std::uint64_t>(min_batches, by_volume), 1, units);
 
-  const auto padded = static_cast<std::uint64_t>(
-      std::ceil(static_cast<double>(estimated_total) * safety));
-  const std::size_t by_volume = static_cast<std::size_t>(
-      (padded + plan.buffer_pairs - 1) / plan.buffer_pairs);
-  std::size_t nb = std::max(min_batches, std::max<std::size_t>(by_volume, 1));
-  // Never more batches than cells (each batch needs at least one cell).
-  nb = std::min(nb, num_cells);
+  // Balanced cut: part p closes at the first unit whose offset reaches
+  // p/parts of the total, keeping at least one unit per part.
+  std::vector<std::uint32_t> balanced{0};
+  for (std::uint64_t p = 1; p < parts; ++p) {
+    const auto target = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(total) * p / parts);
+    const std::uint64_t at = static_cast<std::uint64_t>(
+        std::lower_bound(offsets, offsets + units + 1, target) - offsets);
+    balanced.push_back(static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+        at, balanced.back() + 1, units - (parts - p))));
+  }
+  balanced.push_back(units);
 
-  plan.boundaries = weighted_partition(cell_weights, nb);
-  SJ_ENSURE(plan.boundaries.size() == nb + 1,
-            "plan_cell_batches: one boundary pair per batch");
-  return plan;
+  // A part over the buffer (a heavy unit next to a cut) splits greedily:
+  // each piece takes as many units as fit. Only a unit that alone
+  // outgrows the buffer has no cut that helps.
+  std::vector<std::uint32_t> bounds{0};
+  for (std::size_t p = 0; p + 1 < balanced.size(); ++p) {
+    std::uint32_t begin = balanced[p];
+    while (begin < balanced[p + 1]) {
+      const std::uint64_t* fits = std::upper_bound(
+          offsets + begin, offsets + balanced[p + 1] + 1,
+          offsets[begin] + buffer_pairs);
+      const auto end = static_cast<std::uint32_t>(fits - offsets - 1);
+      if (end == begin) {
+        const std::uint64_t pairs = offsets[begin + 1] - offsets[begin];
+        throw gpu::DeviceOutOfMemory(
+            pairs * sizeof(Pair), buffer_pairs * sizeof(Pair),
+            "batch " + std::to_string(bounds.size() - 1) + " (unit " +
+                std::to_string(begin) + "): a single query's neighbourhood "
+                "overflows the result buffer (" + std::to_string(pairs) +
+                " pairs, buffer of " + std::to_string(buffer_pairs) + ")");
+      }
+      bounds.push_back(end);
+      begin = end;
+    }
+  }
+  SJ_ENSURE(bounds.back() == units && bounds.size() > parts,
+            "plan_batches: batches must cover every unit, at least `parts` "
+            "of them");
+  return bounds;
 }
-
-std::uint64_t size_buffer_pairs(const gpu::GlobalMemoryArena& arena,
-                                std::uint64_t n_queries,
-                                std::uint64_t estimated_total,
-                                std::size_t min_batches, int num_streams,
-                                std::uint64_t max_buffer_pairs, double safety) {
-  // Keep room for the per-batch query-id uploads.
-  const std::uint64_t reserve_bytes =
-      n_queries * sizeof(std::uint32_t) + (16u << 10);
-  const std::uint64_t free_bytes =
-      arena.free_bytes() > reserve_bytes ? arena.free_bytes() - reserve_bytes
-                                         : 0;
-  std::uint64_t buffer_pairs =
-      free_bytes /
-      (sizeof(Pair) * kDeviceBuffersPerStream *
-       static_cast<std::uint64_t>(std::max(1, num_streams)));
-  buffer_pairs = std::min(buffer_pairs, max_buffer_pairs);
-  // No point allocating beyond what one batch is expected to produce
-  // (padded by the safety factor and a floor); the overflow-split path
-  // recovers from any underestimate.
-  const std::uint64_t desired =
-      static_cast<std::uint64_t>(std::ceil(
-          static_cast<double>(estimated_total) * safety /
-          static_cast<double>(std::max<std::size_t>(min_batches, 1)))) +
-      1024;
-  buffer_pairs = std::min(buffer_pairs, desired);
-  return std::max<std::uint64_t>(buffer_pairs, 64);
-}
-
-ResultSet Batcher::run(const GridDeviceView& grid, bool unicomp,
-                       const BatchPlan& plan, AtomicWork* work,
-                       BatchRunStats* stats) {
-  return run(ResultRequest{}, grid, unicomp, plan, work, stats).pairs;
-}
-
-PipelineOutput Batcher::run(const ResultRequest& req,
-                            const GridDeviceView& grid, bool unicomp,
-                            const BatchPlan& plan, AtomicWork* work,
-                            BatchRunStats* stats) {
-  PipelineConfig config;
-  config.streams = std::max(1, num_streams_);
-  config.assembly_threads = 1;
-  config.block_size = block_size_;
-  config.retry = retry_;
-  BatchPipeline pipeline(arena_, spec_, config);
-  return pipeline.run(req, grid, unicomp, plan, work, stats);
-}
-
-ResultSet Batcher::run_cells(const GridDeviceView& grid, bool unicomp,
-                             const CellBatchPlan& plan,
-                             const CellAdjacency* adjacency, AtomicWork* work,
-                             BatchRunStats* stats) {
-  return run_cells(ResultRequest{}, grid, unicomp, plan, adjacency, work,
-                   stats)
-      .pairs;
-}
-
-PipelineOutput Batcher::run_cells(const ResultRequest& req,
-                                  const GridDeviceView& grid, bool unicomp,
-                                  const CellBatchPlan& plan,
-                                  const CellAdjacency* adjacency,
-                                  AtomicWork* work, BatchRunStats* stats) {
-  PipelineConfig config;
-  config.streams = std::max(1, num_streams_);
-  config.assembly_threads = 1;
-  config.block_size = block_size_;
-  config.retry = retry_;
-  BatchPipeline pipeline(arena_, spec_, config);
-  return pipeline.run_cells(req, grid, unicomp, plan, adjacency, work, stats);
-}
-
-ResultSet Batcher::run_join_groups(const GridDeviceView& grid,
-                                   const CellBatchPlan& plan,
-                                   const JoinAdjacency& adjacency,
-                                   AtomicWork* work, BatchRunStats* stats) {
-  return run_join_groups(ResultRequest{}, grid, plan, adjacency, work, stats)
-      .pairs;
-}
-
-PipelineOutput Batcher::run_join_groups(const ResultRequest& req,
-                                        const GridDeviceView& grid,
-                                        const CellBatchPlan& plan,
-                                        const JoinAdjacency& adjacency,
-                                        AtomicWork* work,
-                                        BatchRunStats* stats) {
-  PipelineConfig config;
-  config.streams = std::max(1, num_streams_);
-  config.assembly_threads = 1;
-  config.block_size = block_size_;
-  config.retry = retry_;
-  BatchPipeline pipeline(arena_, spec_, config);
-  return pipeline.run_join_groups(req, grid, plan, adjacency, work, stats);
-}
-
-Batcher::Batcher(gpu::GlobalMemoryArena& arena, const gpu::DeviceSpec& spec,
-                 int num_streams, int block_size, RetryPolicy retry)
-    : arena_(arena),
-      spec_(spec),
-      num_streams_(num_streams),
-      block_size_(block_size),
-      retry_(retry) {}
 
 }  // namespace sj

@@ -1,13 +1,11 @@
 #include "core/brute_force_gpu.hpp"
 
-#include <atomic>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
-#include "common/timer.hpp"
 #include "core/kernels.hpp"
 #include "gpusim/arena.hpp"
-#include "gpusim/atomic.hpp"
 #include "gpusim/kernel.hpp"
 
 namespace sj {
@@ -33,37 +31,37 @@ GpuBruteForceResult gpu_brute_force(const Dataset& d, double eps,
   p.eps = eps;
   p.work = &work;
 
-  gpu::DeviceCounter cursor;
-  std::atomic<bool> overflow{false};
+  // Exact two-pass output: count each point's pairs, prefix-sum the counts
+  // into offsets, then fill every point's slice in place.
+  gpu::DeviceBuffer<std::uint64_t> offsets;
   gpu::DeviceBuffer<Pair> out;
   if (materialize) {
-    // Size conservatively: count first, then materialise exactly.
+    offsets = gpu::DeviceBuffer<std::uint64_t>(arena, d.size() + 1);
+    p.result.unit_counts = offsets.data();
     gpu::launch(gpu::LaunchConfig::cover(d.size(), block_size),
                 [&p](const gpu::ThreadCtx& ctx) {
                   brute_force_thread(ctx, p);
                 });
-    gpu::KernelMetrics m;
-    work.add_to(m);
-    out = gpu::DeviceBuffer<Pair>(arena, m.results);
+    offsets[d.size()] = 0;
+    std::exclusive_scan(offsets.data(), offsets.data() + d.size() + 1,
+                        offsets.data(), std::uint64_t{0});
+    out = gpu::DeviceBuffer<Pair>(arena, offsets[d.size()]);
+    p.result = ResultBufferView{};
     p.result.out = out.data();
-    p.result.capacity = m.results;
-    p.result.cursor = &cursor;
-    p.result.overflow = &overflow;
+    p.result.offsets = offsets.data();
   }
 
-  Timer t;
   const gpu::KernelStats ks = gpu::launch(
       gpu::LaunchConfig::cover(d.size(), block_size),
       [&p](const gpu::ThreadCtx& ctx) { brute_force_thread(ctx, p); });
   r.kernel_seconds = ks.seconds;
-  (void)t;
 
   gpu::KernelMetrics m;
   work.add_to(m);
   if (materialize) {
     // The counting pass doubled the work counters; report the single-pass
     // numbers and collect the materialised pairs.
-    r.num_pairs = cursor.load();
+    r.num_pairs = out.size();
     r.distance_calcs = m.distance_calcs / 2;
     r.pairs.pairs().assign(out.data(), out.data() + r.num_pairs);
   } else {

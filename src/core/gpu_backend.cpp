@@ -1,7 +1,7 @@
 // Adapter shims exposing the GPU engines through the unified backend
 // interface: "gpu" (GPU-SJ, Algorithm 1), "gpu_unicomp" (GPU-SJ with the
 // Section V-B duplicate-search removal), "gpu_async" (GPU-SJ with the
-// estimate/kernel/assembly stages overlapped on a stream pool),
+// serial metrics pass overlapped on its own thread),
 // "gpu_shard" (GPU-SJ partitioned across K simulated devices) and
 // "gpu_bf" (the Section VI-B brute-force kernel lower bound).
 #include "core/gpu_backend.hpp"
@@ -24,8 +24,8 @@ namespace sj::backends {
 namespace {
 
 constexpr std::string_view kGpuKeys =
-    "block_size,min_batches,num_streams,sample_rate,safety,max_buffer_pairs,"
-    "layout,soa,faults,retries,backoff_ms,deadline_ms";
+    "block_size,min_batches,num_streams,max_buffer_pairs,layout,soa,faults,"
+    "retries,backoff_ms,deadline_ms";
 
 /// The "deadline_ms" knob (sjtool --deadline-ms): arms a function-local
 /// ExecControl with an end-to-end deadline starting NOW, so the clock
@@ -86,7 +86,7 @@ void reject_threads(std::string_view backend, const api::RunConfig& config) {
   }
 }
 
-/// The batching/estimation knobs every GPU join-shaped engine shares
+/// The batching knobs every GPU join-shaped engine shares
 /// (GpuSelfJoinOptions, GpuJoinOptions, AsyncSelfJoinOptions all carry
 /// these members) — parsed in ONE place so validation cannot drift
 /// between the self-join, join and async adapters.
@@ -96,8 +96,6 @@ void apply_gpu_batch_knobs(const api::RunConfig& config, Options& opt) {
   opt.min_batches = static_cast<std::size_t>(positive_int(
       config, "min_batches", static_cast<int>(opt.min_batches)));
   opt.num_streams = positive_int(config, "num_streams", opt.num_streams);
-  opt.sample_rate = config.number("sample_rate", opt.sample_rate);
-  opt.safety = config.number("safety", opt.safety);
   const double buffer_pairs = config.number(
       "max_buffer_pairs", static_cast<double>(opt.max_buffer_pairs));
   if (buffer_pairs <= 0.0) {
@@ -131,16 +129,15 @@ api::JoinOutcome make_gpu_outcome(SelfJoinResult r) {
   out.stats.native = {
       {"index_build_seconds", s.index_build_seconds},
       {"upload_seconds", s.upload_seconds},
-      {"estimate_seconds", s.estimate_seconds},
+      // The exact-sizing count pass (count launch, prefix sum, batch
+      // cut), under the name the sampled estimator's phase had.
+      {"estimate_seconds", s.batch.count_seconds},
       {"join_seconds", s.join_seconds},
-      {"estimated_total", static_cast<double>(s.estimated_total)},
       {"batches_run", static_cast<double>(s.batch.batches_run)},
-      {"overflow_retries", static_cast<double>(s.batch.overflow_retries)},
       {"retries", static_cast<double>(s.batch.retries)},
       {"batches_split_on_oom",
        static_cast<double>(s.batch.batches_split_on_oom)},
       {"kernel_seconds", s.batch.kernel_seconds},
-      {"sort_seconds", s.batch.sort_seconds},
       {"assembly_seconds", s.batch.assembly_seconds},
       {"bytes_to_host", static_cast<double>(s.batch.bytes_to_host)},
       {"grid_nonempty_cells", static_cast<double>(s.grid_nonempty_cells)},
@@ -218,10 +215,8 @@ class GpuBackend final : public api::SelfJoinBackend {
     out.stats.distance_calcs = s.metrics.distance_calcs;
     out.stats.native = {
         {"index_build_seconds", s.index_build_seconds},
-        {"estimated_total", static_cast<double>(s.estimated_total)},
         {"query_groups", static_cast<double>(s.query_groups)},
         {"batches_run", static_cast<double>(s.batch.batches_run)},
-        {"overflow_retries", static_cast<double>(s.batch.overflow_retries)},
         {"retries", static_cast<double>(s.batch.retries)},
         {"batches_split_on_oom",
          static_cast<double>(s.batch.batches_split_on_oom)},
@@ -291,9 +286,8 @@ class GpuAsyncBackend final : public api::SelfJoinBackend {
  public:
   std::string_view name() const override { return "gpu_async"; }
   std::string_view description() const override {
-    return "GPU-SJ with estimate, batch kernels and host assembly "
-           "overlapped (work-queue batches on a stream pool, dedicated "
-           "assembly threads)";
+    return "GPU-SJ whose serial metrics pass overlaps the join (same exact "
+           "two-pass batches as gpu; unicomp off by default)";
   }
 
   api::Capabilities capabilities() const override { return {.gpu = true}; }
@@ -302,9 +296,8 @@ class GpuAsyncBackend final : public api::SelfJoinBackend {
                        const api::RunConfig& config) const override {
     config.check_keys(name(),
                       "block_size,min_batches,streams,num_streams,"
-                      "assembly_threads,sample_rate,safety,max_buffer_pairs,"
-                      "unicomp,layout,soa,faults,retries,backoff_ms,"
-                      "deadline_ms");
+                      "max_buffer_pairs,unicomp,layout,soa,faults,retries,"
+                      "backoff_ms,deadline_ms");
     reject_threads(name(), config);
     api::check_result_mode(name(), config, /*supports_sink=*/true);
     AsyncSelfJoinOptions opt;
@@ -321,14 +314,11 @@ class GpuAsyncBackend final : public api::SelfJoinBackend {
     // gpu/gpu_unicomp knob, applied above) is accepted too so scripts
     // can switch --algo without renaming options.
     opt.num_streams = positive_int(config, "streams", opt.num_streams);
-    opt.assembly_threads =
-        positive_int(config, "assembly_threads", opt.assembly_threads);
     exec::ExecControl ctl;
     apply_deadline(config, opt, ctl);
 
     auto out = make_gpu_outcome(AsyncGpuSelfJoin(opt).run(d, eps));
     out.stats.native["streams"] = opt.num_streams;
-    out.stats.native["assembly_threads"] = opt.assembly_threads;
     out.stats.native["layout_cell_major"] =
         opt.layout == GridLayout::kCellMajor ? 1.0 : 0.0;
     return out;
@@ -386,10 +376,8 @@ class GpuShardBackend final : public api::SelfJoinBackend {
     out.stats.distance_calcs = s.metrics.distance_calcs;
     out.stats.native = {
         {"index_build_seconds", s.index_build_seconds},
-        {"estimated_total", static_cast<double>(s.estimated_total)},
         {"query_groups", static_cast<double>(s.query_groups)},
         {"batches_run", static_cast<double>(s.batch.batches_run)},
-        {"overflow_retries", static_cast<double>(s.batch.overflow_retries)},
         {"retries", static_cast<double>(s.batch.retries)},
         {"batches_split_on_oom",
          static_cast<double>(s.batch.batches_split_on_oom)},
@@ -404,8 +392,8 @@ class GpuShardBackend final : public api::SelfJoinBackend {
  private:
   static constexpr std::string_view kShardKeys =
       "shards,schedule,chunklets,plan,plan_cache,streams,num_streams,"
-      "assembly_threads,unicomp,block_size,min_batches,sample_rate,safety,"
-      "max_buffer_pairs,layout,soa,faults,retries,backoff_ms";
+      "unicomp,block_size,min_batches,max_buffer_pairs,layout,soa,faults,"
+      "retries,backoff_ms";
 
   static ShardedSelfJoinOptions parse_shard_options(
       const api::RunConfig& config) {
@@ -421,8 +409,6 @@ class GpuShardBackend final : public api::SelfJoinBackend {
     // "streams" is the per-shard stream-pool spelling (as in gpu_async);
     // "num_streams" is accepted too so scripts can switch --algo.
     opt.num_streams = positive_int(config, "streams", opt.num_streams);
-    opt.assembly_threads =
-        positive_int(config, "assembly_threads", opt.assembly_threads);
     const std::string schedule = config.text("schedule", "concurrent");
     if (schedule == "concurrent") {
       opt.schedule = ShardSchedule::kConcurrent;

@@ -1,15 +1,12 @@
 #include "core/join.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "common/parse.hpp"
 #include "common/timer.hpp"
-#include "core/batcher.hpp"
+#include "core/batch_pipeline.hpp"
 #include "core/device_view.hpp"
-#include "core/estimator.hpp"
 #include "core/grid_index.hpp"
 #include "core/kernels.hpp"
 #include "gpusim/arena.hpp"
@@ -57,17 +54,6 @@ GpuJoinResult gpu_join(const Dataset& queries, const Dataset& data,
     for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
   }
 
-  // Non-pairs modes (count/histogram) skip the estimator and every pair
-  // buffer; the batch count falls back to min_batches.
-  const bool pairs_path =
-      opt.mode == ResultMode::kPairs || opt.mode == ResultMode::kSink;
-  EstimateResult est;
-  if (pairs_path) {
-    est = estimate_result_size(grid, /*unicomp=*/false, opt.sample_rate,
-                               opt.block_size);
-    st.estimated_total = est.estimated_total;
-  }
-
   ResultRequest req;
   req.mode = opt.mode;
   req.sink = opt.sink;
@@ -75,46 +61,22 @@ GpuJoinResult gpu_join(const Dataset& queries, const Dataset& data,
   req.control = opt.control;
 
   AtomicWork work;
-  Batcher batcher(arena, opt.device, opt.num_streams, opt.block_size,
-                  opt.retry);
+  BatchPipeline pipeline(arena, opt.device, pipeline_config(opt));
   PipelineOutput out;
   if (opt.layout == GridLayout::kCellMajor) {
     // Group the queries by their data-grid home cell and resolve each
-    // group's candidate ranges ONCE; built before buffer sizing so its
-    // device memory is accounted for. Batches upload 12-byte work items
-    // instead of 4-byte query ids; triple the reservation proxy.
+    // group's candidate ranges ONCE.
     const JoinAdjacency adjacency = build_join_adjacency(arena, grid);
     st.query_groups = adjacency.num_groups();
-
-    const std::uint64_t buffer_pairs =
-        pairs_path ? size_buffer_pairs(arena, queries.size() * 3,
-                                       est.estimated_total, opt.min_batches,
-                                       opt.num_streams, opt.max_buffer_pairs,
-                                       opt.safety)
-                   : 1;
-    const CellBatchPlan plan =
-        plan_cell_batches(adjacency.weights, est.estimated_total,
-                          opt.min_batches, buffer_pairs, opt.safety);
-    out = batcher.run_join_groups(req, grid, plan, adjacency, &work,
-                                  &st.batch);
-    work.add_to(st.metrics);
+    out = pipeline.run_join_groups(req, grid, adjacency, &work, &st.batch);
     // The adjacency build carries the index-search work (resolved once
     // per query group rather than once per query).
     st.metrics.cells_examined += adjacency.cells_examined;
     st.metrics.cells_nonempty += adjacency.cells_nonempty;
   } else {
-    const std::uint64_t buffer_pairs =
-        pairs_path ? size_buffer_pairs(arena, queries.size(),
-                                       est.estimated_total, opt.min_batches,
-                                       opt.num_streams, opt.max_buffer_pairs,
-                                       opt.safety)
-                   : 1;
-    const BatchPlan plan = plan_batches(est.estimated_total, queries.size(),
-                                        opt.min_batches, buffer_pairs,
-                                        opt.safety);
-    out = batcher.run(req, grid, /*unicomp=*/false, plan, &work, &st.batch);
-    work.add_to(st.metrics);
+    out = pipeline.run(req, grid, /*unicomp=*/false, &work, &st.batch);
   }
+  work.add_to(st.metrics);
   result.pairs = std::move(out.pairs);
   result.total_pairs = out.total_pairs;
   result.histogram = std::move(out.histogram);

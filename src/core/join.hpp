@@ -5,15 +5,15 @@
 // (a_index, b_index) with dist(A[a], B[b]) <= eps.
 //
 // UNICOMP does not apply (its parity argument requires query and data
-// cells to be the same set); batching and result-size estimation work
-// exactly as in the self-join.
+// cells to be the same set); the exact two-pass batching works exactly as
+// in the self-join, with the queries as the emitting units.
 //
 // Two layouts for the INDEXED side, mirroring the self-join:
 //   kCellMajor (default) — the data set is reordered cell-major at upload
 //     and the queries are sorted and GROUPED by the data-grid cell they
 //     fall into; each group's candidate slot ranges are resolved once
-//     (build_join_adjacency) and scanned contiguously, and batches are
-//     contiguous group ranges weighted by per-group work estimates.
+//     (build_join_adjacency) and scanned contiguously; batches are
+//     contiguous ranges of that sorted query order.
 //   kLegacy — the paper's point-centric search: every query re-runs the
 //     mask filtering and binary searches of B, candidates gathered
 //     through A[]. Kept for ablation (bench/ablation_join.cpp).
@@ -30,11 +30,9 @@ struct GpuJoinOptions {
   int block_size = 256;
   std::size_t min_batches = 3;
   int num_streams = 3;
-  double sample_rate = 0.01;
-  double safety = 1.25;
   std::uint64_t max_buffer_pairs = 1ULL << 24;
-  /// Result mode (common/result.hpp); non-pairs modes skip the estimator
-  /// and pair-buffer sizing, kSink streams batches through `sink`.
+  /// Result mode (common/result.hpp); non-pairs modes skip the count pass
+  /// and the pair buffers, kSink streams batches through `sink`.
   /// Histogram keys are QUERY indices.
   ResultMode mode = ResultMode::kPairs;
   PairSink sink;
@@ -51,7 +49,6 @@ struct GpuJoinOptions {
 struct GpuJoinStats {
   double total_seconds = 0.0;
   double index_build_seconds = 0.0;
-  std::uint64_t estimated_total = 0;
   /// Distinct data-grid home cells over the query set (cell-major layout
   /// only) — the number of adjacency resolutions the join amortises.
   std::uint64_t query_groups = 0;

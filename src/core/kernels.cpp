@@ -25,83 +25,84 @@ namespace sj {
 namespace {
 
 /// Per-thread emission helper with local work accounting. Dispatches on
-/// the ResultBufferView mode (see its doc comment): pair buffer writes,
-/// count-only cursor bumps, histogram counters, or estimator accounting.
+/// the ResultBufferView pass (see its doc comment): fill-pass writes at
+/// the unit's exact offset or histogram counters per find; the count pass
+/// and count-only runs account locally and record once per unit, in
+/// end_unit().
 struct Emitter {
   const ResultBufferView& r;
   LocalWork& w;
+  Pair* next = nullptr;          // fill-pass write position
+  std::uint64_t unit_start = 0;  // w.results when the unit began
 
   void bump(std::uint32_t id, std::uint32_t by) const {
     std::atomic_ref<std::uint32_t>(r.counts[id])
         .fetch_add(by, std::memory_order_relaxed);
   }
 
-  void emit(std::uint32_t key, std::uint32_t value) {
-    ++w.results;
-    if (r.counts != nullptr) {  // histogram mode
-      bump(key, 1);
-      return;
-    }
-    if (r.cursor == nullptr) return;  // estimator mode
-    const std::uint64_t idx = r.cursor->fetch_add(1);
-    if (r.out == nullptr) return;  // count-only mode
-    if (idx >= r.capacity) {
-      r.overflow->store(true, std::memory_order_relaxed);
-      return;
-    }
-    r.out[idx] = Pair{key, value};
+  /// Bracket one emitting unit's scan: begin_unit() positions the fill
+  /// cursor at the unit's offset, end_unit() records its count (count
+  /// pass) or adds it to the count-only cursor — one atomic per unit, not
+  /// per find — and, with contracts on, checks that the fill wrote exactly
+  /// the counted slice.
+  void begin_unit(std::uint64_t unit) {
+    unit_start = w.results;
+    if (r.out != nullptr) next = r.out + (r.offsets[unit] - r.base);
+  }
+  void end_unit(std::uint64_t unit) const {
+    const std::uint64_t found = w.results - unit_start;
+    if (r.unit_counts != nullptr) r.unit_counts[unit] = found;
+    if (r.cursor != nullptr && found > 0) r.cursor->fetch_add(found);
+    SJ_INVARIANT(r.out == nullptr ||
+                     next == r.out + (r.offsets[unit + 1] - r.base),
+                 "a unit's fill must match its count-pass slice exactly");
   }
 
-  /// UNICOMP emits both ordered pairs of a find with one atomic
-  /// reservation.
+  void emit(std::uint32_t key, std::uint32_t value) {
+    ++w.results;
+    if (r.out != nullptr) {
+      *next++ = Pair{key, value};
+    } else if (r.counts != nullptr) {
+      bump(key, 1);
+    }
+  }
+
+  /// UNICOMP emits both ordered pairs of a find.
   void emit_both(std::uint32_t a, std::uint32_t b) {
     w.results += 2;
-    if (r.counts != nullptr) {
+    if (r.out != nullptr) {
+      next[0] = Pair{a, b};
+      next[1] = Pair{b, a};
+      next += 2;
+    } else if (r.counts != nullptr) {
       bump(a, 1);
       bump(b, 1);
-      return;
     }
-    if (r.cursor == nullptr) return;
-    const std::uint64_t idx = r.cursor->fetch_add(2);
-    if (r.out == nullptr) return;
-    if (idx + 2 > r.capacity) {
-      r.overflow->store(true, std::memory_order_relaxed);
-      return;
-    }
-    r.out[idx] = Pair{a, b};
-    r.out[idx + 1] = Pair{b, a};
   }
 
   /// Blocked emission for the cell-centric kernel: all of one scan
-  /// block's finds are reserved with a SINGLE atomic (two slots per find
-  /// when `both` — UNICOMP's "add both ordered pairs" rule).
+  /// block's finds at once (two pairs per find when `both` — UNICOMP's
+  /// "add both ordered pairs" rule).
   void emit_block(std::uint32_t key, const std::uint32_t* values, int count,
                   bool both) {
     const std::uint64_t slots =
         static_cast<std::uint64_t>(count) * (both ? 2 : 1);
     w.results += slots;
-    if (r.counts != nullptr) {
+    if (r.out != nullptr) {
+      if (both) {
+        for (int v = 0; v < count; ++v) {
+          next[2 * v] = Pair{key, values[v]};
+          next[2 * v + 1] = Pair{values[v], key};
+        }
+      } else {
+        for (int v = 0; v < count; ++v) next[v] = Pair{key, values[v]};
+      }
+      next += slots;
+    } else if (r.counts != nullptr) {
       bump(key, static_cast<std::uint32_t>(count));
       if (both) {
         for (int v = 0; v < count; ++v) bump(values[v], 1);
       }
-      return;
-    }
-    if (r.cursor == nullptr) return;
-    const std::uint64_t idx = r.cursor->fetch_add(slots);
-    if (r.out == nullptr) return;
-    if (idx + slots > r.capacity) {
-      r.overflow->store(true, std::memory_order_relaxed);
-      return;
-    }
-    Pair* out = r.out + idx;
-    if (both) {
-      for (int v = 0; v < count; ++v) {
-        out[2 * v] = Pair{key, values[v]};
-        out[2 * v + 1] = Pair{values[v], key};
-      }
-    } else {
-      for (int v = 0; v < count; ++v) out[v] = Pair{key, values[v]};
     }
   }
 };
@@ -470,9 +471,7 @@ void self_join_thread(const gpu::ThreadCtx& ctx,
                       const SelfJoinKernelParams& p) {
   const std::uint64_t gid = ctx.global_id();
   if (gid >= p.num_queries) return;  // Algorithm 1, line 3
-  const std::uint32_t pid =
-      p.query_ids != nullptr ? p.query_ids[gid]
-                             : static_cast<std::uint32_t>(gid);
+  const std::uint64_t pid = p.first_query + gid;
 
   const GridDeviceView& g = p.grid;
   const double* pt = g.query_point(pid);
@@ -480,6 +479,7 @@ void self_join_thread(const gpu::ThreadCtx& ctx,
 
   LocalWork w;
   Emitter em{p.result, w};
+  em.begin_unit(pid);
   w.global_loads += static_cast<std::uint64_t>(g.dim);
   w.global_load_bytes += static_cast<std::uint64_t>(g.dim) * sizeof(double);
   if (p.cache != nullptr) {
@@ -501,6 +501,7 @@ void self_join_thread(const gpu::ThreadCtx& ctx,
                            eval_cell(p, w, em, key, pt, cc, both);
                          });
 
+  em.end_unit(pid);
   if (p.work != nullptr) p.work->flush(w);
 }
 
@@ -539,6 +540,7 @@ void self_join_cells_thread(const gpu::ThreadCtx& ctx,
   for (std::uint32_t s = item.begin; s < item.end; ++s) {
     const double* pt = g.points + static_cast<std::size_t>(s) * g.dim;
     const std::uint32_t key = g.orig[s];
+    em.begin_unit(s);
     w.global_loads += static_cast<std::uint64_t>(g.dim);
     w.global_load_bytes += static_cast<std::uint64_t>(g.dim) * sizeof(double);
     if (p.cache != nullptr) {
@@ -548,6 +550,7 @@ void self_join_cells_thread(const gpu::ThreadCtx& ctx,
     for (std::size_t r = 0; r < num_ranges; ++r) {
       scan_range(g, w, em, key, pt, ranges[r], eps2, p.cache);
     }
+    em.end_unit(s);
   }
 
   if (p.work != nullptr) p.work->flush(w);
@@ -613,7 +616,6 @@ CellAdjacency build_cell_adjacency(gpu::GlobalMemoryArena& arena,
   std::copy(host.ranges.begin(), host.ranges.end(), adj.ranges.data());
   adj.offsets = gpu::DeviceBuffer<std::uint64_t>(arena, host.offsets.size());
   std::copy(host.offsets.begin(), host.offsets.end(), adj.offsets.data());
-  adj.weights = std::move(host.weights);
   adj.cells_examined = host.cells_examined;
   adj.cells_nonempty = host.cells_nonempty;
   return adj;
@@ -641,6 +643,7 @@ void join_cells_thread(const gpu::ThreadCtx& ctx,
     SJ_INVARIANT(qid < g.num_queries(),
                  "query order entry must name a valid query id");
     const double* pt = g.query_point(qid);
+    em.begin_unit(s);
     w.global_loads += static_cast<std::uint64_t>(g.dim) + 1;  // pt + id
     w.global_load_bytes +=
         static_cast<std::uint64_t>(g.dim) * sizeof(double) +
@@ -652,6 +655,7 @@ void join_cells_thread(const gpu::ThreadCtx& ctx,
     for (std::size_t r = 0; r < num_ranges; ++r) {
       scan_range(g, w, em, qid, pt, ranges[r], eps2, p.cache);
     }
+    em.end_unit(s);
   }
 
   if (p.work != nullptr) p.work->flush(w);
@@ -731,7 +735,6 @@ JoinAdjacency build_join_adjacency(gpu::GlobalMemoryArena& arena,
   adj.offsets = gpu::DeviceBuffer<std::uint64_t>(arena, host.offsets.size());
   std::copy(host.offsets.begin(), host.offsets.end(), adj.offsets.data());
   adj.group_offsets = std::move(host.group_offsets);
-  adj.weights = std::move(host.weights);
   adj.cells_examined = host.cells_examined;
   adj.cells_nonempty = host.cells_nonempty;
   return adj;
@@ -747,12 +750,14 @@ void brute_force_thread(const gpu::ThreadCtx& ctx,
 
   LocalWork w;
   Emitter em{p.result, w};
+  em.begin_unit(pid);
   for (std::uint64_t q = 0; q < p.n; ++q) {
     const double* qt = p.points + static_cast<std::size_t>(q) * p.dim;
     ++w.distance_calcs;
     const double d2 = sq_dist(pt, qt, p.dim);
     if (d2 <= eps2) em.emit(pid, static_cast<std::uint32_t>(q));
   }
+  em.end_unit(pid);
   if (p.work != nullptr) p.work->flush(w);
 }
 

@@ -36,32 +36,36 @@
 
 namespace sj {
 
-/// Where results go — one struct covers all four result modes:
+/// Where results go. Every kernel walks EMITTING UNITS — a query id
+/// (point-centric kernel), a point slot (cell-centric self-join) or a
+/// query position (grouped join) — and one struct covers every pass:
 ///
-///   pairs      — `out` + `cursor` + `overflow` set: pairs are appended
-///                through the atomic cursor, `overflow` raised when the
-///                buffer capacity is exceeded. (Also the sink mode: the
-///                host streams the filled buffers instead of keeping
-///                them.)
-///   count_only — `cursor` set, `out` null: finds bump the cursor only;
-///                no buffer writes, no overflow possible.
+///   count pass — `unit_counts` set: each unit's pair count is recorded
+///                at its unit index (the exact-sizing pass of the
+///                two-pass output; nothing else is written).
+///   fill pass  — `out` + `offsets` set: unit u's pairs are written in
+///                scan order to out[offsets[u] - base ..), where
+///                `offsets` is the exclusive prefix sum of the count pass
+///                and `base` the first offset `out` holds. No atomics, no
+///                overflow: every unit's slice is sized exactly.
+///   count_only — `cursor` set: each unit adds its count to the cursor.
 ///   histogram  — `counts` set (per-ORIGINAL-id neighbour counters,
 ///                incremented with relaxed atomics): no buffer traffic.
-///   estimator  — everything null: finds land only in LocalWork.results.
 struct ResultBufferView {
   Pair* out = nullptr;
-  std::uint64_t capacity = 0;
+  const std::uint64_t* offsets = nullptr;
+  std::uint64_t base = 0;
+  std::uint64_t* unit_counts = nullptr;
   gpu::DeviceCounter* cursor = nullptr;
-  std::atomic<bool>* overflow = nullptr;
   std::uint32_t* counts = nullptr;
 };
 
 struct SelfJoinKernelParams {
   GridDeviceView grid;
-  /// Point ids this launch processes (the batching scheme passes each
-  /// batch's ids); nullptr means the identity mapping over all points.
-  /// On a cell-major grid these are point SLOTS, not original ids.
-  const std::uint32_t* query_ids = nullptr;
+  /// The launch processes query ids [first_query, first_query +
+  /// num_queries) — a batch's contiguous unit range. On a cell-major grid
+  /// these are point SLOTS, not original ids.
+  std::uint64_t first_query = 0;
   std::uint64_t num_queries = 0;
   ResultBufferView result;
   bool unicomp = false;
@@ -72,10 +76,10 @@ struct SelfJoinKernelParams {
 void self_join_thread(const gpu::ThreadCtx& ctx,
                       const SelfJoinKernelParams& p);
 
-/// One cell-centric work unit: the points in slots [begin, end) of the
-/// non-empty cell with index `cell` into B/G. Root batches cover whole
-/// cells (begin = G[cell].min, end = G[cell].max + 1); the overflow-split
-/// path may narrow the slot range of a single oversized cell.
+/// One cell-centric work item: the points in slots [begin, end) of the
+/// non-empty cell with index `cell` into B/G. Items cover whole cells
+/// (begin = G[cell].min, end = G[cell].max + 1) except where a batch's
+/// slot range cuts a cell, which narrows the item to the batch's slots.
 struct CellWorkItem {
   std::uint32_t cell;
   std::uint32_t begin;
@@ -91,16 +95,12 @@ struct CandidateRange {
 };
 
 /// The per-cell adjacency, resolved ONCE per join: cell i's candidate
-/// slot ranges are ranges[offsets[i], offsets[i+1]). Shared by the batch
-/// planner (weights) and every batch kernel launch, so neither the
-/// planning pass nor overflow retries repeat the odometer + binary
+/// slot ranges are ranges[offsets[i], offsets[i+1]). Shared by the count
+/// pass and every fill launch, so no launch repeats the odometer + binary
 /// searches of B.
 struct CellAdjacency {
   gpu::DeviceBuffer<CandidateRange> ranges;
   gpu::DeviceBuffer<std::uint64_t> offsets;  // b_size + 1 entries
-  /// Host-side per-cell candidate-pair counts (cell population x
-  /// candidate population, both-orders ranges twice) for the planner.
-  std::vector<std::uint64_t> weights;
 
   /// Index-search work the build performed — the cell-mode equivalent of
   /// the point-centric kernel's cell counters (amortised: once per cell
@@ -109,13 +109,16 @@ struct CellAdjacency {
   std::uint64_t cells_nonempty = 0;
 };
 
-/// Host-resident form of CellAdjacency: the same CSR, weights and work
-/// counters as plain vectors, with no device allocation. This is what the
-/// shard planner slices per device — each shard uploads only its own
-/// cells' remapped ranges — and what build_cell_adjacency uploads whole.
+/// Host-resident form of CellAdjacency: the same CSR and work counters as
+/// plain vectors, with no device allocation, plus the per-cell work
+/// weights. This is what the shard planner slices per device — each shard
+/// uploads only its own cells' remapped ranges — and what
+/// build_cell_adjacency uploads whole.
 struct CellAdjacencyHost {
   std::vector<CandidateRange> ranges;
   std::vector<std::uint64_t> offsets;  // b_size + 1 entries
+  /// Per-cell candidate-pair counts (cell population x candidate
+  /// population, both-orders ranges twice).
   std::vector<std::uint64_t> weights;
   std::uint64_t cells_examined = 0;
   std::uint64_t cells_nonempty = 0;
@@ -167,7 +170,7 @@ void self_join_cells_thread(const gpu::ThreadCtx& ctx,
 /// group, and each group's candidate slot ranges in the cell-major data
 /// layout are resolved ONCE (the home cell need not be non-empty in the
 /// data grid — groups are keyed by coordinates, not by B entries). Shared
-/// by the batch planner (weights) and every kernel launch.
+/// by the shard planner (weights) and every kernel launch.
 struct JoinAdjacency {
   /// All query ids, sorted by (home cell, id); group g covers
   /// query_order[group_offsets[g], group_offsets[g+1]).
@@ -176,10 +179,6 @@ struct JoinAdjacency {
 
   gpu::DeviceBuffer<CandidateRange> ranges;
   gpu::DeviceBuffer<std::uint64_t> offsets;  // num_groups + 1 entries
-
-  /// Per-group candidate-pair counts (group population x candidate
-  /// population) for the planner.
-  std::vector<std::uint64_t> weights;
 
   std::uint64_t cells_examined = 0;
   std::uint64_t cells_nonempty = 0;

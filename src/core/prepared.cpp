@@ -5,7 +5,7 @@
 
 #include "common/parse.hpp"
 #include "common/timer.hpp"
-#include "core/batcher.hpp"
+#include "core/batch_pipeline.hpp"
 
 namespace sj {
 
@@ -67,24 +67,11 @@ GpuJoinResult PreparedJoin::run(const Dataset& queries,
     for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
   }
 
-  const bool pairs_path =
-      opt.mode == ResultMode::kPairs || opt.mode == ResultMode::kSink;
-  EstimateResult est;
-  if (pairs_path) {
-    est = estimate_result_size(grid, /*unicomp=*/false, opt.sample_rate,
-                               opt.block_size);
-    st.estimated_total = est.estimated_total;
-  }
-
   ResultRequest req;
   req.mode = opt.mode;
   req.sink = opt.sink;
   req.histogram_keys = queries.size();
   req.control = opt.control;
-
-  AtomicWork work;
-  Batcher batcher(arena_, device_, opt.num_streams, opt.block_size,
-                  opt.retry);
 
   // Group the queries by their data-grid home cell and resolve each
   // group's candidate ranges once — the same per-call path as gpu_join's
@@ -92,17 +79,10 @@ GpuJoinResult PreparedJoin::run(const Dataset& queries,
   const JoinAdjacency adjacency = build_join_adjacency(arena_, grid);
   st.query_groups = adjacency.num_groups();
 
-  const std::uint64_t buffer_pairs =
-      pairs_path ? size_buffer_pairs(arena_, queries.size() * 3,
-                                     est.estimated_total, opt.min_batches,
-                                     opt.num_streams, opt.max_buffer_pairs,
-                                     opt.safety)
-                 : 1;
-  const CellBatchPlan plan =
-      plan_cell_batches(adjacency.weights, est.estimated_total,
-                        opt.min_batches, buffer_pairs, opt.safety);
-  PipelineOutput out = batcher.run_join_groups(req, grid, plan, adjacency,
-                                               &work, &st.batch);
+  AtomicWork work;
+  BatchPipeline pipeline(arena_, device_, pipeline_config(opt));
+  PipelineOutput out =
+      pipeline.run_join_groups(req, grid, adjacency, &work, &st.batch);
   work.add_to(st.metrics);
   st.metrics.cells_examined += adjacency.cells_examined;
   st.metrics.cells_nonempty += adjacency.cells_nonempty;
@@ -136,37 +116,18 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
     for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
   }
 
-  const bool pairs_path =
-      opt.mode == ResultMode::kPairs || opt.mode == ResultMode::kSink;
-
-  // Adjacency + estimate are query-independent for the self-join, so
-  // they amortise across the session's calls (per unicomp flag).
+  // The adjacency is query-independent for the self-join, so it
+  // amortises across the session's calls (per unicomp flag).
   const CellAdjacency* adjacency = nullptr;
-  EstimateResult est;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    SelfCache& cache = self_cache_[opt.unicomp ? 1 : 0];
-    if (cache.adjacency == nullptr) {
-      cache.adjacency = std::make_unique<CellAdjacency>(
+    std::unique_ptr<CellAdjacency>& cached =
+        self_adjacency_[opt.unicomp ? 1 : 0];
+    if (cached == nullptr) {
+      cached = std::make_unique<CellAdjacency>(
           build_cell_adjacency(arena_, grid, opt.unicomp));
     }
-    if (pairs_path && !cache.estimated) {
-      Timer phase;
-      cache.estimate = estimate_result_size(grid, opt.unicomp,
-                                            opt.sample_rate, opt.block_size);
-      cache.estimated = true;
-      st.estimate_seconds = phase.seconds();
-    }
-    adjacency = cache.adjacency.get();
-    est = cache.estimate;
-  }
-  if (pairs_path) st.estimated_total = est.estimated_total;
-
-  std::uint64_t buffer_pairs = 1;
-  if (pairs_path) {
-    buffer_pairs = size_buffer_pairs(
-        arena_, data_->size() * 3, est.estimated_total, opt.min_batches,
-        opt.num_streams, opt.max_buffer_pairs, opt.safety);
+    adjacency = cached.get();
   }
 
   ResultRequest req;
@@ -177,13 +138,9 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
 
   AtomicWork work;
   Timer phase;
-  Batcher batcher(arena_, device_, opt.num_streams, opt.block_size,
-                  opt.retry);
-  const CellBatchPlan plan =
-      plan_cell_batches(adjacency->weights, est.estimated_total,
-                        opt.min_batches, buffer_pairs, opt.safety);
-  PipelineOutput out = batcher.run_cells(req, grid, opt.unicomp, plan,
-                                         adjacency, &work, &st.batch);
+  BatchPipeline pipeline(arena_, device_, pipeline_config(opt));
+  PipelineOutput out = pipeline.run_cells(req, grid, opt.unicomp, *adjacency,
+                                          &work, &st.batch);
   result.pairs = std::move(out.pairs);
   result.total_pairs = out.total_pairs;
   result.histogram = std::move(out.histogram);

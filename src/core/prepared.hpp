@@ -9,7 +9,7 @@
 // concurrently from many threads. The shared arena's allocation is
 // mutex-protected (gpusim/arena.hpp), the staged grid buffers are
 // read-only, and each call runs its own stream pool — the only shared
-// mutable state is the lazily-built self-join cache, guarded here.
+// mutable state is the lazily-built self-join adjacency, guarded here.
 #pragma once
 
 #include <memory>
@@ -17,7 +17,6 @@
 
 #include "common/dataset.hpp"
 #include "core/device_view.hpp"
-#include "core/estimator.hpp"
 #include "core/join.hpp"
 #include "core/kernels.hpp"
 #include "core/self_join.hpp"
@@ -57,19 +56,12 @@ class PreparedJoin {
   GpuJoinResult run(const Dataset& queries, const GpuJoinOptions& opt) const;
 
   /// Self-join over the prepared grid at the index's eps. The cell
-  /// adjacency and the result-size estimate are resolved once per
-  /// unicomp flag and cached across calls (the estimate uses the FIRST
-  /// caller's sample_rate/block_size; the session issues uniform
-  /// options). Same output as GpuSelfJoin::run on the cell-major layout.
+  /// adjacency is resolved once per unicomp flag and cached across calls.
+  /// Same output, byte for byte, as GpuSelfJoin::run on the cell-major
+  /// layout.
   SelfJoinResult self_join(const GpuSelfJoinOptions& opt) const;
 
  private:
-  struct SelfCache {
-    std::unique_ptr<CellAdjacency> adjacency;
-    EstimateResult estimate;
-    bool estimated = false;
-  };
-
   const Dataset* data_;
   GridIndex index_;
   gpu::DeviceSpec device_;
@@ -79,7 +71,8 @@ class PreparedJoin {
   double upload_seconds_ = 0.0;
 
   mutable std::mutex cache_mu_;
-  mutable SelfCache self_cache_[2];  // indexed by unicomp flag
+  /// The self-join adjacency, indexed by unicomp flag.
+  mutable std::unique_ptr<CellAdjacency> self_adjacency_[2];
 };
 
 }  // namespace sj

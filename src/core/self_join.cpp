@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "common/timer.hpp"
+#include "core/batch_pipeline.hpp"
 #include "core/device_view.hpp"
-#include "core/estimator.hpp"
 #include "core/grid_index.hpp"
 #include "core/kernels.hpp"
 #include "gpusim/arena.hpp"
@@ -23,8 +23,8 @@ GpuSelfJoin::GpuSelfJoin(GpuSelfJoinOptions opt) : opt_(opt) {
   if (opt_.num_streams <= 0) {
     throw std::invalid_argument("GpuSelfJoin: num_streams must be positive");
   }
-  if (opt_.sample_rate <= 0.0 || opt_.sample_rate > 1.0) {
-    throw std::invalid_argument("GpuSelfJoin: sample_rate must be in (0, 1]");
+  if (opt_.min_batches == 0) {
+    throw std::invalid_argument("GpuSelfJoin: min_batches must be positive");
   }
 }
 
@@ -64,40 +64,11 @@ SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
     for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
   }
 
-  // Count-only and histogram runs materialise no pairs, so neither the
-  // result-size estimator nor any pair buffer is needed — the batch count
-  // falls back to min_batches.
-  const bool pairs_path = opt_.mode == ResultMode::kPairs ||
-                          opt_.mode == ResultMode::kSink;
-
-  // --- Estimate total result size from a sample (count-only kernel).
-  EstimateResult est;
-  if (pairs_path) {
-    phase.reset();
-    est = estimate_result_size(grid, opt_.unicomp, opt_.sample_rate,
-                               opt_.block_size);
-    st.estimate_seconds = phase.seconds();
-    st.estimated_total = est.estimated_total;
-  }
-
   // --- Cell mode: resolve every cell's adjacency ONCE (shared by the
-  // batch planner and all kernel launches, including overflow retries).
-  // Built before buffer sizing so its device memory is accounted for.
+  // count pass and every fill launch).
   CellAdjacency adjacency;
   if (opt_.layout == GridLayout::kCellMajor) {
     adjacency = build_cell_adjacency(arena, grid, opt_.unicomp);
-  }
-
-  // --- Size the per-stream buffers within the device's free memory.
-  // Cell-mode batches upload 12-byte work items instead of 4-byte query
-  // ids; triple the reservation proxy so the uploads always fit.
-  std::uint64_t buffer_pairs = 1;
-  if (pairs_path) {
-    const std::uint64_t upload_units =
-        grid.cell_major ? d.size() * 3 : d.size();
-    buffer_pairs = size_buffer_pairs(
-        arena, upload_units, est.estimated_total, opt_.min_batches,
-        opt_.num_streams, opt_.max_buffer_pairs, opt_.safety);
   }
 
   ResultRequest req;
@@ -106,25 +77,15 @@ SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
   req.histogram_keys = d.size();
   req.control = opt_.control;
 
-  // --- Batched, stream-pipelined join.
+  // --- Exact two-pass batched join: count, prefix sum, fill.
   AtomicWork work;
   phase.reset();
-  Batcher batcher(arena, opt_.device, opt_.num_streams, opt_.block_size,
-                  opt_.retry);
-  PipelineOutput out;
-  if (opt_.layout == GridLayout::kCellMajor) {
-    // Per-cell work estimates -> weighted contiguous cell batches.
-    const CellBatchPlan plan =
-        plan_cell_batches(adjacency.weights, est.estimated_total,
-                          opt_.min_batches, buffer_pairs, opt_.safety);
-    out = batcher.run_cells(req, grid, opt_.unicomp, plan, &adjacency,
-                            &work, &st.batch);
-  } else {
-    const BatchPlan plan = plan_batches(est.estimated_total, d.size(),
-                                        opt_.min_batches, buffer_pairs,
-                                        opt_.safety);
-    out = batcher.run(req, grid, opt_.unicomp, plan, &work, &st.batch);
-  }
+  BatchPipeline pipeline(arena, opt_.device, pipeline_config(opt_));
+  PipelineOutput out =
+      opt_.layout == GridLayout::kCellMajor
+          ? pipeline.run_cells(req, grid, opt_.unicomp, adjacency, &work,
+                               &st.batch)
+          : pipeline.run(req, grid, opt_.unicomp, &work, &st.batch);
   result.pairs = std::move(out.pairs);
   result.total_pairs = out.total_pairs;
   result.histogram = std::move(out.histogram);

@@ -2,7 +2,8 @@
 //
 // Combines the grid index (Section IV), the GPUSELFJOINGLOBAL kernel
 // (Algorithm 1), the UNICOMP duplicate-search-removal optimisation
-// (Section V-B) and the result-set batching scheme (Section V-A).
+// (Section V-B) and the result-set batching scheme (Section V-A), the
+// latter sized exactly by a count pass (core/batcher.hpp).
 //
 //   sj::GpuSelfJoin join;                      // defaults: UNICOMP on,
 //   auto r = join.run(dataset, eps);           // 256-thread blocks, >= 3
@@ -39,16 +40,11 @@ struct GpuSelfJoinOptions {
   /// (Section V-A).
   std::size_t min_batches = 3;
 
-  /// Streams pipelining kernel execution against host transfers.
+  /// Rotating device result buffers: each batch's transfer to the host
+  /// overlaps the fills of the next num_streams - 1 batches.
   int num_streams = 3;
 
-  /// Fraction of points sampled by the result-size estimator.
-  double sample_rate = 0.01;
-
-  /// Safety factor applied to the estimate when sizing batches.
-  double safety = 1.25;
-
-  /// Hard cap on the per-stream result buffer (pairs); the effective size
+  /// Hard cap on one device result buffer (pairs); the effective size
   /// also respects the device's free global memory.
   std::uint64_t max_buffer_pairs = 1ULL << 24;
 
@@ -57,8 +53,8 @@ struct GpuSelfJoinOptions {
   bool collect_metrics = false;
 
   /// What to materialise (common/result.hpp). Non-pairs modes skip the
-  /// result-size estimator and all pair-buffer allocation; kSink streams
-  /// sorted batches through `sink`.
+  /// count pass and all pair-buffer allocation; kSink streams batches
+  /// through `sink`.
   ResultMode mode = ResultMode::kPairs;
   PairSink sink;
 
@@ -85,10 +81,8 @@ struct SelfJoinStats {
   double total_seconds = 0.0;
   double index_build_seconds = 0.0;
   double upload_seconds = 0.0;
-  double estimate_seconds = 0.0;
-  double join_seconds = 0.0;  // batched kernel + sort + transfer phase
+  double join_seconds = 0.0;  // count pass, batched fills and transfers
 
-  std::uint64_t estimated_total = 0;
   BatchRunStats batch;
 
   std::size_t grid_nonempty_cells = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <deque>
 #include <exception>
@@ -19,8 +18,6 @@
 #include "common/parse.hpp"
 #include "common/timer.hpp"
 #include "core/batch_pipeline.hpp"
-#include "core/batcher.hpp"
-#include "core/estimator.hpp"
 #include "core/grid_index.hpp"
 #include "core/kernels.hpp"
 #include "core/shard_plan.hpp"
@@ -46,11 +43,8 @@ void validate_shard_options(const ShardedSelfJoinOptions& opt,
   if (opt.num_streams <= 0) {
     throw std::invalid_argument(name + ": num_streams must be positive");
   }
-  if (opt.assembly_threads <= 0) {
-    throw std::invalid_argument(name + ": assembly_threads must be positive");
-  }
-  if (opt.sample_rate <= 0.0 || opt.sample_rate > 1.0) {
-    throw std::invalid_argument(name + ": sample_rate must be in (0, 1]");
+  if (opt.min_batches == 0) {
+    throw std::invalid_argument(name + ": min_batches must be positive");
   }
   if (opt.layout != GridLayout::kCellMajor) {
     throw std::invalid_argument(
@@ -67,10 +61,9 @@ void validate_shard_options(const ShardedSelfJoinOptions& opt,
 }
 
 /// Host-resident cell-major image of the indexed dataset plus a kernel
-/// view over it. No device memory is charged: the adjacency build, the
-/// global estimate and the metrics replay run here ONCE, and each device
-/// then uploads only its chunklets' slices of this staging into its own
-/// arena.
+/// view over it. No device memory is charged: the planning pass and the
+/// metrics replay run here ONCE, and each device then uploads only its
+/// chunklets' slices of this staging into its own arena.
 struct HostStage {
   std::vector<double> points;
   std::vector<double> coords;  ///< SoA planes, coords[j * n + slot]
@@ -364,8 +357,8 @@ void run_chunklets(
 
 /// Per-device state reused across every chunklet the device runs: ONE
 /// arena and ONE pipeline per slot, re-armed per chunklet (fresh
-/// DeviceBuffers from the same arena, the pipeline's segment pool and
-/// batch ordinal persisting) instead of rebuilt per slice. Rebuilt fresh
+/// DeviceBuffers from the same arena, the pipeline's batch ordinal
+/// persisting) instead of rebuilt per slice. Rebuilt fresh
 /// only when failover re-homes the slot onto a different physical device.
 struct DeviceCtx {
   int device_id = -1;
@@ -382,14 +375,8 @@ void rearm_device(DeviceCtx& ctx, int device,
   ctx.qbuf = gpu::DeviceBuffer<double>();
   ctx.pipeline.reset();
   ctx.arena = std::make_unique<gpu::GlobalMemoryArena>(opt.device);
-  PipelineConfig config;
-  config.streams = opt.num_streams;
-  config.assembly_threads = opt.assembly_threads;
-  config.block_size = opt.block_size;
-  config.retry = opt.retry;
-  config.device_id = device;
   ctx.pipeline = std::make_unique<BatchPipeline>(*ctx.arena, opt.device,
-                                                 config);
+                                                 pipeline_config(opt, device));
   ctx.device_id = device;
 }
 
@@ -408,76 +395,21 @@ struct ChunkOutput {
   int slot = -1;  ///< device slot that ran it (stats attribution)
 };
 
-/// Slice the shared once-per-join estimate to one chunklet by its share
-/// of the planner weight (exact per-chunklet sampling would pay the
-/// estimator's min-sample floor M times over).
-std::uint64_t slice_estimate(std::uint64_t estimated_total,
-                             std::uint64_t chunk_weight,
-                             std::uint64_t total_weight,
-                             std::size_t chunklets) {
-  if (total_weight == 0) {
-    return estimated_total / std::max<std::size_t>(chunklets, 1);
-  }
-  const unsigned __int128 share =
-      static_cast<unsigned __int128>(estimated_total) * chunk_weight /
-      total_weight;
-  return static_cast<std::uint64_t>(share);
-}
-
-/// Distribute the result-size sampling pass across the K device slots:
-/// each slot estimates its own seeded chunklet group's span, and the span
-/// totals sum into the ONE shared estimate that slice_estimate() prorates
-/// per chunklet (the no-per-chunklet-estimator rule holds — M never pays
-/// the min-sample floor). The sampling launch is device work, so it is
-/// charged to the per-device busy clocks — and under schedule=concurrent
-/// genuinely runs on K threads. Leaving it in the serialized common phase
-/// would put an O(n) sampling prefix ahead of every device and cap
-/// 8-device strong scaling well below the 0.9 target.
-///
-/// The per-span results are deterministic functions of the plan alone
-/// (not of thread timing), so every schedule computes identical slices
-/// and the byte-identical-across-schedules contract is unaffected.
-EstimateResult estimate_on_devices(
-    ShardSchedule schedule, std::vector<SlotState>& slots,
-    const std::function<EstimateResult(std::size_t)>& sample_span) {
-  const std::size_t k = slots.size();
-  std::vector<EstimateResult> parts(k);
-  std::exception_ptr first_error;
-  std::mutex mu;
-  auto one = [&](std::size_t s) {
-    Timer t;
-    try {
-      parts[s] = sample_span(s);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-    slots[s].busy_seconds += t.seconds();
-  };
-  if (schedule == ShardSchedule::kConcurrent && k > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(k);
-    for (std::size_t s = 0; s < k; ++s) threads.emplace_back(one, s);
-    for (auto& t : threads) t.join();
-  } else {
-    // Virtual-time schedules: each span samples alone on the host core,
-    // so the measured seconds are contention-free per-device clock seeds
-    // that the chunklet drive then extends.
-    for (std::size_t s = 0; s < k; ++s) one(s);
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-  EstimateResult sum;
-  for (const EstimateResult& p : parts) {
-    sum.estimated_total += p.estimated_total;
-    sum.sample_size += p.sample_size;
-    sum.sample_count += p.sample_count;
-    sum.seconds += p.seconds;
-  }
-  return sum;
+/// Accumulate one chunklet's pipeline stats into a per-device or
+/// run-level total.
+void add_batch_stats(BatchRunStats& into, const BatchRunStats& b) {
+  into.batches_run += b.batches_run;
+  into.retries += b.retries;
+  into.batches_split_on_oom += b.batches_split_on_oom;
+  into.count_seconds += b.count_seconds;
+  into.kernel_seconds += b.kernel_seconds;
+  into.assembly_seconds += b.assembly_seconds;
+  into.bytes_to_host += b.bytes_to_host;
+  into.modeled_transfer_seconds += b.modeled_transfer_seconds;
 }
 
 /// Merge the per-chunklet results in chunklet order (deterministic: each
-/// chunklet's output is already batch-key ordered, and chunklets are
+/// chunklet's output is in scan order over its units, and chunklets are
 /// disjoint ascending cell ranges) and fold the per-chunklet batch stats
 /// into the aggregate. Pairs concatenate; counts sum; histograms sum
 /// element-wise.
@@ -508,16 +440,7 @@ PipelineOutput merge_chunklets(std::vector<ChunkOutput>& outs,
       for (std::size_t i = 0; i < h.size(); ++i) merged.histogram[i] += h[i];
     }
     works[c].add_to(metrics);
-    const BatchRunStats& b = outs[c].batch;
-    batch.batches_run += b.batches_run;
-    batch.overflow_retries += b.overflow_retries;
-    batch.retries += b.retries;
-    batch.batches_split_on_oom += b.batches_split_on_oom;
-    batch.kernel_seconds += b.kernel_seconds;
-    batch.sort_seconds += b.sort_seconds;
-    batch.assembly_seconds += b.assembly_seconds;
-    batch.bytes_to_host += b.bytes_to_host;
-    batch.modeled_transfer_seconds += b.modeled_transfer_seconds;
+    add_batch_stats(batch, outs[c].batch);
   }
   return merged;
 }
@@ -550,16 +473,7 @@ void fold_device_rows(const std::vector<SlotState>& slots,
     row.owned_points += o.owned_points;
     row.halo_points += o.halo_points;
     row.pairs += o.out.total_pairs;
-    const BatchRunStats& b = o.batch;
-    row.batch.batches_run += b.batches_run;
-    row.batch.overflow_retries += b.overflow_retries;
-    row.batch.retries += b.retries;
-    row.batch.batches_split_on_oom += b.batches_split_on_oom;
-    row.batch.kernel_seconds += b.kernel_seconds;
-    row.batch.sort_seconds += b.sort_seconds;
-    row.batch.assembly_seconds += b.assembly_seconds;
-    row.batch.bytes_to_host += b.bytes_to_host;
-    row.batch.modeled_transfer_seconds += b.modeled_transfer_seconds;
+    add_batch_stats(row.batch, o.batch);
   }
   shard.makespan_seconds = shard.common_seconds + max_busy;
 }
@@ -628,7 +542,7 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   Timer total;
 
   // --- Common host phases (done once, unsharded): grid index, cell-major
-  // staging, chunklet plan, shared estimate.
+  // staging, chunklet plan.
   Timer phase;
   GridIndex index(d, eps);
   st.index_build_seconds = phase.seconds();
@@ -646,8 +560,6 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   if (!opt_.soa) {
     for (int j = 0; j < hv.dim; ++j) hv.coord[j] = nullptr;
   }
-  const bool pairs_path = opt_.mode == ResultMode::kPairs;
-
   // Chunklet weights: the cheap population-window proxy by default (the
   // exact adjacency weights would cost a global enumeration — the very
   // pass each device resolves for ITS OWN cells below, in parallel);
@@ -672,8 +584,6 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   }
   const std::size_t k = cplan.devices();
   const std::size_t m = cplan.chunklets();
-  std::uint64_t total_weight = 0;
-  for (const std::uint64_t w : cplan.weights) total_weight += w;
 
   result.shard.shards = k;
   result.shard.chunklets_total = m;
@@ -683,30 +593,6 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   std::vector<AtomicWork> works(m);
   std::vector<DeviceCtx> devices(k);
   std::vector<SlotState> slots(k);
-
-  // Shared once-per-join result-size estimate, sliced per chunklet by
-  // planner weight below. Only the pair-materialising mode sizes buffers,
-  // so only it pays for the sampling pass — and it pays on the DEVICES:
-  // each slot samples its seeded chunklet group's contiguous cell span,
-  // charged to its busy clock, keeping the serialized common phase to
-  // host-side indexing and planning only.
-  EstimateResult est;
-  if (pairs_path) {
-    est = estimate_on_devices(opt_.schedule, slots, [&](std::size_t s) {
-      const std::uint32_t db0 = cplan.device_bounds[s];
-      const std::uint32_t db1 = cplan.device_bounds[s + 1];
-      if (db0 == db1) return EstimateResult{};
-      const std::uint32_t c0 = cplan.bounds[db0];
-      const std::uint32_t c1 = cplan.bounds[db1];
-      const std::uint64_t first = hv.G[c0].min;
-      const std::uint64_t end = hv.G[c1 - 1].max + 1;
-      return estimate_query_span(hv, opt_.unicomp, opt_.sample_rate,
-                                 opt_.block_size, /*order=*/nullptr, first,
-                                 end - first);
-    });
-    st.estimate_seconds = est.seconds;
-    st.estimated_total = est.estimated_total;
-  }
 
   // --- Per-device execution over the shared chunklet scheduler: each
   // device re-arms its one arena + pipeline per chunklet, resolves the
@@ -742,11 +628,6 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
     planning.cells_nonempty = adj.cells_nonempty;
     works[c].flush(planning);
 
-    const std::uint64_t est_c =
-        pairs_path ? slice_estimate(est.estimated_total, cplan.weights[c],
-                                    total_weight, m)
-                   : 0;
-
     const std::uint32_t nlocal = slice.local_points();
     gpu::DeviceBuffer<double> points(
         arena, static_cast<std::size_t>(nlocal) * hv.dim);
@@ -773,7 +654,6 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
         gpu::DeviceBuffer<std::uint64_t>(arena, slice.offsets.size());
     std::copy(slice.offsets.begin(), slice.offsets.end(),
               local.offsets.data());
-    local.weights = std::move(adj.weights);  // adj is dead past this point
 
     GridDeviceView grid;
     grid.points = points.data();
@@ -791,15 +671,6 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
       }
     }
 
-    const std::uint64_t buffer_pairs =
-        pairs_path ? size_buffer_pairs(
-                         arena, static_cast<std::uint64_t>(nlocal) * 3, est_c,
-                         opt_.min_batches, opt_.num_streams,
-                         opt_.max_buffer_pairs, opt_.safety)
-                   : 1;
-    const CellBatchPlan plan = plan_cell_batches(
-        local.weights, est_c, opt_.min_batches, buffer_pairs, opt_.safety);
-
     ResultRequest req;
     req.mode = opt_.mode;
     // Histogram keys are ORIGINAL point ids (the kernels emit through
@@ -807,8 +678,8 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
     // disjoint chunklet results sum element-wise in the merge.
     req.histogram_keys = d.size();
 
-    outs[c].out = ctx.pipeline->run_cells(req, grid, opt_.unicomp, plan,
-                                          &local, &works[c], &outs[c].batch);
+    outs[c].out = ctx.pipeline->run_cells(req, grid, opt_.unicomp, local,
+                                          &works[c], &outs[c].batch);
     outs[c].units = c1 - c0;
     outs[c].weight = slice.weight;
     outs[c].owned_points = slice.owned_points();
@@ -880,8 +751,6 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   if (!opt.soa) {
     for (int j = 0; j < hv.dim; ++j) hv.coord[j] = nullptr;
   }
-  const bool pairs_path = opt.mode == ResultMode::kPairs;
-
   const JoinAdjacencyHost adj = build_join_adjacency_host(hv);
   st.query_groups = adj.num_groups();
 
@@ -897,8 +766,6 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   }
   const std::size_t k = cplan.devices();
   const std::size_t m = cplan.chunklets();
-  std::uint64_t total_weight = 0;
-  for (const std::uint64_t w : cplan.weights) total_weight += w;
 
   result.shard.shards = k;
   result.shard.chunklets_total = m;
@@ -909,25 +776,6 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   std::vector<DeviceCtx> devices(k);
   std::vector<SlotState> slots(k);
 
-  // Shared once-per-join estimate, sliced per chunklet by planner weight.
-  // Sampled on the devices: each slot covers its seeded chunklet group's
-  // query-group span (in the sorted group order), charged to its busy
-  // clock.
-  EstimateResult est;
-  if (pairs_path) {
-    est = estimate_on_devices(opt.schedule, slots, [&](std::size_t s) {
-      const std::uint32_t db0 = cplan.device_bounds[s];
-      const std::uint32_t db1 = cplan.device_bounds[s + 1];
-      if (db0 == db1) return EstimateResult{};
-      const std::uint32_t q0 = adj.group_offsets[cplan.bounds[db0]];
-      const std::uint32_t q1 = adj.group_offsets[cplan.bounds[db1]];
-      if (q0 >= q1) return EstimateResult{};
-      return estimate_query_span(hv, /*unicomp=*/false, opt.sample_rate,
-                                 opt.block_size, adj.query_order.data(), q0,
-                                 q1 - q0);
-    });
-    st.estimated_total = est.estimated_total;
-  }
   phase.reset();
   fault::reset_devices();
   FailoverStats failover;
@@ -993,7 +841,6 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
         gpu::DeviceBuffer<std::uint64_t>(arena, slice.offsets.size());
     std::copy(slice.offsets.begin(), slice.offsets.end(),
               local.offsets.data());
-    local.weights.assign(adj.weights.begin() + g0, adj.weights.begin() + g1);
 
     GridDeviceView grid;
     grid.points = points.data();
@@ -1011,25 +858,12 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
       }
     }
 
-    const std::uint64_t est_c =
-        pairs_path ? slice_estimate(est.estimated_total, cplan.weights[c],
-                                    total_weight, m)
-                   : 0;
-    const std::uint64_t buffer_pairs =
-        pairs_path ? size_buffer_pairs(
-                         arena, static_cast<std::uint64_t>(q1 - q0) * 3,
-                         est_c, opt.min_batches, opt.num_streams,
-                         opt.max_buffer_pairs, opt.safety)
-                   : 1;
-    const CellBatchPlan plan = plan_cell_batches(
-        local.weights, est_c, opt.min_batches, buffer_pairs, opt.safety);
-
     ResultRequest req;
     req.mode = opt.mode;
     req.histogram_keys = queries.size();
 
-    outs[c].out = ctx.pipeline->run_join_groups(req, grid, plan, local,
-                                                &works[c], &outs[c].batch);
+    outs[c].out = ctx.pipeline->run_join_groups(req, grid, local, &works[c],
+                                                &outs[c].batch);
   },
   [&](std::uint32_t c) {
     works[c].reset();

@@ -3,8 +3,8 @@
 // The single-GPU engines are saturated by the cell-major layout; the next
 // hardware axis is scale-out. ShardedGpuSelfJoin partitions the non-empty
 // cells of the cell-major grid into K contiguous cell ranges (shard
-// boundaries placed by the plan_cell_batches work weights, so skewed
-// IPPP-style data balances), gives each shard its OWN simulated device —
+// boundaries placed by per-cell work weights, so skewed IPPP-style data
+// balances), gives each shard its OWN simulated device —
 // a gpu::GlobalMemoryArena of the full DeviceSpec plus a BatchPipeline
 // with its own stream pool — and uploads to each device only its owned
 // slots plus the one-cell halo of neighbour data its kernels read
@@ -14,8 +14,9 @@
 // of the pair's home cell, and every cell is owned by exactly one shard —
 // so shard results are disjoint by construction, need no dedup pass, and
 // concatenate in deterministic shard-key order (each shard's own output
-// is already deterministic through the pipeline's batch-keyed merge).
-// The result is byte-identical to the single-device engines'.
+// is already deterministic: the pipeline's exact two-pass output is in
+// scan order over the shard's slots). The result is byte-identical to the
+// single-device engines'.
 //
 // sharded_join() runs the query/data join through the same machinery:
 // the sharded units are the query GROUPS of build_join_adjacency (each
@@ -78,8 +79,6 @@ struct ShardedSelfJoinOptions : GpuSelfJoinOptions {
   /// Simulated devices; clamped to the number of non-empty cells (query
   /// groups for the join facet).
   int shards = 4;
-  /// Host assembly workers per shard pipeline.
-  int assembly_threads = 1;
   ShardSchedule schedule = ShardSchedule::kConcurrent;
   /// Over-decomposition degree M (contiguous cell-range chunklets fed to
   /// the stealing scheduler); 0 = kChunkletsPerDevice * shards. Clamped
@@ -122,8 +121,8 @@ struct ShardedRunStats {
   /// True when plan=measured actually used cached per-cell counts (false
   /// on a cache miss, which falls back to the proxy weights).
   bool measured_plan = false;
-  /// Unsharded host work: index build, cell-major staging, chunklet
-  /// planning, and the shared once-per-join result-size estimate.
+  /// Unsharded host work: index build, cell-major staging and chunklet
+  /// planning.
   double common_seconds = 0.0;
   /// Modelled K-device response time: common_seconds + the busiest
   /// device's clock. Meaningful under the virtual-time serial drives

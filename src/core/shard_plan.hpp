@@ -3,9 +3,8 @@
 // The cell-major layout makes multi-device partitioning natural: a shard
 // is a CONTIGUOUS range of non-empty cells (self-join) or query groups
 // (query/data join), so its owned point slots are one contiguous span.
-// Boundaries are placed with the plan_cell_batches weight rule
-// (weighted_partition), so skewed IPPP-style data does not serialise on
-// one device.
+// Boundaries are placed with the weighted_partition balance rule, so
+// skewed IPPP-style data does not serialise on one device.
 //
 // Each shard additionally needs the NEIGHBOUR data its kernels read — the
 // one-cell halo. Rather than reasoning geometrically, the halo is derived
@@ -73,14 +72,14 @@ struct ShardSlice {
 /// resolving any adjacency: cell population times a three-cell population
 /// window over the B order (B-adjacent non-empty cells are usually the
 /// last-dimension spatial neighbours, so the window tracks local density).
-/// The exact plan_cell_batches weights are still used INSIDE each shard
-/// for batch balance — each device resolves its own cells' adjacency —
-/// but the boundary pass must not cost an unsharded global enumeration,
-/// or it becomes the scale-out serial tail.
+/// Each device resolves its own cells' adjacency, and its batches are cut
+/// from exact counts, but the boundary pass must not cost an unsharded
+/// global enumeration, or it becomes the scale-out serial tail.
 std::vector<std::uint64_t> proxy_cell_weights(const GridDeviceView& grid);
 
 /// Partition units 0..weights.size() into `shards` contiguous ranges of
-/// approximately equal total weight (the plan_cell_batches balance rule).
+/// approximately equal total weight (the weighted_partition balance
+/// rule).
 /// The shard count is clamped into [1, weights.size()] — fewer units than
 /// requested devices means some devices stay idle. Zero-weight parts (one
 /// giant unit next to zero-weight tails forces weighted_partition's

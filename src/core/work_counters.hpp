@@ -43,6 +43,18 @@ class AtomicWork {
     global_load_bytes_.store(0, std::memory_order_relaxed);
   }
 
+  /// The counters as one LocalWork (e.g. to re-flush them elsewhere).
+  LocalWork snapshot() const {
+    LocalWork w;
+    w.cells_examined = cells_examined_.load(std::memory_order_relaxed);
+    w.cells_nonempty = cells_nonempty_.load(std::memory_order_relaxed);
+    w.distance_calcs = distance_calcs_.load(std::memory_order_relaxed);
+    w.results = results_.load(std::memory_order_relaxed);
+    w.global_loads = global_loads_.load(std::memory_order_relaxed);
+    w.global_load_bytes = global_load_bytes_.load(std::memory_order_relaxed);
+    return w;
+  }
+
   void add_to(gpu::KernelMetrics& m) const {
     m.cells_examined += cells_examined_.load(std::memory_order_relaxed);
     m.cells_nonempty += cells_nonempty_.load(std::memory_order_relaxed);

@@ -311,10 +311,12 @@ EgoResult run(const Dataset& d, double eps, const Options& opt) {
   while ((1 << depth) < threads * 8 && depth < 20) ++depth;
   expand_tasks(st, root, root, depth, tasks, pruned_at_expand);
 
-  std::vector<JoinLocal> locals(static_cast<std::size_t>(threads));
+  // One accumulator per TASK, concatenated in task order: the output is
+  // then independent of which thread the dynamic schedule gave each task.
+  std::vector<JoinLocal> locals(tasks.size());
 #pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
   for (std::int64_t t = 0; t < static_cast<std::int64_t>(tasks.size()); ++t) {
-    JoinLocal& local = locals[static_cast<std::size_t>(omp_get_thread_num())];
+    JoinLocal& local = locals[static_cast<std::size_t>(t)];
     ego_join(st, tasks[static_cast<std::size_t>(t)].first,
              tasks[static_cast<std::size_t>(t)].second, local);
   }

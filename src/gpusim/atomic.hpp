@@ -1,6 +1,7 @@
-// Device atomics. Result pairs are appended through an atomic cursor,
-// mirroring the paper's "atomic: resultSet <- resultSet U result"
-// (Algorithm 1, line 17).
+// Device atomics. The paper appends result pairs through an atomic cursor
+// ("atomic: resultSet <- resultSet U result", Algorithm 1, line 17); the
+// exact two-pass output writes pairs at precomputed offsets instead, and
+// a counter is left for totals (count-only runs, kNN rings).
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,7 @@
 #include "gpusim/stream.hpp"
 
 #include "common/fault.hpp"
+#include "common/timer.hpp"
 
 namespace sj::gpu {
 
@@ -28,9 +29,11 @@ void Stream::enqueue(std::function<void()> fn) {
 void Stream::memcpy_async(void* dst, const void* src, std::size_t bytes) {
   SJ_FAULT_POINT(kStream);  // before enqueue: a failed transfer copies nothing
   enqueue([this, dst, src, bytes] {
+    const Timer copy;
     std::memcpy(dst, src, bytes);
     // Accounting happens on the worker thread; synchronize() establishes
     // the happens-before edge for readers.
+    copy_seconds_ += copy.seconds();
     bytes_copied_ += bytes;
     modeled_copy_seconds_ +=
         static_cast<double>(bytes) / (spec_.pcie_bandwidth_gbs * 1e9);

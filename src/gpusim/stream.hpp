@@ -42,6 +42,9 @@ class Stream {
   /// Modelled PCIe transfer time for those bytes (seconds).
   double modeled_copy_seconds() const { return modeled_copy_seconds_; }
 
+  /// Host wall-clock the stream's worker spent performing those copies.
+  double copy_seconds() const { return copy_seconds_; }
+
  private:
   void worker_loop();
 
@@ -54,6 +57,7 @@ class Stream {
   bool busy_ = false;
   std::size_t bytes_copied_ = 0;
   double modeled_copy_seconds_ = 0.0;
+  double copy_seconds_ = 0.0;
   std::thread worker_;
 };
 

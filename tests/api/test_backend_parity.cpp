@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "api/registry.hpp"
@@ -134,6 +135,13 @@ struct LayoutCase {
   std::map<std::string, std::string> extra;  // on top of layout=
   std::string label;
 };
+
+// Without a printer gtest names each case by a byte dump of the struct,
+// which holds heap pointers and so changes from one process to the next.
+void PrintTo(const LayoutCase& c, std::ostream* os) {
+  *os << c.algo;
+  for (const auto& [key, value] : c.extra) *os << ' ' << key << '=' << value;
+}
 
 class LayoutParity : public ::testing::TestWithParam<LayoutCase> {
  protected:

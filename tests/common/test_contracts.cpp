@@ -14,7 +14,6 @@
 #include "common/contracts.hpp"
 #include "common/datagen.hpp"
 #include "common/dataset.hpp"
-#include "core/batch_pipeline.hpp"
 #include "core/grid_index.hpp"
 #include "core/kernels.hpp"
 #include "core/shard_plan.hpp"
@@ -277,24 +276,6 @@ TEST(ContractsDeath, ShardSliceValidatorRejectsRangePastLocalSlots) {
   slice.ranges.back().end = slice.local_points() + 1;
   EXPECT_DEATH(validate::shard_slice(slice, 4, "range past local slots"),
                "SJ_CHECK violation.*range past local slots");
-}
-
-// --------------------------------------------------- pipeline validators
-
-TEST(ContractsDeath, SegmentPoolRejectsDoubleRelease) {
-  EXPECT_DEATH(
-      {
-        contracts::set_runtime_checks(true);
-        SegmentPool pool;
-        SegmentPool::Buffer b = pool.acquire(8);
-        Pair* raw = b.data.get();
-        pool.release(std::move(b));
-        SegmentPool::Buffer dup;
-        dup.data.reset(raw);  // a second owner of the same allocation
-        dup.capacity = 8;
-        pool.release(std::move(dup));  // aborts before the double free
-      },
-      "SJ_CHECK violation.*buffer released twice");
 }
 
 // ---------------------------------------------------- api finalize layer

@@ -35,12 +35,10 @@ struct FaultGuard {
 
 TEST(FaultSpec, ParsesFullSpec) {
   const Spec s = parse_spec(
-      "alloc:0.01,stream:0.005,sync:0.25,sort:1,seed:42,"
-      "device:shard2@batch7");
+      "alloc:0.01,stream:0.005,sync:0.25,seed:42,device:shard2@batch7");
   EXPECT_DOUBLE_EQ(s.rate[static_cast<int>(Site::kAlloc)], 0.01);
   EXPECT_DOUBLE_EQ(s.rate[static_cast<int>(Site::kStream)], 0.005);
   EXPECT_DOUBLE_EQ(s.rate[static_cast<int>(Site::kSync)], 0.25);
-  EXPECT_DOUBLE_EQ(s.rate[static_cast<int>(Site::kSort)], 1.0);
   EXPECT_EQ(s.seed, 42u);
   ASSERT_TRUE(s.has_loss);
   EXPECT_EQ(s.loss.device, 2);
@@ -61,6 +59,7 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
       "alloc:",                  // no value
       ":0.5",                    // no key
       "bogus:0.5",               // unknown site
+      "sort:0.5",                // no device sort to fault any more
       "alloc:2",                 // rate out of range
       "alloc:-0.1",              // rate out of range
       "alloc:x",                 // not a number
@@ -70,7 +69,7 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
       "device:shard2",           // missing @batch
       "device:shard64@batch1",   // shard index too large
       "device:shard1@batch0",    // batch ordinal is 1-based
-      "alloc:0.1,,sort:0.1",     // empty entry
+      "alloc:0.1,,sync:0.1",     // empty entry
   };
   for (const auto& spec : bad) {
     EXPECT_THROW(parse_spec(spec), std::invalid_argument) << spec;
@@ -88,7 +87,6 @@ TEST(FaultSpec, SiteNamesRoundTrip) {
   EXPECT_STREQ(site_name(Site::kAlloc), "alloc");
   EXPECT_STREQ(site_name(Site::kStream), "stream");
   EXPECT_STREQ(site_name(Site::kSync), "sync");
-  EXPECT_STREQ(site_name(Site::kSort), "sort");
 }
 
 // ------------------------------------------------------------ taxonomy
@@ -183,15 +181,15 @@ TEST(FaultInject, RateOneAlwaysFiresWithTypedErrors) {
   FaultGuard guard;
   Spec spec;
   spec.rate[static_cast<int>(Site::kAlloc)] = 1.0;
-  spec.rate[static_cast<int>(Site::kSort)] = 1.0;
+  spec.rate[static_cast<int>(Site::kSync)] = 1.0;
   configure(spec);
   DeviceScope scope(-1);
   // Allocation faults degrade (ResourceExhausted); the rest retry.
   EXPECT_THROW(detail::check(Site::kAlloc), ResourceExhausted);
-  EXPECT_THROW(detail::check(Site::kSort), TransientDeviceError);
+  EXPECT_THROW(detail::check(Site::kSync), TransientDeviceError);
   EXPECT_NO_THROW(detail::check(Site::kStream));  // rate 0
   EXPECT_EQ(injected(Site::kAlloc), 1u);
-  EXPECT_EQ(injected(Site::kSort), 1u);
+  EXPECT_EQ(injected(Site::kSync), 1u);
   EXPECT_EQ(injected_total(), 2u);
 }
 

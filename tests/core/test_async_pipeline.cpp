@@ -1,6 +1,6 @@
 // gpu_async / BatchPipeline: parity on skewed data, raw-output
-// determinism across configs and runs, overflow-split feedback without
-// barriers, fatal-overflow behaviour, and the registry adapter's knobs.
+// determinism across configs and runs, exact batching under starved
+// buffers, fatal-overflow behaviour, and the registry adapter's knobs.
 #include "core/async_self_join.hpp"
 
 #include <gtest/gtest.h>
@@ -10,21 +10,20 @@
 #include "api/registry.hpp"
 #include "bruteforce/brute_force.hpp"
 #include "common/datagen.hpp"
-#include "common/fault.hpp"
 #include "core/batch_pipeline.hpp"
 #include "core/device_view.hpp"
 #include "core/grid_index.hpp"
+#include "core/kernels.hpp"
 #include "core/self_join.hpp"
 #include "gpusim/arena.hpp"
 
 namespace sj {
 namespace {
 
-AsyncSelfJoinOptions async_opts(int streams, int assembly) {
+AsyncSelfJoinOptions async_opts(int streams) {
   AsyncSelfJoinOptions opt;
   opt.unicomp = false;  // mirror the "gpu" backend
   opt.num_streams = streams;
-  opt.assembly_threads = assembly;
   return opt;
 }
 
@@ -41,7 +40,7 @@ TEST(AsyncPipeline, ParityWithBruteOnSkewedClusteredData) {
   };
   for (const auto& c : cases) {
     const auto want = brute::self_join(c.data, 1.0);
-    auto got = AsyncGpuSelfJoin(async_opts(3, 2)).run(c.data, 1.0);
+    auto got = AsyncGpuSelfJoin(async_opts(3)).run(c.data, 1.0);
     EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs)) << c.name;
   }
 }
@@ -50,19 +49,16 @@ TEST(AsyncPipeline, IdenticalSortedPairSetAsGpuBackend) {
   const auto d = datagen::ippp(1200, 2, 16.0, 5);
   const auto& registry = api::BackendRegistry::instance();
   for (double eps : {0.25, 1.0, 4.0}) {
-    auto gpu = registry.at("gpu").run(d, eps).pairs;
-    auto async = registry.at("gpu_async").run(d, eps).pairs;
-    gpu.normalize();
-    async.normalize();
-    EXPECT_TRUE(ResultSet::equal_normalized(gpu, async)) << "eps=" << eps;
+    const auto gpu = registry.at("gpu").run(d, eps).pairs;
+    const auto async = registry.at("gpu_async").run(d, eps).pairs;
+    // Same pipeline, same unicomp setting: the raw bytes agree.
     EXPECT_EQ(gpu.pairs(), async.pairs()) << "eps=" << eps;
   }
 }
 
-// streams=1 / assembly_threads=1 must degenerate to the serial result —
-// and because assembly merges by batch key, every other configuration
-// must produce the same RAW pair order too (given an identical plan,
-// pinned here via max_buffer_pairs).
+// streams=1 must degenerate to the serial result — and because every
+// unit's output offset is fixed by the count pass, every other stream
+// count, buffer size and batch count produces the same RAW pair order.
 TEST(AsyncPipeline, ConfigSweepDegeneratesToSerialRawOutput) {
   const auto d = datagen::ippp(1200, 2, 24.0, 11);
   const double eps = 1.5;
@@ -75,32 +71,27 @@ TEST(AsyncPipeline, ConfigSweepDegeneratesToSerialRawOutput) {
   const auto serial = GpuSelfJoin(serial_opt).run(d, eps);
 
   for (int streams : {1, 2, 4}) {
-    for (int assembly : {1, 2, 4}) {
-      auto opt = async_opts(streams, assembly);
-      opt.max_buffer_pairs = 2048;
-      opt.min_batches = 5;
+    for (const std::uint64_t buffer : {256ULL, 2048ULL, 1ULL << 24}) {
+      auto opt = async_opts(streams);
+      opt.max_buffer_pairs = buffer;
+      opt.min_batches = static_cast<std::size_t>(streams + 2);
       const auto got = AsyncGpuSelfJoin(opt).run(d, eps);
       EXPECT_EQ(got.pairs.pairs(), serial.pairs.pairs())
-          << streams << " streams, " << assembly << " assembly threads";
+          << streams << " streams, " << buffer << "-pair buffers";
     }
   }
 }
 
 TEST(AsyncPipeline, DeterministicAcrossRunsUnderOverflowStress) {
   const auto d = datagen::ippp(1500, 2, 32.0, 23);
-  auto opt = async_opts(4, 3);
-  opt.max_buffer_pairs = 64;  // force overflow splits
-  opt.safety = 0.01;          // sabotage the estimate too
-  auto first = AsyncGpuSelfJoin(opt).run(d, 1.0);
-  auto second = AsyncGpuSelfJoin(opt).run(d, 1.0);
-  EXPECT_GT(first.stats.batch.overflow_retries, 0u);
-  if (fault::enabled()) {
-    // Under the SJ_FAULTS chaos sweep the two runs see different fault
-    // placements (draw counters advance across runs), so split patterns
-    // and raw segment order differ; compare the normalized content.
-    first.pairs.normalize();
-    second.pairs.normalize();
-  }
+  auto opt = async_opts(4);
+  opt.max_buffer_pairs = 64;  // many batches, each filling its buffer
+  const auto first = AsyncGpuSelfJoin(opt).run(d, 1.0);
+  const auto second = AsyncGpuSelfJoin(opt).run(d, 1.0);
+  EXPECT_GT(first.stats.batch.batches_run, first.pairs.size() / 64);
+  // Byte-identical even under the SJ_FAULTS chaos sweep: the runs see
+  // different fault placements, but every re-run range writes the same
+  // bytes at the same offsets.
   EXPECT_EQ(first.pairs.pairs(), second.pairs.pairs());
 
   const auto want = brute::self_join(d, 1.0);
@@ -109,35 +100,35 @@ TEST(AsyncPipeline, DeterministicAcrossRunsUnderOverflowStress) {
 
 TEST(AsyncPipeline, TinyBuffersStayExactOnSkewedData) {
   const auto d = datagen::ippp(1200, 2, 48.0, 31);
-  auto opt = async_opts(3, 2);
+  auto opt = async_opts(3);
   opt.max_buffer_pairs = 64;
-  opt.safety = 0.01;
   const auto got = AsyncGpuSelfJoin(opt).run(d, 2.0);
   const auto want = brute::self_join(d, 2.0);
   EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs));
 }
 
 TEST(AsyncPipeline, EmptyAndSinglePointDatasets) {
-  EXPECT_TRUE(AsyncGpuSelfJoin(async_opts(2, 2))
-                  .run(Dataset(2), 1.0)
-                  .pairs.empty());
+  EXPECT_TRUE(
+      AsyncGpuSelfJoin(async_opts(2)).run(Dataset(2), 1.0).pairs.empty());
   Dataset one(3, {1.0, 2.0, 3.0});
-  auto got = AsyncGpuSelfJoin(async_opts(2, 2)).run(one, 0.5);
+  auto got = AsyncGpuSelfJoin(async_opts(2)).run(one, 0.5);
   ASSERT_EQ(got.pairs.size(), 1u);
   EXPECT_EQ(got.pairs.pairs()[0], (Pair{0, 0}));
 }
 
 TEST(AsyncPipeline, AssemblyStatsArePopulated) {
   const auto d = datagen::uniform(2000, 2, 0.0, 100.0, 41);
-  const auto r = AsyncGpuSelfJoin(async_opts(3, 2)).run(d, 2.0);
+  const auto r = AsyncGpuSelfJoin(async_opts(3)).run(d, 2.0);
   EXPECT_GE(r.stats.batch.batches_run, 3u);  // paper minimum
   EXPECT_EQ(r.stats.batch.bytes_to_host, r.pairs.size() * sizeof(Pair));
   EXPECT_GT(r.stats.batch.modeled_transfer_seconds, 0.0);
 }
 
 TEST(AsyncPipeline, RejectsBadOptions) {
-  EXPECT_THROW(AsyncGpuSelfJoin(async_opts(0, 1)), std::invalid_argument);
-  EXPECT_THROW(AsyncGpuSelfJoin(async_opts(1, 0)), std::invalid_argument);
+  EXPECT_THROW(AsyncGpuSelfJoin(async_opts(0)), std::invalid_argument);
+  auto no_batches = async_opts(1);
+  no_batches.min_batches = 0;
+  EXPECT_THROW(AsyncGpuSelfJoin{no_batches}, std::invalid_argument);
 }
 
 // --- Direct BatchPipeline coverage (the machinery both gpu and
@@ -154,29 +145,28 @@ Dataset isolated_points(std::size_t n, double spacing) {
 }
 
 TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
-  // A zero estimate with nonzero true pairs and a 1-pair buffer: every
-  // multi-point batch overflows and must split all the way down to
-  // singletons, which then fit exactly (one self pair each).
+  // Nonzero pairs against a 1-pair buffer: the exact counts cut one
+  // batch per point (one self pair each), which then fits exactly.
   const auto d = isolated_points(64, 10.0);
   const double eps = 1.0;
   GridIndex index(d, eps);
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
-  DeviceGrid dev(arena, d, index);
-
-  const BatchPlan plan = plan_batches(/*estimated_total=*/0, d.size(),
-                                      /*min_batches=*/3, /*buffer_pairs=*/1,
-                                      /*safety=*/1.25);
-  ASSERT_EQ(plan.buffer_pairs, 1u);
+  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
+  const CellAdjacency adjacency =
+      build_cell_adjacency(arena, dev.view(), /*unicomp=*/false);
 
   PipelineConfig config;
   config.streams = 3;
-  config.assembly_threads = 2;
+  config.max_buffer_pairs = 1;
   BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;
   BatchRunStats stats;
-  auto got = pipeline.run(dev.view(), /*unicomp=*/false, plan, &work, &stats);
+  auto got = pipeline
+                 .run_cells(ResultRequest{}, dev.view(), /*unicomp=*/false,
+                            adjacency, &work, &stats)
+                 .pairs;
 
-  EXPECT_GT(stats.overflow_retries, 0u);
+  EXPECT_EQ(stats.batches_run, d.size());
   got.normalize();
   ASSERT_EQ(got.size(), d.size());
   for (std::uint32_t i = 0; i < d.size(); ++i) {
@@ -185,25 +175,26 @@ TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
 }
 
 TEST(BatchPipelineDirect, FatalOverflowOnlyOnUnsplittableSinglePoint) {
-  // Two co-located points: each singleton batch produces TWO pairs, which
-  // cannot fit a 1-pair buffer no matter how far the splits go.
+  // Two co-located points: each produces TWO pairs, which cannot fit a
+  // 1-pair buffer no matter how the batches are cut.
   auto d = isolated_points(16, 10.0);
   double dup[2] = {0.0, 0.0};  // duplicates point 0
   d.push_back(dup);
   const double eps = 1.0;
   GridIndex index(d, eps);
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
-  DeviceGrid dev(arena, d, index);
+  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
+  const CellAdjacency adjacency =
+      build_cell_adjacency(arena, dev.view(), /*unicomp=*/false);
 
-  const BatchPlan plan =
-      plan_batches(0, d.size(), 3, /*buffer_pairs=*/1, 1.25);
   PipelineConfig config;
   config.streams = 2;
+  config.max_buffer_pairs = 1;
   BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;
-  EXPECT_THROW(
-      pipeline.run(dev.view(), false, plan, &work, nullptr),
-      gpu::DeviceOutOfMemory);
+  EXPECT_THROW(pipeline.run_cells(ResultRequest{}, dev.view(), false,
+                                  adjacency, &work, nullptr),
+               gpu::DeviceOutOfMemory);
 }
 
 TEST(GpuAsyncBackend, RegistryKnobsAndValidation) {
@@ -215,21 +206,29 @@ TEST(GpuAsyncBackend, RegistryKnobsAndValidation) {
   const auto d = datagen::uniform(300, 2, 0.0, 50.0, 55);
 
   api::RunConfig ok;
-  ok.extra = {{"streams", "2"}, {"assembly_threads", "3"}, {"unicomp", "1"}};
+  ok.extra = {{"streams", "2"}, {"unicomp", "1"}};
   const auto outcome = backend->run(d, 1.0, ok);
   EXPECT_EQ(outcome.stats.native_value("streams"), 2.0);
-  EXPECT_EQ(outcome.stats.native_value("assembly_threads"), 3.0);
-  auto want = registry.at("gpu").run(d, 1.0).pairs;
-  auto got = outcome.pairs;
-  EXPECT_TRUE(ResultSet::equal_normalized(got, want));
+  // Same pipeline, same unicomp setting as gpu_unicomp: same bytes.
+  EXPECT_EQ(outcome.pairs.pairs(),
+            registry.at("gpu_unicomp").run(d, 1.0).pairs.pairs());
 
   api::RunConfig junk;
   junk.extra = {{"streams", "2x"}};
   EXPECT_THROW(backend->run(d, 1.0, junk), std::invalid_argument);
 
   api::RunConfig zero;
-  zero.extra = {{"assembly_threads", "0"}};
+  zero.extra = {{"streams", "0"}};
   EXPECT_THROW(backend->run(d, 1.0, zero), std::invalid_argument);
+
+  // The knobs of the sampled estimator and of the host assembly stage are
+  // gone, and rejected as unknown rather than silently accepted.
+  for (const char* removed : {"assembly_threads", "sample_rate", "safety"}) {
+    api::RunConfig stale;
+    stale.extra = {{removed, "1"}};
+    EXPECT_THROW(backend->run(d, 1.0, stale), std::invalid_argument)
+        << removed;
+  }
 
   // gpu's spelling of the stream knob is accepted as an alias, so
   // switching --algo does not require renaming options.

@@ -1,12 +1,17 @@
-// Batching scheme (Section V-A): plan sizing, the >= 3 batch minimum,
-// overflow splitting, and exactness under severe memory pressure.
+// Batching scheme (Section V-A) with exact two-pass output: the batch cut
+// from exact counts, the >= 3 batch minimum, buffer-bounded batches, and
+// exactness under severe memory pressure.
 #include "core/batcher.hpp"
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "bruteforce/brute_force.hpp"
 #include "common/datagen.hpp"
-#include "common/fault.hpp"
+#include "core/batch_pipeline.hpp"
 #include "core/device_view.hpp"
 #include "core/grid_index.hpp"
 #include "core/self_join.hpp"
@@ -14,28 +19,66 @@
 namespace sj {
 namespace {
 
+/// Exclusive prefix sum of per-unit pair counts (units + 1 entries).
+std::vector<std::uint64_t> offsets_of(const std::vector<std::uint64_t>& counts) {
+  std::vector<std::uint64_t> offsets(counts.size() + 1, 0);
+  std::partial_sum(counts.begin(), counts.end(), offsets.begin() + 1);
+  return offsets;
+}
+
+std::vector<std::uint32_t> plan(const std::vector<std::uint64_t>& counts,
+                                std::size_t min_batches,
+                                std::uint64_t buffer_pairs) {
+  return plan_batches(offsets_of(counts).data(),
+                      static_cast<std::uint32_t>(counts.size()), min_batches,
+                      buffer_pairs);
+}
+
 TEST(BatchPlan, MinimumThreeBatches) {
-  // Tiny estimate: volume alone would need 1 batch, the paper forces 3.
-  const auto plan = plan_batches(100, 100000, 3, 1 << 20, 1.25);
-  EXPECT_EQ(plan.num_batches, 3u);
+  // A tiny result: volume alone would need 1 batch, the paper forces 3.
+  const auto bounds = plan(std::vector<std::uint64_t>(1000, 1), 3, 1 << 20);
+  EXPECT_EQ(bounds.size() - 1, 3u);
 }
 
 TEST(BatchPlan, VolumeDrivenBatchCount) {
-  // 10M estimated pairs, 1M-pair buffers, 1.25 safety -> ceil(12.5M/1M).
-  const auto plan = plan_batches(10'000'000, 100000, 3, 1'000'000, 1.25);
-  EXPECT_EQ(plan.num_batches, 13u);
+  // 10M pairs over 100k units into 1M-pair buffers: exactly ceil(10M/1M)
+  // batches, since the exact counts need no safety margin.
+  const auto bounds =
+      plan(std::vector<std::uint64_t>(100000, 100), 3, 1'000'000);
+  EXPECT_EQ(bounds.size() - 1, 10u);
 }
 
 TEST(BatchPlan, NeverMoreBatchesThanQueries) {
-  const auto plan = plan_batches(1'000'000, 5, 3, 10, 1.0);
-  EXPECT_EQ(plan.num_batches, 5u);
+  const auto bounds = plan(std::vector<std::uint64_t>(5, 2), 8, 1 << 20);
+  EXPECT_EQ(bounds, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(BatchPlan, SafetyFactorPadsEstimate) {
-  const auto a = plan_batches(1000, 100000, 1, 100, 1.0);
-  const auto b = plan_batches(1000, 100000, 1, 100, 2.0);
-  EXPECT_EQ(a.num_batches, 10u);
-  EXPECT_EQ(b.num_batches, 20u);
+TEST(BatchPlan, EveryBatchFitsTheBuffer) {
+  // A heavy unit among light ones: the balanced cut overshoots next to
+  // it, and the greedy split must keep every batch within the buffer.
+  std::vector<std::uint64_t> counts(200, 3);
+  counts[77] = 90;
+  const auto offsets = offsets_of(counts);
+  const auto bounds = plan_batches(offsets.data(), 200, 3, 100);
+  ASSERT_EQ(bounds.front(), 0u);
+  ASSERT_EQ(bounds.back(), 200u);
+  EXPECT_GE(bounds.size() - 1, 3u);
+  for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
+    ASSERT_LT(bounds[b], bounds[b + 1]);
+    EXPECT_LE(offsets[bounds[b + 1]] - offsets[bounds[b]], 100u) << b;
+  }
+}
+
+TEST(BatchPlan, UnitOverTheBufferThrowsNamingTheBatch) {
+  std::vector<std::uint64_t> counts(10, 1);
+  counts[6] = 40;
+  try {
+    (void)plan(counts, 1, 32);
+    FAIL() << "expected DeviceOutOfMemory";
+  } catch (const gpu::DeviceOutOfMemory& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("batch 1 (unit 6)"), std::string::npos) << what;
+  }
 }
 
 TEST(Batching, ManyBatchesProduceExactResult) {
@@ -51,23 +94,31 @@ TEST(Batching, ManyBatchesProduceExactResult) {
 TEST(Batching, TinyBuffersForceOverflowSplitsButStayExact) {
   const auto d = datagen::uniform(2000, 2, 0.0, 100.0, 7);
   GpuSelfJoinOptions opt;
-  // A deliberately absurd undersized buffer: ~64 pairs per stream. The
-  // estimator will undershoot per-batch peaks and the overflow-split path
-  // must recover exactly.
+  // A deliberately absurd undersized buffer: 64 pairs. The exact counts
+  // cut the join into as many batches as that takes, each within it.
   opt.max_buffer_pairs = 64;
-  opt.safety = 0.01;  // sabotage the estimate too
   auto got = GpuSelfJoin(opt).run(d, 2.0);
   const auto want = brute::self_join(d, 2.0);
   EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs));
+  EXPECT_GE(got.stats.batch.batches_run, want.pairs.size() / 64);
 }
 
-TEST(Batching, OverflowRetriesAreCounted) {
+TEST(Batching, ShrinkingBufferAddsBatchesNotBytes) {
   const auto d = datagen::uniform(2000, 2, 0.0, 100.0, 9);
-  GpuSelfJoinOptions opt;
-  opt.max_buffer_pairs = 64;
-  opt.safety = 0.01;
-  const auto r = GpuSelfJoin(opt).run(d, 2.0);
-  EXPECT_GT(r.stats.batch.overflow_retries, 0u);
+  std::size_t previous_batches = 0;
+  ResultSet reference;
+  for (const std::uint64_t buffer : {1ULL << 24, 1024ULL, 256ULL, 64ULL}) {
+    GpuSelfJoinOptions opt;
+    opt.max_buffer_pairs = buffer;
+    const auto r = GpuSelfJoin(opt).run(d, 2.0);
+    EXPECT_GT(r.stats.batch.batches_run, previous_batches) << buffer;
+    previous_batches = r.stats.batch.batches_run;
+    if (buffer == 1ULL << 24) {
+      reference = r.pairs;
+    } else {
+      EXPECT_EQ(r.pairs.pairs(), reference.pairs()) << buffer;
+    }
+  }
 }
 
 TEST(Batching, SmallDeviceMemoryStillExact) {
@@ -104,108 +155,102 @@ TEST(Batching, StreamCountDoesNotChangeResult) {
     GpuSelfJoinOptions opt;
     opt.num_streams = streams;
     auto r = GpuSelfJoin(opt).run(d, 3.0);
-    r.pairs.normalize();
     if (streams == 1) {
       reference = std::move(r.pairs);
     } else {
-      EXPECT_TRUE(ResultSet::equal_normalized(reference, r.pairs))
-          << streams << " streams";
+      EXPECT_EQ(reference.pairs(), r.pairs.pairs()) << streams << " streams";
     }
   }
 }
 
 TEST(Batching, AssemblyOrderIsDeterministicAcrossRuns) {
-  // Overflow splits used to be appended from whichever stream hit them
-  // first, making the raw (non-normalized) result order nondeterministic.
-  // Assembly now merges segments by batch key: two runs with overflow
-  // retries on 4 streams must produce byte-identical raw pair vectors.
+  // Every unit's output offset is fixed by the count pass, so two runs
+  // with many batches on 4 streams produce byte-identical raw pair
+  // vectors — also under the SJ_FAULTS chaos sweep, whose retries and
+  // halvings differ between the runs but write the same bytes.
   const auto d = datagen::ippp(1500, 2, 32.0, 23);
   GpuSelfJoinOptions opt;
   opt.num_streams = 4;
-  opt.max_buffer_pairs = 64;  // force overflow splits
-  opt.safety = 0.01;
+  opt.max_buffer_pairs = 64;
   auto first = GpuSelfJoin(opt).run(d, 1.0);
   auto second = GpuSelfJoin(opt).run(d, 1.0);
-  EXPECT_GT(first.stats.batch.overflow_retries, 0u);
-  if (fault::enabled()) {
-    // Ambient injection (the SJ_FAULTS chaos sweep) gives the two runs
-    // different fault placements — the injector's draw counters advance
-    // across runs — so their split patterns, and hence the raw segment
-    // order, legitimately differ. Only the content contract applies.
-    first.pairs.normalize();
-    second.pairs.normalize();
-  }
+  EXPECT_GT(first.stats.batch.batches_run, 3u);
   EXPECT_EQ(first.pairs.pairs(), second.pairs.pairs());
 }
 
-TEST(Batching, ZeroEstimateWithOnePairBufferStaysExact) {
-  // Regression: estimator undershoot taken to the limit. A plan built
-  // from estimated_total == 0 with a 1-pair buffer (the self pair of any
-  // singleton barely fits) must recover through the overflow-split path
-  // and stay exact — sparse isolated points first, a dense clump last so
-  // the strided batches mix both regimes.
+// Isolated points on the legacy (point-centric) layout: every point's
+// only neighbour is itself, one pair per query.
+Dataset isolated_points(int n) {
   Dataset d(2);
-  for (int i = 0; i < 48; ++i) {
-    double p[2] = {10.0 * i, 0.0};
+  for (int i = 0; i < n; ++i) {
+    const double p[2] = {10.0 * i, 0.0};
     d.push_back(p);
   }
-  const double eps = 1.0;
-  const auto want = brute::self_join(d, eps);
-  ASSERT_GT(want.pairs.size(), 0u);
+  return d;
+}
 
-  GpuSelfJoinOptions opt;
-  opt.num_streams = 3;
-  const BatchPlan plan = plan_batches(/*estimated_total=*/0, d.size(),
-                                      opt.min_batches, /*buffer_pairs=*/1,
-                                      opt.safety);
+PipelineOutput run_point_pipeline(const Dataset& d, double eps,
+                                  PipelineConfig config, BatchRunStats* stats) {
   GridIndex index(d, eps);
-  gpu::GlobalMemoryArena arena(opt.device);
-  DeviceGrid dev(arena, d, index);
-  Batcher batcher(arena, opt.device, opt.num_streams, opt.block_size);
+  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
+  DeviceGrid dev(arena, d, index, GridLayout::kLegacy);
+  BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;
-  BatchRunStats stats;
-  auto got = batcher.run(dev.view(), false, plan, &work, &stats);
+  return pipeline.run(ResultRequest{}, dev.view(), /*unicomp=*/false, &work,
+                      stats);
+}
 
-  EXPECT_GT(stats.overflow_retries, 0u);
-  EXPECT_TRUE(ResultSet::equal_normalized(got, want.pairs));
+TEST(Batching, OnePairBufferRunsOneBatchPerPoint) {
+  const auto d = isolated_points(48);
+  const auto want = brute::self_join(d, 1.0);
+  PipelineConfig config;
+  config.max_buffer_pairs = 1;
+  BatchRunStats stats;
+  const auto got = run_point_pipeline(d, 1.0, config, &stats);
+  EXPECT_EQ(stats.batches_run, d.size());
+  EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs));
 }
 
 TEST(Batching, FatalOverflowRequiresUnsplittableSinglePoint) {
-  // fatal_overflow must only fire when a SINGLE point's neighbourhood
-  // exceeds the buffer: add a duplicate pair so two singleton batches
-  // each produce 2 pairs against a 1-pair buffer.
-  Dataset d(2);
-  for (int i = 0; i < 16; ++i) {
-    double p[2] = {10.0 * i, 0.0};
-    d.push_back(p);
-  }
-  double dup[2] = {0.0, 0.0};
+  // DeviceOutOfMemory only when a SINGLE point's neighbourhood exceeds
+  // the buffer: a duplicate of point 0 gives two points 2 pairs each
+  // against a 1-pair buffer.
+  auto d = isolated_points(16);
+  const double dup[2] = {0.0, 0.0};
   d.push_back(dup);
-  const double eps = 1.0;
-  GridIndex index(d, eps);
-  GpuSelfJoinOptions opt;
-  gpu::GlobalMemoryArena arena(opt.device);
-  DeviceGrid dev(arena, d, index);
-  Batcher batcher(arena, opt.device, opt.num_streams, opt.block_size);
-  const BatchPlan plan = plan_batches(0, d.size(), opt.min_batches, 1,
-                                      opt.safety);
-  AtomicWork work;
-  EXPECT_THROW(batcher.run(dev.view(), false, plan, &work, nullptr),
+  PipelineConfig config;
+  config.max_buffer_pairs = 1;
+  EXPECT_THROW(run_point_pipeline(d, 1.0, config, nullptr),
                gpu::DeviceOutOfMemory);
+  config.max_buffer_pairs = 2;
+  EXPECT_EQ(run_point_pipeline(d, 1.0, config, nullptr).total_pairs, 19u);
 }
 
-TEST(Batching, BatchResultsArriveSortedPerBatch) {
-  // The paper sorts each batch's key/value pairs before transfer; with a
-  // single batch-sized run the final buffer must be sorted.
+TEST(Batching, EachQuerysPairsAreContiguousInScanOrder) {
+  // Without UNICOMP every pair a unit emits carries the unit's own key:
+  // the point-centric output is then sorted by key (units are original
+  // ids), and the cell-major output keeps each key in one contiguous run.
   const auto d = datagen::uniform(500, 2, 0.0, 50.0, 19);
-  GpuSelfJoinOptions opt;
-  opt.min_batches = 3;
-  const auto r = GpuSelfJoin(opt).run(d, 1.0);
-  // Within the appended result, each batch segment is sorted; globally
-  // normalising must not lose pairs.
-  auto copy = r.pairs;
-  copy.normalize();
-  EXPECT_EQ(copy.size(), r.pairs.size());  // no duplicates across batches
+  for (const GridLayout layout : {GridLayout::kLegacy, GridLayout::kCellMajor}) {
+    GpuSelfJoinOptions opt;
+    opt.unicomp = false;
+    opt.layout = layout;
+    const auto r = GpuSelfJoin(opt).run(d, 1.0);
+    const auto& pairs = r.pairs.pairs();
+    std::vector<bool> closed(d.size(), false);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (i > 0 && pairs[i].key != pairs[i - 1].key) {
+        closed[pairs[i - 1].key] = true;
+        if (layout == GridLayout::kLegacy) {
+          EXPECT_LT(pairs[i - 1].key, pairs[i].key);
+        }
+      }
+      EXPECT_FALSE(closed[pairs[i].key]) << "key " << pairs[i].key;
+    }
+    auto copy = r.pairs;
+    copy.normalize();
+    EXPECT_EQ(copy.size(), r.pairs.size());  // no duplicates across batches
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Cell-major layout + cell-centric kernel: the reorder itself (original
 // ids preserved through the slot -> id map), exactness on the edge cases
-// that break reorder logic, run-twice determinism under overflow stress,
-// the per-cell work-estimate batch planner on skewed data, and the
-// dim <= kMaxDims guard.
+// that break reorder logic, run-twice determinism under starved buffers,
+// exact batching on skewed data, and the dim <= kMaxDims guard.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,7 +12,6 @@
 #include "common/datagen.hpp"
 #include "core/batcher.hpp"
 #include "core/device_view.hpp"
-#include "core/estimator.hpp"
 #include "core/grid_index.hpp"
 #include "core/kernels.hpp"
 #include "core/self_join.hpp"
@@ -116,19 +114,21 @@ TEST(CellMajorLayout, RunTwiceIsByteIdenticalUnderOverflowStress) {
   const auto d = datagen::ippp(1500, 2, 32.0, 77);
   auto opt = cell_opts();
   opt.num_streams = 4;
-  opt.max_buffer_pairs = 64;  // force overflow splits
-  opt.safety = 0.01;          // sabotage the estimate too
+  opt.max_buffer_pairs = 64;  // many batches, each within its buffer
   const auto first = GpuSelfJoin(opt).run(d, 1.0);
   const auto second = GpuSelfJoin(opt).run(d, 1.0);
-  EXPECT_GT(first.stats.batch.overflow_retries, 0u);
+  EXPECT_GE(first.stats.batch.batches_run, first.pairs.size() / 64);
   EXPECT_EQ(first.pairs.pairs(), second.pairs.pairs());
+  // The starved buffer changes the batches, not the bytes.
+  EXPECT_EQ(first.pairs.pairs(),
+            GpuSelfJoin(cell_opts()).run(d, 1.0).pairs.pairs());
   const auto want = brute::self_join(d, 1.0);
   EXPECT_TRUE(ResultSet::equal_normalized(first.pairs, want.pairs));
 }
 
 TEST(CellMajorLayout, OversizedSingleCellSplitsDownToPoints) {
-  // One dense clump in a single cell: cell-level splitting bottoms out in
-  // point-subrange splits, which must stay exact.
+  // One dense clump in a single cell: the batches cut the cell by slot
+  // range, down to single points, and must stay exact.
   Dataset d(2);
   for (int i = 0; i < 200; ++i) {
     double p[2] = {5.0 + 1e-4 * i, 5.0};
@@ -136,9 +136,9 @@ TEST(CellMajorLayout, OversizedSingleCellSplitsDownToPoints) {
   }
   auto opt = cell_opts();
   opt.max_buffer_pairs = 256;  // 200 points -> 40000 pairs >> buffer
-  opt.safety = 0.01;
   const auto got = GpuSelfJoin(opt).run(d, 1.0);
-  EXPECT_GT(got.stats.batch.overflow_retries, 0u);
+  // 200 pairs per point: one point per batch.
+  EXPECT_EQ(got.stats.batch.batches_run, 200u);
   const auto want = brute::self_join(d, 1.0);
   EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs));
 }
@@ -150,7 +150,7 @@ TEST(CellMajorLayout, MaxDimBoundaryWorks) {
   EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs));
 }
 
-// --- Per-cell work estimates + the weighted batch planner.
+// --- Per-cell work weights (the shard planner's) and the batch cut.
 
 TEST(CellBatchPlanner, WeightsTrackSkewAndPartitionBalances) {
   // Strongly skewed data: a few cells carry most of the candidate volume.
@@ -160,7 +160,7 @@ TEST(CellBatchPlanner, WeightsTrackSkewAndPartitionBalances) {
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
   DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
 
-  const auto weights = per_cell_candidates(dev.view(), false);
+  const auto weights = build_cell_adjacency_host(dev.view(), false).weights;
   ASSERT_EQ(weights.size(), index.num_nonempty_cells());
   const std::uint64_t total =
       std::accumulate(weights.begin(), weights.end(), std::uint64_t{0});
@@ -170,42 +170,36 @@ TEST(CellBatchPlanner, WeightsTrackSkewAndPartitionBalances) {
   // Skew: the heaviest cell far exceeds the mean.
   EXPECT_GT(max_w, 4 * total / weights.size());
 
-  const auto plan = plan_cell_batches(weights, total, /*min_batches=*/8,
-                                      /*buffer_pairs=*/total / 4,
-                                      /*safety=*/1.0);
-  ASSERT_EQ(plan.num_batches(), 8u);
+  const auto boundaries = weighted_partition(weights, 8);
+  ASSERT_EQ(boundaries.size(), 9u);
   // Boundaries are monotone, start at 0, end at the cell count.
-  EXPECT_EQ(plan.boundaries.front(), 0u);
-  EXPECT_EQ(plan.boundaries.back(), weights.size());
-  for (std::size_t b = 0; b + 1 < plan.boundaries.size(); ++b) {
-    ASSERT_LT(plan.boundaries[b], plan.boundaries[b + 1]);
+  EXPECT_EQ(boundaries.front(), 0u);
+  EXPECT_EQ(boundaries.back(), weights.size());
+  for (std::size_t b = 0; b + 1 < boundaries.size(); ++b) {
+    ASSERT_LT(boundaries[b], boundaries[b + 1]);
   }
-  // Work balance: no batch exceeds its fair share by more than one cell
+  // Work balance: no part exceeds its fair share by more than one cell
   // (the greedy partition overshoots by at most the straddling cell).
-  for (std::size_t b = 0; b + 1 < plan.boundaries.size(); ++b) {
-    std::uint64_t batch_w = 0;
-    for (std::uint32_t c = plan.boundaries[b]; c < plan.boundaries[b + 1];
-         ++c) {
-      batch_w += weights[c];
+  for (std::size_t b = 0; b + 1 < boundaries.size(); ++b) {
+    std::uint64_t part_w = 0;
+    for (std::uint32_t c = boundaries[b]; c < boundaries[b + 1]; ++c) {
+      part_w += weights[c];
     }
-    EXPECT_LE(batch_w, total / plan.num_batches() + max_w + 1)
-        << "batch " << b;
+    EXPECT_LE(part_w, total / 8 + max_w + 1) << "part " << b;
   }
 }
 
 TEST(CellBatchPlanner, HonoursMinBatchesAndCellCap) {
-  const std::vector<std::uint64_t> uniform_w(100, 10);
-  const auto plan = plan_cell_batches(uniform_w, 1000, 3, 1 << 20, 1.25);
-  EXPECT_EQ(plan.num_batches(), 3u);
+  // Offsets of 100 units holding 10 pairs each: min_batches rules.
+  std::vector<std::uint64_t> offsets(101);
+  for (std::size_t u = 0; u < offsets.size(); ++u) offsets[u] = 10 * u;
+  EXPECT_EQ(plan_batches(offsets.data(), 100, 3, 1 << 20).size(), 4u);
 
-  // Never more batches than cells.
-  const std::vector<std::uint64_t> few(4, 1000);
-  const auto capped = plan_cell_batches(few, 1'000'000, 3, 10, 1.0);
-  EXPECT_EQ(capped.num_batches(), 4u);
+  // Never more batches than units, whatever min_batches asks for.
+  EXPECT_EQ(plan_batches(offsets.data(), 4, 8, 1 << 20).size(), 5u);
 
-  // No cells -> no batches.
-  const auto empty = plan_cell_batches({}, 0, 3, 64, 1.25);
-  EXPECT_EQ(empty.num_batches(), 0u);
+  // No units -> no batches.
+  EXPECT_EQ(plan_batches(offsets.data(), 0, 3, 64).size(), 1u);
 }
 
 TEST(CellBatchPlanner, SkewedIpppJoinStaysExactWithManyBatches) {
@@ -228,7 +222,7 @@ TEST(CellAdjacencyBuild, RangesCoverExactlyTheKernelCandidates) {
   const GridDeviceView& v = dev.view();
 
   for (bool unicomp : {false, true}) {
-    const CellAdjacency adj = build_cell_adjacency(arena, v, unicomp);
+    const CellAdjacencyHost adj = build_cell_adjacency_host(v, unicomp);
     ASSERT_EQ(adj.weights.size(), index.num_nonempty_cells());
     EXPECT_GT(adj.cells_examined, 0u);
     // offsets is a valid monotone CSR over ranges.

@@ -4,10 +4,10 @@
 // Two tiers:
 //   * Always-on tests exercise the failure paths reachable in a default
 //     build — a sink callback throwing mid-run, the unsplittable-
-//     overflow fatal, retry-policy validation. The drain contract
-//     (satellite of the fault-injection issue): ANY error must shut the
-//     three stages down without deadlock or std::terminate, and run()
-//     must rethrow the FIRST error with the failing batch named.
+//     overflow fatal, retry-policy validation. The drain contract: ANY
+//     error must stop the run without deadlock or std::terminate (the
+//     transfer stream drains first), and run() must rethrow the error
+//     with the failing batch named.
 //   * Chaos tests (skipped unless built with -DSJ_FAULTS=ON) inject
 //     seeded faults at the gpusim seams and assert the pipeline's
 //     recovery is INVISIBLE in the output: byte-identical pairs with
@@ -51,11 +51,10 @@ TEST(PipelineFaults, RejectsNegativeRetryPolicy) {
 }
 
 TEST(PipelineFaults, SinkThrowMidRunDrainsAndRethrows) {
-  // Regression for the first_error shutdown path: a sink callback that
-  // throws used to risk std::terminate (throw escaping an assembly
-  // thread) or a deadlock (stream callbacks blocked on the `done` queue
-  // nobody drains). Now the error is recorded, every stage drains, and
-  // run() rethrows it.
+  // A sink callback that throws must neither escape a worker thread
+  // (std::terminate) nor strand the transfer stream: the run stops, the
+  // stream drains, and run() rethrows the sink's error with the batch
+  // named.
   const auto d = datagen::uniform(400, 2, 0.0, 10.0, 13);
   GpuSelfJoinOptions opt;
   opt.min_batches = 8;
@@ -80,8 +79,8 @@ TEST(PipelineFaults, UnsplittableOverflowNamesTheBatch) {
   // Every point in one spot: splitting bottoms out at a single query
   // whose neighbourhood alone exceeds the buffer. The error must stay
   // typed (DeviceOutOfMemory, so callers' catch clauses keep working)
-  // and carry the batch context (satellite: errors name their batch).
-  // 200 coincident points beat the sizing floor of 64 buffer pairs.
+  // and carry the batch context (errors name their batch): 200
+  // coincident points give every point 200 pairs against 8.
   Dataset d(2);
   for (int i = 0; i < 200; ++i) {
     const double p[2] = {1.0, 1.0};
@@ -114,7 +113,7 @@ TEST(ChaosPipeline, TransientFaultsRetryToParity) {
   const auto d = datagen::ippp(800, 2, 10.0, 501);
   const auto want = run_plain(d, 0.5);
 
-  fault::configure_from_text("stream:0.3,sync:0.1,sort:0.1,seed:5");
+  fault::configure_from_text("stream:0.3,sync:0.1,seed:5");
   GpuSelfJoinOptions opt;
   opt.min_batches = 8;
   opt.retry.retries = 20;
@@ -133,8 +132,8 @@ TEST(ChaosPipeline, AllocFaultsSplitToParity) {
   const auto want = run_plain(d, 0.5);
 
   // Allocation faults surface as ResourceExhausted; the pipeline
-  // degrades by halving the batch through the overflow-split machinery
-  // instead of failing the run.
+  // degrades by halving the batch's unit range instead of failing the
+  // run.
   fault::configure_from_text("alloc:0.3,seed:11");
   GpuSelfJoinOptions opt;
   opt.min_batches = 16;
@@ -150,9 +149,8 @@ TEST(ChaosPipeline, RetriesExhaustedFailTyped) {
   SJ_REQUIRE_CHAOS_BUILD();
   FaultGuard guard;
   const auto d = datagen::uniform(200, 2, 0.0, 10.0, 505);
-  // Count mode skips the estimator, so the first armed draw happens
-  // inside a worker — the failure must surface as the pipeline's typed,
-  // batch-annotated error rather than an estimator throw.
+  // Every launch faults: the failure must surface as the pipeline's
+  // typed, batch-annotated error once the retries are spent.
   fault::configure_from_text("stream:1,seed:1");
   GpuSelfJoinOptions opt;
   opt.mode = ResultMode::kCountOnly;
@@ -172,10 +170,10 @@ TEST(ChaosPipeline, ZeroRetriesFailFastButDrainCleanly) {
   SJ_REQUIRE_CHAOS_BUILD();
   FaultGuard guard;
   const auto d = datagen::uniform(400, 2, 0.0, 10.0, 507);
-  // The first sort fault is fatal with retries=0 — the regression here
-  // is that the OTHER streams and the assembly stage still drain (the
-  // test completing at all is the assertion; a drain bug hangs it).
-  fault::configure_from_text("sort:1,seed:1");
+  // The first sync fault (a fill waiting for its buffer) is fatal with
+  // retries=0 — the transfer stream must still drain (the test
+  // completing at all is the assertion; a drain bug hangs it).
+  fault::configure_from_text("sync:1,seed:1");
   GpuSelfJoinOptions opt;
   opt.min_batches = 8;
   opt.retry.retries = 0;

@@ -155,7 +155,7 @@ TEST(GpuSelfJoin, RejectsBadOptions) {
   opt.block_size = 0;
   EXPECT_THROW(GpuSelfJoin{opt}, std::invalid_argument);
   opt = {};
-  opt.sample_rate = 0.0;
+  opt.min_batches = 0;
   EXPECT_THROW(GpuSelfJoin{opt}, std::invalid_argument);
   opt = {};
   opt.num_streams = -1;

@@ -360,8 +360,7 @@ void print_native_stats(const sj::api::Backend& backend,
               << " fault(s) injected (alloc "
               << sj::fault::injected(sj::fault::Site::kAlloc) << ", stream "
               << sj::fault::injected(sj::fault::Site::kStream) << ", sync "
-              << sj::fault::injected(sj::fault::Site::kSync) << ", sort "
-              << sj::fault::injected(sj::fault::Site::kSort) << "), "
+              << sj::fault::injected(sj::fault::Site::kSync) << "), "
               << sj::fault::devices_lost() << " device(s) lost\n";
   }
 }
