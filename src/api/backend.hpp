@@ -229,8 +229,4 @@ class Backend {
   }
 };
 
-/// The pre-facet name, kept so out-of-tree self-join-only backends keep
-/// compiling; new code should say Backend.
-using SelfJoinBackend = Backend;
-
 }  // namespace sj::api

@@ -1,18 +1,17 @@
 // Adapter shims exposing the GPU engines through the unified backend
 // interface: "gpu" (GPU-SJ, Algorithm 1), "gpu_unicomp" (GPU-SJ with the
-// Section V-B duplicate-search removal), "gpu_async" (GPU-SJ with the
-// serial metrics pass overlapped on its own thread),
-// "gpu_shard" (GPU-SJ partitioned across K simulated devices) and
-// "gpu_bf" (the Section VI-B brute-force kernel lower bound).
+// Section V-B duplicate-search removal), "gpu_shard" (GPU-SJ partitioned
+// across K simulated devices) and "gpu_bf" (the Section VI-B brute-force
+// kernel lower bound).
 #include "core/gpu_backend.hpp"
 
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "api/registry.hpp"
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
-#include "core/async_self_join.hpp"
 #include "core/brute_force_gpu.hpp"
 #include "core/join.hpp"
 #include "core/knn.hpp"
@@ -87,9 +86,9 @@ void reject_threads(std::string_view backend, const api::RunConfig& config) {
 }
 
 /// The batching knobs every GPU join-shaped engine shares
-/// (GpuSelfJoinOptions, GpuJoinOptions, AsyncSelfJoinOptions all carry
-/// these members) — parsed in ONE place so validation cannot drift
-/// between the self-join, join and async adapters.
+/// (GpuSelfJoinOptions, GpuJoinOptions and ShardedSelfJoinOptions all
+/// carry these members) — parsed in ONE place so validation cannot drift
+/// between the self-join, join and shard adapters.
 template <typename Options>
 void apply_gpu_batch_knobs(const api::RunConfig& config, Options& opt) {
   opt.block_size = positive_int(config, "block_size", opt.block_size);
@@ -114,25 +113,25 @@ void apply_gpu_batch_knobs(const api::RunConfig& config, Options& opt) {
   }
 }
 
-/// The normalised + native stats block shared by the GPU-SJ engines
-/// (sync and async run the same pipeline and report the same counters).
-api::JoinOutcome make_gpu_outcome(SelfJoinResult r) {
+/// The normalised + native stats block of every GPU join-shaped run:
+/// self-join or join, one device or sharded (SelfJoinResult,
+/// GpuJoinResult and their sharded twins).
+template <typename Result>
+api::JoinOutcome make_gpu_outcome(Result r) {
   api::JoinOutcome out;
   out.pairs = std::move(r.pairs);
   out.total_pairs = r.total_pairs;
   out.histogram = std::move(r.histogram);
-  const SelfJoinStats& s = r.stats;
+  const auto& s = r.stats;
   out.stats.seconds = s.total_seconds;
   out.stats.total_seconds = s.total_seconds;
   out.stats.build_seconds = s.index_build_seconds;
   out.stats.distance_calcs = s.metrics.distance_calcs;
   out.stats.native = {
       {"index_build_seconds", s.index_build_seconds},
-      {"upload_seconds", s.upload_seconds},
       // The exact-sizing count pass (count launch, prefix sum, batch
       // cut), under the name the sampled estimator's phase had.
       {"estimate_seconds", s.batch.count_seconds},
-      {"join_seconds", s.join_seconds},
       {"batches_run", static_cast<double>(s.batch.batches_run)},
       {"retries", static_cast<double>(s.batch.retries)},
       {"batches_split_on_oom",
@@ -140,19 +139,27 @@ api::JoinOutcome make_gpu_outcome(SelfJoinResult r) {
       {"kernel_seconds", s.batch.kernel_seconds},
       {"assembly_seconds", s.batch.assembly_seconds},
       {"bytes_to_host", static_cast<double>(s.batch.bytes_to_host)},
-      {"grid_nonempty_cells", static_cast<double>(s.grid_nonempty_cells)},
-      {"grid_total_cells", static_cast<double>(s.grid_total_cells)},
       {"cells_examined", static_cast<double>(s.metrics.cells_examined)},
       {"cells_nonempty", static_cast<double>(s.metrics.cells_nonempty)},
-      {"cache_hit_rate", s.metrics.cache_hit_rate()},
-      {"cache_bw_gbs", s.metrics.cache_bw_gbs},
-      {"occupancy", s.occupancy},
-      {"regs_per_thread", static_cast<double>(s.regs_per_thread)},
   };
+  if constexpr (std::is_same_v<std::decay_t<decltype(s)>, SelfJoinStats>) {
+    out.stats.native.insert({
+        {"upload_seconds", s.upload_seconds},
+        {"join_seconds", s.join_seconds},
+        {"grid_nonempty_cells", static_cast<double>(s.grid_nonempty_cells)},
+        {"grid_total_cells", static_cast<double>(s.grid_total_cells)},
+        {"cache_hit_rate", s.metrics.cache_hit_rate()},
+        {"cache_bw_gbs", s.metrics.cache_bw_gbs},
+        {"occupancy", s.occupancy},
+        {"regs_per_thread", static_cast<double>(s.regs_per_thread)},
+    });
+  } else {
+    out.stats.native["query_groups"] = static_cast<double>(s.query_groups);
+  }
   return out;
 }
 
-class GpuBackend final : public api::SelfJoinBackend {
+class GpuBackend final : public api::Backend {
  public:
   GpuBackend(std::string name, std::string description, bool unicomp)
       : name_(std::move(name)),
@@ -203,29 +210,9 @@ class GpuBackend final : public api::SelfJoinBackend {
     exec::ExecControl ctl;
     apply_deadline(config, opt, ctl);
 
-    auto r = gpu_join(queries, data, eps, opt);
-    api::JoinOutcome out;
-    out.pairs = std::move(r.pairs);
-    out.total_pairs = r.total_pairs;
-    out.histogram = std::move(r.histogram);
-    const GpuJoinStats& s = r.stats;
-    out.stats.seconds = s.total_seconds;
-    out.stats.total_seconds = s.total_seconds;
-    out.stats.build_seconds = s.index_build_seconds;
-    out.stats.distance_calcs = s.metrics.distance_calcs;
-    out.stats.native = {
-        {"index_build_seconds", s.index_build_seconds},
-        {"query_groups", static_cast<double>(s.query_groups)},
-        {"batches_run", static_cast<double>(s.batch.batches_run)},
-        {"retries", static_cast<double>(s.batch.retries)},
-        {"batches_split_on_oom",
-         static_cast<double>(s.batch.batches_split_on_oom)},
-        {"kernel_seconds", s.batch.kernel_seconds},
-        {"cells_examined", static_cast<double>(s.metrics.cells_examined)},
-        {"cells_nonempty", static_cast<double>(s.metrics.cells_nonempty)},
-        {"layout_cell_major",
-         opt.layout == GridLayout::kCellMajor ? 1.0 : 0.0},
-    };
+    auto out = make_gpu_outcome(gpu_join(queries, data, eps, opt));
+    out.stats.native["layout_cell_major"] =
+        opt.layout == GridLayout::kCellMajor ? 1.0 : 0.0;
     return out;
   }
 
@@ -282,50 +269,7 @@ class GpuBackend final : public api::SelfJoinBackend {
   bool unicomp_;
 };
 
-class GpuAsyncBackend final : public api::SelfJoinBackend {
- public:
-  std::string_view name() const override { return "gpu_async"; }
-  std::string_view description() const override {
-    return "GPU-SJ whose serial metrics pass overlaps the join (same exact "
-           "two-pass batches as gpu; unicomp off by default)";
-  }
-
-  api::Capabilities capabilities() const override { return {.gpu = true}; }
-
-  api::JoinOutcome run(const Dataset& d, double eps,
-                       const api::RunConfig& config) const override {
-    config.check_keys(name(),
-                      "block_size,min_batches,streams,num_streams,"
-                      "max_buffer_pairs,unicomp,layout,soa,faults,retries,"
-                      "backoff_ms,deadline_ms");
-    reject_threads(name(), config);
-    api::check_result_mode(name(), config, /*supports_sink=*/true);
-    AsyncSelfJoinOptions opt;
-    // Mirrors "gpu" (UNICOMP off) so the head-to-head bench and the
-    // parity suite compare like with like; unicomp=1 opts in.
-    opt.unicomp = config.flag("unicomp", false);
-    opt.layout = parse_layout(config);
-    opt.collect_metrics = config.collect_metrics;
-    opt.mode = config.mode;
-    opt.sink = config.sink;
-    opt.soa = config.flag("soa", true);
-    apply_gpu_batch_knobs(config, opt);
-    // "streams" is this backend's spelling; "num_streams" (the sibling
-    // gpu/gpu_unicomp knob, applied above) is accepted too so scripts
-    // can switch --algo without renaming options.
-    opt.num_streams = positive_int(config, "streams", opt.num_streams);
-    exec::ExecControl ctl;
-    apply_deadline(config, opt, ctl);
-
-    auto out = make_gpu_outcome(AsyncGpuSelfJoin(opt).run(d, eps));
-    out.stats.native["streams"] = opt.num_streams;
-    out.stats.native["layout_cell_major"] =
-        opt.layout == GridLayout::kCellMajor ? 1.0 : 0.0;
-    return out;
-  }
-};
-
-class GpuShardBackend final : public api::SelfJoinBackend {
+class GpuShardBackend final : public api::Backend {
  public:
   std::string_view name() const override { return "gpu_shard"; }
   std::string_view description() const override {
@@ -350,9 +294,9 @@ class GpuShardBackend final : public api::SelfJoinBackend {
     opt.collect_metrics = config.collect_metrics;
 
     auto r = ShardedGpuSelfJoin(opt).run(d, eps);
-    auto out = make_gpu_outcome(
-        {std::move(r.pairs), r.total_pairs, std::move(r.histogram), r.stats});
-    append_shard_stats(out.stats.native, r.shard, opt);
+    const ShardedRunStats shard = std::move(r.shard);
+    auto out = make_gpu_outcome(std::move(r));
+    append_shard_stats(out.stats.native, shard, opt);
     return out;
   }
 
@@ -365,33 +309,15 @@ class GpuShardBackend final : public api::SelfJoinBackend {
     const ShardedSelfJoinOptions opt = parse_shard_options(config);
 
     auto r = sharded_join(queries, data, eps, opt);
-    api::JoinOutcome out;
-    out.pairs = std::move(r.pairs);
-    out.total_pairs = r.total_pairs;
-    out.histogram = std::move(r.histogram);
-    const GpuJoinStats& s = r.stats;
-    out.stats.seconds = s.total_seconds;
-    out.stats.total_seconds = s.total_seconds;
-    out.stats.build_seconds = s.index_build_seconds;
-    out.stats.distance_calcs = s.metrics.distance_calcs;
-    out.stats.native = {
-        {"index_build_seconds", s.index_build_seconds},
-        {"query_groups", static_cast<double>(s.query_groups)},
-        {"batches_run", static_cast<double>(s.batch.batches_run)},
-        {"retries", static_cast<double>(s.batch.retries)},
-        {"batches_split_on_oom",
-         static_cast<double>(s.batch.batches_split_on_oom)},
-        {"kernel_seconds", s.batch.kernel_seconds},
-        {"cells_examined", static_cast<double>(s.metrics.cells_examined)},
-        {"cells_nonempty", static_cast<double>(s.metrics.cells_nonempty)},
-    };
-    append_shard_stats(out.stats.native, r.shard, opt);
+    const ShardedRunStats shard = std::move(r.shard);
+    auto out = make_gpu_outcome(std::move(r));
+    append_shard_stats(out.stats.native, shard, opt);
     return out;
   }
 
  private:
   static constexpr std::string_view kShardKeys =
-      "shards,schedule,chunklets,plan,plan_cache,streams,num_streams,"
+      "shards,schedule,chunklets,plan,plan_cache,num_streams,"
       "unicomp,block_size,min_batches,max_buffer_pairs,layout,soa,faults,"
       "retries,backoff_ms";
 
@@ -406,22 +332,16 @@ class GpuShardBackend final : public api::SelfJoinBackend {
     opt.layout = parse_layout(config);
     apply_gpu_batch_knobs(config, opt);
     opt.shards = positive_int(config, "shards", opt.shards);
-    // "streams" is the per-shard stream-pool spelling (as in gpu_async);
-    // "num_streams" is accepted too so scripts can switch --algo.
-    opt.num_streams = positive_int(config, "streams", opt.num_streams);
     const std::string schedule = config.text("schedule", "concurrent");
     if (schedule == "concurrent") {
       opt.schedule = ShardSchedule::kConcurrent;
-    } else if (schedule == "steal" || schedule == "serial") {
-      // "serial" is the legacy spelling of the virtual-time stealing
-      // drive, kept so existing scripts don't break.
-      opt.schedule = ShardSchedule::kSerial;
+    } else if (schedule == "steal") {
+      opt.schedule = ShardSchedule::kSteal;
     } else if (schedule == "static") {
       opt.schedule = ShardSchedule::kStatic;
     } else {
       throw std::invalid_argument(
-          "option 'schedule' must be 'concurrent', 'steal', or 'static' "
-          "('serial' is accepted as the legacy spelling of 'steal')");
+          "option 'schedule' must be 'concurrent', 'steal', or 'static'");
     }
     opt.chunklets = config.integer("chunklets", opt.chunklets);
     if (opt.chunklets < 0) {
@@ -484,7 +404,7 @@ class GpuShardBackend final : public api::SelfJoinBackend {
   }
 };
 
-class GpuBruteForceBackend final : public api::SelfJoinBackend {
+class GpuBruteForceBackend final : public api::Backend {
  public:
   std::string_view name() const override { return "gpu_bf"; }
   std::string_view description() const override {
@@ -534,7 +454,6 @@ void register_gpu(api::BackendRegistry& registry) {
       "gpu_unicomp",
       "GPU-SJ with the UNICOMP duplicate-search removal (Section V-B)",
       /*unicomp=*/true));
-  registry.add(std::make_unique<GpuAsyncBackend>());
   registry.add(std::make_unique<GpuShardBackend>());
   registry.add(std::make_unique<GpuBruteForceBackend>());
 }

@@ -1,7 +1,7 @@
 // Registration hook for the GPU-SJ adapters ("gpu", "gpu_unicomp", the
-// async-pipelined "gpu_async") and the GPU brute-force lower bound
-// ("gpu_bf"). Called once by
-// BackendRegistry::instance(); external code never needs this directly.
+// sharded "gpu_shard") and the GPU brute-force lower bound ("gpu_bf").
+// Called once by BackendRegistry::instance(); external code never needs
+// this directly.
 #pragma once
 
 namespace sj::api {

@@ -67,7 +67,8 @@ struct GpuJoinResult {
 };
 
 /// Epsilon join: every (a, b) with a in A, b in B, dist(a, b) <= eps.
-/// Both datasets must share the same dimensionality.
+/// Both datasets must share the same dimensionality. Runs a single-use
+/// PreparedJoin (core/prepared.hpp) over `data` in opt.layout.
 GpuJoinResult gpu_join(const Dataset& queries, const Dataset& data,
                        double eps, GpuJoinOptions opt = {});
 

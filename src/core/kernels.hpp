@@ -142,7 +142,7 @@ CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
                                             std::uint32_t cell_end);
 
 /// build_cell_adjacency_host() + upload into `arena` — the single-device
-/// form the gpu/gpu_unicomp/gpu_async engines consume.
+/// form PreparedJoin::self_join consumes.
 CellAdjacency build_cell_adjacency(gpu::GlobalMemoryArena& arena,
                                    const GridDeviceView& grid, bool unicomp);
 
@@ -210,7 +210,7 @@ struct JoinAdjacencyHost {
 JoinAdjacencyHost build_join_adjacency_host(const GridDeviceView& grid);
 
 /// build_join_adjacency_host() + upload into `arena` — the single-device
-/// form gpu_join consumes.
+/// form PreparedJoin::run consumes.
 JoinAdjacency build_join_adjacency(gpu::GlobalMemoryArena& arena,
                                    const GridDeviceView& grid);
 

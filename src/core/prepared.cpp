@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "common/parse.hpp"
 #include "common/timer.hpp"
@@ -9,17 +10,50 @@
 
 namespace sj {
 
+namespace {
+
+template <typename Options>
+void check_entry(const Options& opt, const char* who, const char* checkpoint) {
+  if (opt.mode == ResultMode::kSink && !opt.sink) {
+    throw std::invalid_argument(std::string(who) +
+                                ": result mode 'sink' needs a sink callback");
+  }
+  if (opt.control != nullptr) opt.control->check(checkpoint);
+}
+
+/// The pipeline request an engine's options describe, with `keys`
+/// histogram entries.
+template <typename Options>
+ResultRequest request_for(const Options& opt, std::uint64_t keys) {
+  ResultRequest req;
+  req.mode = opt.mode;
+  req.sink = opt.sink;
+  req.histogram_keys = keys;
+  req.control = opt.control;
+  return req;
+}
+
+/// Move a pipeline run's output and work counters into an engine result
+/// (SelfJoinResult or GpuJoinResult).
+template <typename Result>
+void take_output(PipelineOutput out, const AtomicWork& work, Result& result) {
+  result.pairs = std::move(out.pairs);
+  result.total_pairs = out.total_pairs;
+  result.histogram = std::move(out.histogram);
+  work.add_to(result.stats.metrics);
+  result.stats.metrics.kernel_seconds = result.stats.batch.kernel_seconds;
+}
+
+}  // namespace
+
 PreparedJoin::PreparedJoin(const Dataset& data, double eps,
-                           const gpu::DeviceSpec& device)
-    : data_(&data), device_(device), arena_(device) {
+                           const gpu::DeviceSpec& device, GridLayout layout)
+    : data_(&data), device_(device), layout_(layout), arena_(device) {
   parse::non_negative("argument 'eps' of PreparedJoin", eps);
   Timer t;
   index_ = GridIndex(data, eps);
   index_build_seconds_ = t.seconds();
-  t.reset();
-  dev_ = std::make_unique<DeviceGrid>(arena_, data, index_,
-                                      GridLayout::kCellMajor);
-  upload_seconds_ = t.seconds();
+  stage();
 }
 
 PreparedJoin::PreparedJoin(const Dataset& data, GridIndex index,
@@ -29,21 +63,28 @@ PreparedJoin::PreparedJoin(const Dataset& data, GridIndex index,
     throw std::invalid_argument(
         "PreparedJoin: adopted index does not match the dataset");
   }
+  stage();
+}
+
+void PreparedJoin::stage() {
   Timer t;
-  dev_ = std::make_unique<DeviceGrid>(arena_, data, index_,
-                                      GridLayout::kCellMajor);
+  dev_ = std::make_unique<DeviceGrid>(arena_, *data_, index_, layout_);
   upload_seconds_ = t.seconds();
+}
+
+GridDeviceView PreparedJoin::view(bool soa) const {
+  GridDeviceView grid = dev_->view();
+  if (!soa) {
+    for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
+  }
+  return grid;
 }
 
 GpuJoinResult PreparedJoin::run(const Dataset& queries,
                                 const GpuJoinOptions& opt) const {
   parse::matching_dims("argument 'queries' of PreparedJoin::run",
                        queries.dim(), "the prepared dataset", data_->dim());
-  if (opt.mode == ResultMode::kSink && !opt.sink) {
-    throw std::invalid_argument(
-        "PreparedJoin::run: result mode 'sink' needs a sink callback");
-  }
-  if (opt.control != nullptr) opt.control->check("prepared join entry");
+  check_entry(opt, "PreparedJoin::run", "prepared join entry");
   GpuJoinResult result;
   GpuJoinStats& st = result.stats;
   Timer total;
@@ -60,47 +101,33 @@ GpuJoinResult PreparedJoin::run(const Dataset& queries,
   gpu::DeviceBuffer<double> qbuf(arena_, queries.raw().size());
   std::memcpy(qbuf.data(), queries.raw().data(),
               queries.raw().size() * sizeof(double));
-  GridDeviceView grid = dev_->view();
+  GridDeviceView grid = view(opt.soa);
   grid.qpoints = qbuf.data();
   grid.qn = queries.size();
-  if (!opt.soa) {
-    for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
-  }
 
-  ResultRequest req;
-  req.mode = opt.mode;
-  req.sink = opt.sink;
-  req.histogram_keys = queries.size();
-  req.control = opt.control;
-
-  // Group the queries by their data-grid home cell and resolve each
-  // group's candidate ranges once — the same per-call path as gpu_join's
-  // cell-major branch (core/join.cpp).
-  const JoinAdjacency adjacency = build_join_adjacency(arena_, grid);
-  st.query_groups = adjacency.num_groups();
-
+  const ResultRequest req = request_for(opt, queries.size());
   AtomicWork work;
   BatchPipeline pipeline(arena_, device_, pipeline_config(opt));
-  PipelineOutput out =
-      pipeline.run_join_groups(req, grid, adjacency, &work, &st.batch);
-  work.add_to(st.metrics);
-  st.metrics.cells_examined += adjacency.cells_examined;
-  st.metrics.cells_nonempty += adjacency.cells_nonempty;
-
-  result.pairs = std::move(out.pairs);
-  result.total_pairs = out.total_pairs;
-  result.histogram = std::move(out.histogram);
-  st.metrics.kernel_seconds = st.batch.kernel_seconds;
+  PipelineOutput out;
+  if (layout_ == GridLayout::kCellMajor) {
+    // Group the queries by their data-grid home cell and resolve each
+    // group's candidate ranges ONCE; the build carries the index-search
+    // work (once per query group rather than once per query).
+    const JoinAdjacency adjacency = build_join_adjacency(arena_, grid);
+    st.query_groups = adjacency.num_groups();
+    out = pipeline.run_join_groups(req, grid, adjacency, &work, &st.batch);
+    st.metrics.cells_examined += adjacency.cells_examined;
+    st.metrics.cells_nonempty += adjacency.cells_nonempty;
+  } else {
+    out = pipeline.run(req, grid, /*unicomp=*/false, &work, &st.batch);
+  }
+  take_output(std::move(out), work, result);
   st.total_seconds = total.seconds();
   return result;
 }
 
 SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
-  if (opt.mode == ResultMode::kSink && !opt.sink) {
-    throw std::invalid_argument(
-        "PreparedJoin::self_join: result mode 'sink' needs a sink callback");
-  }
-  if (opt.control != nullptr) opt.control->check("prepared self-join entry");
+  check_entry(opt, "PreparedJoin::self_join", "prepared self-join entry");
   SelfJoinResult result;
   SelfJoinStats& st = result.stats;
   Timer total;
@@ -111,15 +138,11 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
     return result;
   }
 
-  GridDeviceView grid = dev_->view();
-  if (!opt.soa) {
-    for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
-  }
-
-  // The adjacency is query-independent for the self-join, so it
-  // amortises across the session's calls (per unicomp flag).
+  const GridDeviceView grid = view(opt.soa);
+  // Cell mode: the adjacency is query-independent, so it is resolved once
+  // per unicomp flag and amortises across the calls.
   const CellAdjacency* adjacency = nullptr;
-  {
+  if (layout_ == GridLayout::kCellMajor) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     std::unique_ptr<CellAdjacency>& cached =
         self_adjacency_[opt.unicomp ? 1 : 0];
@@ -130,24 +153,25 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
     adjacency = cached.get();
   }
 
-  ResultRequest req;
-  req.mode = opt.mode;
-  req.sink = opt.sink;
-  req.histogram_keys = data_->size();
-  req.control = opt.control;
-
+  const ResultRequest req = request_for(opt, data_->size());
   AtomicWork work;
   Timer phase;
   BatchPipeline pipeline(arena_, device_, pipeline_config(opt));
-  PipelineOutput out = pipeline.run_cells(req, grid, opt.unicomp, *adjacency,
-                                          &work, &st.batch);
-  result.pairs = std::move(out.pairs);
-  result.total_pairs = out.total_pairs;
-  result.histogram = std::move(out.histogram);
+  PipelineOutput out;
+  if (adjacency != nullptr) {
+    out = pipeline.run_cells(req, grid, opt.unicomp, *adjacency, &work,
+                             &st.batch);
+    // The adjacency build carries the cell-mode index-search work
+    // (resolved once per cell rather than once per point). Every call
+    // reports it, cached or not, so the counters depend only on the data,
+    // eps and options.
+    st.metrics.cells_examined += adjacency->cells_examined;
+    st.metrics.cells_nonempty += adjacency->cells_nonempty;
+  } else {
+    out = pipeline.run(req, grid, opt.unicomp, &work, &st.batch);
+  }
   st.join_seconds = phase.seconds();
-
-  work.add_to(st.metrics);
-  st.metrics.kernel_seconds = st.batch.kernel_seconds;
+  take_output(std::move(out), work, result);
   collect_gpu_stats(grid, opt, st);
   st.total_seconds = total.seconds();
   return result;

@@ -1,9 +1,9 @@
-// The amortisation unit of the always-on service (api/session.hpp):
-// a dataset's grid index and cell-major device image, staged ONCE and
-// reused across many queries. Every sjtool one-shot run pays the index
-// build + upload per invocation; a PreparedJoin pays it per lifetime —
-// the gap the ROADMAP's always-on-service item named between a
-// benchmark harness and a system serving query traffic.
+// The one orchestration path of the GPU self-join and join: a dataset's
+// grid index and device image, staged ONCE and reused across many
+// queries. The always-on service (api/session.hpp) keeps one for its
+// lifetime; the one-shot engines (GpuSelfJoin::run, gpu_join) build a
+// single-use one per call, so every sjtool one-shot run pays the index
+// build + upload per invocation while a session pays it per lifetime.
 //
 // Thread safety: after construction, run()/self_join() may be called
 // concurrently from many threads. The shared arena's allocation is
@@ -27,16 +27,17 @@ namespace sj {
 class PreparedJoin {
  public:
   /// Build the data-side image: host grid index (radix-sort binning) +
-  /// cell-major device staging. `data` is referenced, not copied, and
-  /// must outlive the PreparedJoin. Only the cell-major layout is
-  /// supported — it is what the grouped join and the cell-centric
-  /// self-join consume.
+  /// device staging in `layout`. `data` is referenced, not copied, and
+  /// must outlive the PreparedJoin. The cell-major layout feeds the
+  /// grouped join and the cell-centric self-join; kLegacy keeps the
+  /// paper's point-centric kernel over the original point order.
   PreparedJoin(const Dataset& data, double eps,
-               const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal());
+               const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal(),
+               GridLayout layout = GridLayout::kCellMajor);
 
   /// Restore path: adopt an already-validated index (snapshot restore,
-  /// core/snapshot.hpp) instead of rebuilding it. The index must have
-  /// been built over `data`.
+  /// core/snapshot.hpp) instead of rebuilding it, staged cell-major. The
+  /// index must have been built over `data`.
   PreparedJoin(const Dataset& data, GridIndex index,
                const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal());
 
@@ -49,22 +50,27 @@ class PreparedJoin {
   double upload_seconds() const { return upload_seconds_; }
 
   /// Join `queries` against the prepared data grid: the per-call work is
-  /// query upload + per-group adjacency + the batched pipeline; the
-  /// index and data staging are amortised. Same semantics and output as
-  /// gpu_join() with the cell-major layout. opt.layout/device are
-  /// ignored (fixed at construction).
+  /// query upload + per-group adjacency (cell-major) + the batched
+  /// pipeline; the index and data staging are amortised. opt.layout and
+  /// opt.device are ignored (fixed at construction).
   GpuJoinResult run(const Dataset& queries, const GpuJoinOptions& opt) const;
 
-  /// Self-join over the prepared grid at the index's eps. The cell
-  /// adjacency is resolved once per unicomp flag and cached across calls.
-  /// Same output, byte for byte, as GpuSelfJoin::run on the cell-major
-  /// layout.
+  /// Self-join over the prepared grid at the index's eps. On the
+  /// cell-major layout the cell adjacency is resolved once per unicomp
+  /// flag and cached across calls; its index-search counters are folded
+  /// into every call's metrics. opt.layout and opt.device are ignored.
   SelfJoinResult self_join(const GpuSelfJoinOptions& opt) const;
 
  private:
+  void stage();
+  /// The staged grid as one call's kernels see it: without the SoA
+  /// planes for the AoS ablation (soa=false).
+  GridDeviceView view(bool soa) const;
+
   const Dataset* data_;
   GridIndex index_;
   gpu::DeviceSpec device_;
+  GridLayout layout_ = GridLayout::kCellMajor;
   mutable gpu::GlobalMemoryArena arena_;
   std::unique_ptr<DeviceGrid> dev_;
   double index_build_seconds_ = 0.0;

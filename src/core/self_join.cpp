@@ -1,15 +1,10 @@
 #include "core/self_join.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/timer.hpp"
-#include "core/batch_pipeline.hpp"
-#include "core/device_view.hpp"
-#include "core/grid_index.hpp"
 #include "core/kernels.hpp"
-#include "gpusim/arena.hpp"
+#include "core/prepared.hpp"
 #include "gpusim/cachesim.hpp"
 #include "gpusim/kernel.hpp"
 #include "gpusim/occupancy.hpp"
@@ -37,70 +32,12 @@ SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
   // Entry checkpoint: a query that arrives already expired or cancelled
   // must not pay for the index build.
   if (opt_.control != nullptr) opt_.control->check("self-join entry");
-  SelfJoinResult result;
-  SelfJoinStats& st = result.stats;
   Timer total;
-
-  // --- Host-side index construction (cheap relative to tree indexes).
-  Timer phase;
-  GridIndex index(d, eps);
-  st.index_build_seconds = phase.seconds();
-  st.grid_nonempty_cells = index.num_nonempty_cells();
-  st.grid_total_cells = index.total_cells();
-
-  if (d.empty()) {
-    st.total_seconds = total.seconds();
-    return result;
-  }
-
-  // --- Upload dataset + index to the (simulated) device.
-  gpu::GlobalMemoryArena arena(opt_.device);
-  phase.reset();
-  DeviceGrid dev(arena, d, index, opt_.layout);
-  st.upload_seconds = phase.seconds();
-  GridDeviceView grid = dev.view();
-  if (!opt_.soa) {
-    // AoS ablation: drop the SoA planes from the kernels' view.
-    for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
-  }
-
-  // --- Cell mode: resolve every cell's adjacency ONCE (shared by the
-  // count pass and every fill launch).
-  CellAdjacency adjacency;
-  if (opt_.layout == GridLayout::kCellMajor) {
-    adjacency = build_cell_adjacency(arena, grid, opt_.unicomp);
-  }
-
-  ResultRequest req;
-  req.mode = opt_.mode;
-  req.sink = opt_.sink;
-  req.histogram_keys = d.size();
-  req.control = opt_.control;
-
-  // --- Exact two-pass batched join: count, prefix sum, fill.
-  AtomicWork work;
-  phase.reset();
-  BatchPipeline pipeline(arena, opt_.device, pipeline_config(opt_));
-  PipelineOutput out =
-      opt_.layout == GridLayout::kCellMajor
-          ? pipeline.run_cells(req, grid, opt_.unicomp, adjacency, &work,
-                               &st.batch)
-          : pipeline.run(req, grid, opt_.unicomp, &work, &st.batch);
-  result.pairs = std::move(out.pairs);
-  result.total_pairs = out.total_pairs;
-  result.histogram = std::move(out.histogram);
-  st.join_seconds = phase.seconds();
-
-  work.add_to(st.metrics);
-  // The adjacency build carries the cell-mode index-search work (resolved
-  // once per cell rather than once per point).
-  st.metrics.cells_examined += adjacency.cells_examined;
-  st.metrics.cells_nonempty += adjacency.cells_nonempty;
-  st.metrics.kernel_seconds = st.batch.kernel_seconds;
-
-  collect_gpu_stats(grid, opt_, st);
-
-  st.total_seconds = total.seconds();
+  const PreparedJoin prepared(d, eps, opt_.device, opt_.layout);
+  SelfJoinResult result = prepared.self_join(opt_);
+  result.stats.index_build_seconds = prepared.index_build_seconds();
+  result.stats.upload_seconds = prepared.upload_seconds();
+  result.stats.total_seconds = total.seconds();
   return result;
 }
 

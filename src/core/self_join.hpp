@@ -110,7 +110,8 @@ class GpuSelfJoin {
  public:
   explicit GpuSelfJoin(GpuSelfJoinOptions opt = {});
 
-  /// Compute the full self-join of `d` with distance threshold eps >= 0.
+  /// Compute the full self-join of `d` with distance threshold eps >= 0:
+  /// a single-use PreparedJoin (core/prepared.hpp) in opt.layout.
   SelfJoinResult run(const Dataset& d, double eps) const;
 
   const GpuSelfJoinOptions& options() const { return opt_; }
@@ -119,8 +120,9 @@ class GpuSelfJoin {
   GpuSelfJoinOptions opt_;
 };
 
-/// Shared tail of the GPU engines' runs: the occupancy model plus the
-/// optional serial metrics pass. Used by GpuSelfJoin and AsyncGpuSelfJoin.
+/// Shared tail of the GPU self-joins: the occupancy model plus the
+/// optional serial metrics pass. Used by PreparedJoin::self_join and the
+/// shard engine.
 void collect_gpu_stats(const GridDeviceView& grid,
                        const GpuSelfJoinOptions& opt, SelfJoinStats& st);
 

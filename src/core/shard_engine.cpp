@@ -139,6 +139,58 @@ void fill_planes(const double* points, std::size_t n, int dim,
   }
 }
 
+/// One chunklet's data slice staged on its device (owned slots first,
+/// halo intervals after, in ShardSlice's local numbering): points,
+/// original-id map and — unless the AoS ablation dropped them from the
+/// host view — SoA planes, plus a kernel view over them that each facet
+/// completes with its own adjacency fields.
+struct StagedSlice {
+  gpu::DeviceBuffer<double> points;
+  gpu::DeviceBuffer<std::uint32_t> orig;
+  gpu::DeviceBuffer<double> coords;
+  GridDeviceView grid;
+};
+
+/// Stage `slice` of the host staging `hv` into `arena`, and copy the
+/// slice's local candidate-range CSR into `local` (a CellAdjacency or a
+/// JoinAdjacency).
+template <typename Adjacency>
+StagedSlice stage_slice(gpu::GlobalMemoryArena& arena,
+                        const GridDeviceView& hv, const ShardSlice& slice,
+                        Adjacency& local) {
+  const std::uint32_t nlocal = slice.local_points();
+  const std::size_t values = static_cast<std::size_t>(nlocal) * hv.dim;
+  StagedSlice st;
+  st.points = gpu::DeviceBuffer<double>(arena, values);
+  st.orig = gpu::DeviceBuffer<std::uint32_t>(arena, nlocal);
+  upload_slice(hv, slice, st.points.data(), st.orig.data());
+  if (hv.coord[0] != nullptr) {
+    st.coords = gpu::DeviceBuffer<double>(arena, values);
+    fill_planes(st.points.data(), nlocal, hv.dim, st.coords.data());
+    for (int j = 0; j < hv.dim; ++j) {
+      st.grid.coord[j] =
+          st.coords.data() + static_cast<std::size_t>(j) * nlocal;
+    }
+  }
+
+  local.ranges = gpu::DeviceBuffer<CandidateRange>(arena,
+                                                   slice.ranges.size());
+  std::copy(slice.ranges.begin(), slice.ranges.end(), local.ranges.data());
+  local.offsets =
+      gpu::DeviceBuffer<std::uint64_t>(arena, slice.offsets.size());
+  std::copy(slice.offsets.begin(), slice.offsets.end(),
+            local.offsets.data());
+
+  st.grid.points = st.points.data();
+  st.grid.n = nlocal;
+  st.grid.dim = hv.dim;
+  st.grid.orig = st.orig.data();
+  st.grid.cell_major = true;
+  st.grid.width = hv.width;
+  st.grid.eps = hv.eps;
+  return st;
+}
+
 /// Failover accounting surfaced into ShardedRunStats.
 struct FailoverStats {
   std::size_t shards_failed_over = 0;
@@ -478,6 +530,86 @@ void fold_device_rows(const std::vector<SlotState>& slots,
   shard.makespan_seconds = shard.common_seconds + max_busy;
 }
 
+/// The chunklet plan over per-unit `weights` (cells or query groups).
+ChunkletPlan plan_units(const std::vector<std::uint64_t>& weights,
+                        const ShardedSelfJoinOptions& opt, const char* who) {
+  ChunkletPlan cplan =
+      plan_chunklets(weights, static_cast<std::size_t>(opt.shards),
+                     static_cast<std::size_t>(opt.chunklets));
+  if (contracts::active()) {
+    validate::chunklet_plan(cplan, weights,
+                            static_cast<std::size_t>(opt.shards), who);
+  }
+  return cplan;
+}
+
+/// The chunklet execution both sharded facets share: every chunklet of
+/// `cplan` goes through the shared scheduler under opt.schedule, on a
+/// device slot whose arena and pipeline are (re-)armed on first use and
+/// whenever failover re-homes the slot. `job(ctx, chunklet, req, out,
+/// work)` stages one chunklet on the slot's device and runs its pipeline.
+/// The chunklet outputs merge in chunklet order into `result` (pairs,
+/// counts, histograms over `keys` entries, metrics and batch stats) and
+/// the per-device rows into result.shard, whose common_seconds the caller
+/// has set. Returns the per-chunklet records, pairs moved out.
+template <typename Result, typename Job>
+std::vector<ChunkOutput> drive_chunklets(const ChunkletPlan& cplan,
+                                         const ShardedSelfJoinOptions& opt,
+                                         std::uint64_t keys, Result& result,
+                                         const Job& job) {
+  const std::size_t k = cplan.devices();
+  const std::size_t m = cplan.chunklets();
+  result.shard.shards = k;
+  result.shard.chunklets_total = m;
+
+  // Histogram keys are ORIGINAL point ids (self-join) or query indices
+  // (join), so every chunklet carries a full-length histogram and the
+  // disjoint chunklet results sum element-wise in the merge.
+  ResultRequest req;
+  req.mode = opt.mode;
+  req.histogram_keys = keys;
+
+  std::vector<ChunkOutput> outs(m);
+  std::vector<AtomicWork> works(m);
+  std::vector<DeviceCtx> devices(k);
+  std::vector<SlotState> slots(k);
+  // Each run observes at most one injected loss per plan entry; devices
+  // killed by a previous run stay dead otherwise.
+  fault::reset_devices();
+  FailoverStats failover;
+  ChunkletScheduler sched(cplan);
+  run_chunklets(k, opt.schedule, sched,
+  [&](std::size_t s, int device, std::uint32_t c) {
+    DeviceCtx& ctx = devices[s];
+    if (ctx.pipeline == nullptr || ctx.device_id != device) {
+      rearm_device(ctx, device, opt);
+    }
+    outs[c].slot = static_cast<int>(s);
+    job(ctx, c, req, outs[c], works[c]);
+  },
+  // Failover reset: wind the chunklet's record back so the surviving
+  // device's re-run neither double-counts nor duplicates.
+  [&](std::uint32_t c) {
+    works[c].reset();
+    outs[c] = ChunkOutput{};
+  },
+  slots, failover);
+  result.shard.shards_failed_over = failover.shards_failed_over;
+  result.shard.recovery_seconds = failover.recovery_seconds;
+
+  PipelineOutput merged =
+      merge_chunklets(outs, works, result.stats.metrics, result.stats.batch);
+  fold_device_rows(slots, outs, result.shard);
+  result.pairs = std::move(merged.pairs);
+  result.total_pairs = merged.total_pairs;
+  result.histogram = std::move(merged.histogram);
+  if (opt.mode == ResultMode::kHistogram && result.histogram.empty()) {
+    result.histogram.assign(keys, 0);
+  }
+  result.stats.metrics.kernel_seconds = result.stats.batch.kernel_seconds;
+  return outs;
+}
+
 /// Measured per-cell weights for the next run's plan=measured: exact
 /// per-point neighbour counts when the mode materialised them (pairs /
 /// histogram), per-chunklet pair totals spread by the planning weights in
@@ -575,41 +707,16 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   if (cell_weights.empty()) cell_weights = proxy_cell_weights(hv);
 
   const ChunkletPlan cplan =
-      plan_chunklets(cell_weights, static_cast<std::size_t>(opt_.shards),
-                     static_cast<std::size_t>(opt_.chunklets));
-  if (contracts::active()) {
-    validate::chunklet_plan(cplan, cell_weights,
-                            static_cast<std::size_t>(opt_.shards),
-                            "ShardedGpuSelfJoin(plan)");
-  }
-  const std::size_t k = cplan.devices();
-  const std::size_t m = cplan.chunklets();
-
-  result.shard.shards = k;
-  result.shard.chunklets_total = m;
+      plan_units(cell_weights, opt_, "ShardedGpuSelfJoin(plan)");
   result.shard.common_seconds = total.seconds();
 
-  std::vector<ChunkOutput> outs(m);
-  std::vector<AtomicWork> works(m);
-  std::vector<DeviceCtx> devices(k);
-  std::vector<SlotState> slots(k);
-
-  // --- Per-device execution over the shared chunklet scheduler: each
-  // device re-arms its one arena + pipeline per chunklet, resolves the
-  // chunklet's own adjacency, uploads its owned span + halo, and runs the
-  // pipeline over it.
+  // --- Per-device execution: each chunklet resolves its own cells'
+  // adjacency, stages its owned span + halo, and runs the cell pipeline.
   phase.reset();
-  // Each run observes at most one injected loss per plan entry; devices
-  // killed by a previous run stay dead otherwise.
-  fault::reset_devices();
-  FailoverStats failover;
-  ChunkletScheduler sched(cplan);
-  run_chunklets(k, opt_.schedule, sched,
-  [&](std::size_t s, int device, std::uint32_t c) {
-    DeviceCtx& ctx = devices[s];
-    if (ctx.pipeline == nullptr || ctx.device_id != device) {
-      rearm_device(ctx, device, opt_);
-    }
+  const std::vector<ChunkOutput> outs =
+      drive_chunklets(cplan, opt_, d.size(), result,
+  [&](DeviceCtx& ctx, std::uint32_t c, const ResultRequest& req,
+      ChunkOutput& out, AtomicWork& work) {
     gpu::GlobalMemoryArena& arena = *ctx.arena;
     const std::uint32_t c0 = cplan.bounds[c];
     const std::uint32_t c1 = cplan.bounds[c + 1];
@@ -626,86 +733,25 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
     LocalWork planning;
     planning.cells_examined = adj.cells_examined;
     planning.cells_nonempty = adj.cells_nonempty;
-    works[c].flush(planning);
+    work.flush(planning);
 
-    const std::uint32_t nlocal = slice.local_points();
-    gpu::DeviceBuffer<double> points(
-        arena, static_cast<std::size_t>(nlocal) * hv.dim);
-    gpu::DeviceBuffer<std::uint32_t> orig(arena, nlocal);
-    upload_slice(hv, slice, points.data(), orig.data());
-    gpu::DeviceBuffer<double> coords;
-    if (opt_.soa) {
-      coords = gpu::DeviceBuffer<double>(
-          arena, static_cast<std::size_t>(nlocal) * hv.dim);
-      fill_planes(points.data(), nlocal, hv.dim, coords.data());
-    }
-
+    CellAdjacency local;
+    StagedSlice staged = stage_slice(arena, hv, slice, local);
     gpu::DeviceBuffer<GridIndex::CellRange> cells(arena, c1 - c0);
     for (std::uint32_t j = 0; j < c1 - c0; ++j) {
       cells[j] = {hv.G[c0 + j].min - slice.owned_begin,
                   hv.G[c0 + j].max - slice.owned_begin};
     }
-
-    CellAdjacency local;
-    local.ranges = gpu::DeviceBuffer<CandidateRange>(arena,
-                                                     slice.ranges.size());
-    std::copy(slice.ranges.begin(), slice.ranges.end(), local.ranges.data());
-    local.offsets =
-        gpu::DeviceBuffer<std::uint64_t>(arena, slice.offsets.size());
-    std::copy(slice.offsets.begin(), slice.offsets.end(),
-              local.offsets.data());
-
-    GridDeviceView grid;
-    grid.points = points.data();
-    grid.n = nlocal;
-    grid.dim = hv.dim;
-    grid.G = cells.data();
-    grid.b_size = c1 - c0;
-    grid.orig = orig.data();
-    grid.cell_major = true;
-    grid.width = hv.width;
-    grid.eps = hv.eps;
-    if (opt_.soa) {
-      for (int j = 0; j < hv.dim; ++j) {
-        grid.coord[j] = coords.data() + static_cast<std::size_t>(j) * nlocal;
-      }
-    }
-
-    ResultRequest req;
-    req.mode = opt_.mode;
-    // Histogram keys are ORIGINAL point ids (the kernels emit through
-    // orig[]), so every chunklet carries a full-length histogram and the
-    // disjoint chunklet results sum element-wise in the merge.
-    req.histogram_keys = d.size();
-
-    outs[c].out = ctx.pipeline->run_cells(req, grid, opt_.unicomp, local,
-                                          &works[c], &outs[c].batch);
-    outs[c].units = c1 - c0;
-    outs[c].weight = slice.weight;
-    outs[c].owned_points = slice.owned_points();
-    outs[c].halo_points = slice.halo_points();
-    outs[c].slot = static_cast<int>(s);
-  },
-  // Failover reset: wind the chunklet's record back so the surviving
-  // device's re-run neither double-counts nor duplicates.
-  [&](std::uint32_t c) {
-    works[c].reset();
-    outs[c] = ChunkOutput{};
-  },
-  slots, failover);
-  result.shard.shards_failed_over = failover.shards_failed_over;
-  result.shard.recovery_seconds = failover.recovery_seconds;
+    staged.grid.G = cells.data();
+    staged.grid.b_size = c1 - c0;
+    out.out = ctx.pipeline->run_cells(req, staged.grid, opt_.unicomp, local,
+                                      &work, &out.batch);
+    out.units = c1 - c0;
+    out.weight = slice.weight;
+    out.owned_points = slice.owned_points();
+    out.halo_points = slice.halo_points();
+  });
   st.join_seconds = phase.seconds();
-
-  PipelineOutput merged = merge_chunklets(outs, works, st.metrics, st.batch);
-  fold_device_rows(slots, outs, result.shard);
-  result.pairs = std::move(merged.pairs);
-  result.total_pairs = merged.total_pairs;
-  result.histogram = std::move(merged.histogram);
-  if (opt_.mode == ResultMode::kHistogram && result.histogram.empty()) {
-    result.histogram.assign(d.size(), 0);
-  }
-  st.metrics.kernel_seconds = st.batch.kernel_seconds;
 
   // Feed the measured per-cell pair counts forward for the next run's
   // plan=measured (written in every plan mode — a proxy-planned run is
@@ -757,43 +803,22 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   // The sharded units are the query GROUPS; their adjacency weights are
   // already exact, so the join facet needs no measured plan.
   const ChunkletPlan cplan =
-      plan_chunklets(adj.weights, static_cast<std::size_t>(opt.shards),
-                     static_cast<std::size_t>(opt.chunklets));
-  if (contracts::active()) {
-    validate::chunklet_plan(cplan, adj.weights,
-                            static_cast<std::size_t>(opt.shards),
-                            "sharded_join(plan)");
-  }
-  const std::size_t k = cplan.devices();
-  const std::size_t m = cplan.chunklets();
-
-  result.shard.shards = k;
-  result.shard.chunklets_total = m;
+      plan_units(adj.weights, opt, "sharded_join(plan)");
   result.shard.common_seconds = total.seconds();
 
-  std::vector<ChunkOutput> outs(m);
-  std::vector<AtomicWork> works(m);
-  std::vector<DeviceCtx> devices(k);
-  std::vector<SlotState> slots(k);
-
-  phase.reset();
-  fault::reset_devices();
-  FailoverStats failover;
-  ChunkletScheduler sched(cplan);
-  run_chunklets(k, opt.schedule, sched,
-  [&](std::size_t s, int device, std::uint32_t c) {
-    DeviceCtx& ctx = devices[s];
-    if (ctx.pipeline == nullptr || ctx.device_id != device) {
-      rearm_device(ctx, device, opt);
-      // The query set is broadcast whole, ONCE per device: the kernel
-      // reads queries by their GLOBAL index (which is also the emitted
-      // pair key), so every chunklet's query_order slice indexes into the
-      // same buffer.
-      ctx.qbuf = gpu::DeviceBuffer<double>(*ctx.arena, queries.raw().size());
+  drive_chunklets(cplan, opt, queries.size(), result,
+  [&](DeviceCtx& ctx, std::uint32_t c, const ResultRequest& req,
+      ChunkOutput& out, AtomicWork& work) {
+    gpu::GlobalMemoryArena& arena = *ctx.arena;
+    if (ctx.qbuf.empty()) {
+      // The query set is broadcast whole, ONCE per device arena
+      // (re-arming drops it with the old one): the kernel reads queries
+      // by their GLOBAL index (which is also the emitted pair key), so
+      // every chunklet's query_order slice indexes into the same buffer.
+      ctx.qbuf = gpu::DeviceBuffer<double>(arena, queries.raw().size());
       std::memcpy(ctx.qbuf.data(), queries.raw().data(),
                   queries.raw().size() * sizeof(double));
     }
-    gpu::GlobalMemoryArena& arena = *ctx.arena;
     const std::uint32_t g0 = cplan.bounds[c];
     const std::uint32_t g1 = cplan.bounds[c + 1];
     // Query groups own no data slots — the chunklet's data slice is
@@ -804,29 +829,17 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
     if (contracts::active()) {
       validate::shard_slice(slice, hv.n, "sharded_join(slice)");
     }
-
     const std::uint32_t nlocal = slice.local_points();
     const std::uint32_t q0 = adj.group_offsets[g0];
     const std::uint32_t q1 = adj.group_offsets[g1];
-    outs[c].units = g1 - g0;
-    outs[c].weight = slice.weight;
-    outs[c].owned_points = q0 < q1 ? q1 - q0 : 0;  // queries in the chunklet
-    outs[c].halo_points = nlocal;  // data slots replicated for it
-    outs[c].slot = static_cast<int>(s);
+    out.units = g1 - g0;
+    out.weight = slice.weight;
+    out.owned_points = q0 < q1 ? q1 - q0 : 0;  // queries in the chunklet
+    out.halo_points = nlocal;  // data slots replicated for it
     if (nlocal == 0) return;  // no candidates anywhere in these groups
 
-    gpu::DeviceBuffer<double> points(
-        arena, static_cast<std::size_t>(nlocal) * hv.dim);
-    gpu::DeviceBuffer<std::uint32_t> orig(arena, nlocal);
-    upload_slice(hv, slice, points.data(), orig.data());
-    gpu::DeviceBuffer<double> coords;
-    if (opt.soa) {
-      coords = gpu::DeviceBuffer<double>(
-          arena, static_cast<std::size_t>(nlocal) * hv.dim);
-      fill_planes(points.data(), nlocal, hv.dim, coords.data());
-    }
-
     JoinAdjacency local;
+    StagedSlice staged = stage_slice(arena, hv, slice, local);
     local.query_order = gpu::DeviceBuffer<std::uint32_t>(arena, q1 - q0);
     std::copy(adj.query_order.begin() + q0, adj.query_order.begin() + q1,
               local.query_order.data());
@@ -834,56 +847,13 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
     for (std::uint32_t g = g0; g <= g1; ++g) {
       local.group_offsets.push_back(adj.group_offsets[g] - q0);
     }
-    local.ranges = gpu::DeviceBuffer<CandidateRange>(arena,
-                                                     slice.ranges.size());
-    std::copy(slice.ranges.begin(), slice.ranges.end(), local.ranges.data());
-    local.offsets =
-        gpu::DeviceBuffer<std::uint64_t>(arena, slice.offsets.size());
-    std::copy(slice.offsets.begin(), slice.offsets.end(),
-              local.offsets.data());
-
-    GridDeviceView grid;
-    grid.points = points.data();
-    grid.n = nlocal;
-    grid.dim = hv.dim;
-    grid.orig = orig.data();
-    grid.cell_major = true;
-    grid.qpoints = ctx.qbuf.data();
-    grid.qn = queries.size();
-    grid.width = hv.width;
-    grid.eps = hv.eps;
-    if (opt.soa) {
-      for (int j = 0; j < hv.dim; ++j) {
-        grid.coord[j] = coords.data() + static_cast<std::size_t>(j) * nlocal;
-      }
-    }
-
-    ResultRequest req;
-    req.mode = opt.mode;
-    req.histogram_keys = queries.size();
-
-    outs[c].out = ctx.pipeline->run_join_groups(req, grid, local, &works[c],
-                                                &outs[c].batch);
-  },
-  [&](std::uint32_t c) {
-    works[c].reset();
-    outs[c] = ChunkOutput{};
-  },
-  slots, failover);
-  result.shard.shards_failed_over = failover.shards_failed_over;
-  result.shard.recovery_seconds = failover.recovery_seconds;
-
-  PipelineOutput merged = merge_chunklets(outs, works, st.metrics, st.batch);
-  fold_device_rows(slots, outs, result.shard);
-  result.pairs = std::move(merged.pairs);
-  result.total_pairs = merged.total_pairs;
-  result.histogram = std::move(merged.histogram);
-  if (opt.mode == ResultMode::kHistogram && result.histogram.empty()) {
-    result.histogram.assign(queries.size(), 0);
-  }
+    staged.grid.qpoints = ctx.qbuf.data();
+    staged.grid.qn = queries.size();
+    out.out = ctx.pipeline->run_join_groups(req, staged.grid, local, &work,
+                                            &out.batch);
+  });
   st.metrics.cells_examined += adj.cells_examined;
   st.metrics.cells_nonempty += adj.cells_nonempty;
-  st.metrics.kernel_seconds = st.batch.kernel_seconds;
   st.total_seconds = total.seconds();
   return result;
 }

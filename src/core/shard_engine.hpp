@@ -40,8 +40,8 @@
 // cannot show scale-out. Each device therefore measures its own busy
 // time, and the stats report the modelled multi-device MAKESPAN (common
 // host phases + the busiest device) next to the true wall time — the
-// same modelling stance as the PCIe transfer model. schedule=steal (alias
-// serial) drives the devices in virtual time — each chunklet runs alone
+// same modelling stance as the PCIe transfer model. schedule=steal
+// drives the devices in virtual time — each chunklet runs alone
 // on the host core and its busy seconds advance its device's clock; the
 // device with the earliest clock (i.e. the first to go idle) takes the
 // next chunklet, stealing when its own deque is dry — giving clean
@@ -63,8 +63,8 @@ namespace sj {
 /// How the K device pipelines are driven on the host.
 enum class ShardSchedule {
   kConcurrent,  ///< one host thread per device, real-idleness stealing
-  kSerial,      ///< virtual-time serial drive WITH stealing (schedule=steal;
-                ///< "serial" is the legacy spelling) — clean makespans
+  kSteal,       ///< virtual-time serial drive WITH stealing
+                ///< (schedule=steal) — clean makespans
   kStatic       ///< virtual-time serial drive, stealing OFF (the PR-5
                 ///< static plan, the ablation baseline)
 };

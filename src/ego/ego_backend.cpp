@@ -12,7 +12,7 @@ namespace sj::backends {
 
 namespace {
 
-class EgoBackend final : public api::SelfJoinBackend {
+class EgoBackend final : public api::Backend {
  public:
   std::string_view name() const override { return "ego"; }
   std::string_view description() const override {

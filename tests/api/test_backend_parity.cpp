@@ -32,7 +32,7 @@ Dataset all_duplicates(int dim, std::size_t n) {
 
 class BackendParity : public ::testing::TestWithParam<std::string> {
  protected:
-  const api::SelfJoinBackend& backend() const {
+  const api::Backend& backend() const {
     return api::BackendRegistry::instance().at(GetParam());
   }
 
@@ -186,9 +186,7 @@ INSTANTIATE_TEST_SUITE_P(
     GpuEngines, LayoutParity,
     ::testing::Values(
         LayoutCase{"gpu", {}, "gpu"},
-        LayoutCase{"gpu_unicomp", {}, "gpu_unicomp"},
-        LayoutCase{"gpu_async", {}, "gpu_async"},
-        LayoutCase{"gpu_async", {{"unicomp", "1"}}, "gpu_async_unicomp"}),
+        LayoutCase{"gpu_unicomp", {}, "gpu_unicomp"}),
     [](const auto& info) { return info.param.label; });
 
 }  // namespace

@@ -517,7 +517,7 @@ INSTANTIATE_TEST_SUITE_P(
 // equal to the pairs-mode output under the same starved buffer.
 TEST(ResultModeOverflow, SinkStaysDeterministicUnderBufferStarvation) {
   const auto d = datagen::gaussian_mixture(600, 2, 4, 1.5, 0.0, 20.0, 711);
-  for (const std::string name : {"gpu", "gpu_unicomp", "gpu_async"}) {
+  for (const std::string name : {"gpu", "gpu_unicomp"}) {
     const auto& backend = api::BackendRegistry::instance().at(name);
     api::RunConfig config;
     config.extra["max_buffer_pairs"] = "4096";
@@ -594,7 +594,7 @@ TEST(OperationGating, RegistryOperationLookup) {
             "ego");
   EXPECT_THROW(registry.at("ego", api::Operation::kJoin),
                std::invalid_argument);
-  EXPECT_THROW(registry.at("gpu_async", api::Operation::kKnn),
+  EXPECT_THROW(registry.at("gpu_bf", api::Operation::kKnn),
                std::invalid_argument);
   EXPECT_THROW(registry.at("nosuch", api::Operation::kJoin),
                std::invalid_argument);

@@ -24,7 +24,10 @@ TEST(BackendRegistry, BuiltinsAreRegistered) {
 }
 
 TEST(BackendRegistry, FindReturnsNullForUnknown) {
-  EXPECT_EQ(BackendRegistry::instance().find("no_such_backend"), nullptr);
+  // A retired engine name is unknown, not an alias.
+  for (const char* name : {"no_such_backend", "gpu_async"}) {
+    EXPECT_EQ(BackendRegistry::instance().find(name), nullptr) << name;
+  }
 }
 
 TEST(BackendRegistry, AtThrowsListingRegisteredNames) {
@@ -64,7 +67,7 @@ TEST(BackendRegistry, CapabilitiesDistinguishEngines) {
 }
 
 TEST(BackendRegistry, DuplicateNameIsRejected) {
-  class FakeGpu final : public SelfJoinBackend {
+  class FakeGpu final : public Backend {
    public:
     std::string_view name() const override { return "gpu"; }
     std::string_view description() const override { return "dup"; }
@@ -92,7 +95,7 @@ TEST(BackendRegistry, AliasValidation) {
 TEST(BackendRegistry, ExternalBackendExtendsTheSystem) {
   // The extension point future PRs (sharded/async/multi-GPU engines) use:
   // register, resolve by name, run through the uniform interface.
-  class EchoBrute final : public SelfJoinBackend {
+  class EchoBrute final : public Backend {
    public:
     std::string_view name() const override { return "test_echo"; }
     std::string_view description() const override { return "test double"; }
@@ -147,6 +150,17 @@ TEST(RunConfig, UnknownExtraKeySurfacesFromBackends) {
     EXPECT_THROW(BackendRegistry::instance().at(name).run(d, 1.0, config),
                  std::invalid_argument)
         << name;
+  }
+  // The knobs of the retired sampled estimator and host assembly stage
+  // are unknown keys too, not silently accepted.
+  for (const char* name : {"gpu_unicomp", "gpu_shard"}) {
+    for (const char* removed : {"assembly_threads", "sample_rate", "safety"}) {
+      RunConfig stale;
+      stale.extra[removed] = "1";
+      EXPECT_THROW(BackendRegistry::instance().at(name).run(d, 1.0, stale),
+                   std::invalid_argument)
+          << name << " accepted " << removed;
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include "core/batch_pipeline.hpp"
 #include "core/device_view.hpp"
 #include "core/grid_index.hpp"
+#include "core/kernels.hpp"
 #include "core/self_join.hpp"
 
 namespace sj {
@@ -224,6 +225,61 @@ TEST(Batching, FatalOverflowRequiresUnsplittableSinglePoint) {
                gpu::DeviceOutOfMemory);
   config.max_buffer_pairs = 2;
   EXPECT_EQ(run_point_pipeline(d, 1.0, config, nullptr).total_pairs, 19u);
+}
+
+// --- Direct BatchPipeline coverage of the cell-centric mode.
+
+TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
+  // Nonzero pairs against a 1-pair buffer: the exact counts cut one
+  // batch per point (one self pair each), which then fits exactly.
+  const auto d = isolated_points(64);
+  const double eps = 1.0;
+  GridIndex index(d, eps);
+  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
+  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
+  const CellAdjacency adjacency =
+      build_cell_adjacency(arena, dev.view(), /*unicomp=*/false);
+
+  PipelineConfig config;
+  config.streams = 3;
+  config.max_buffer_pairs = 1;
+  BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
+  AtomicWork work;
+  BatchRunStats stats;
+  auto got = pipeline
+                 .run_cells(ResultRequest{}, dev.view(), /*unicomp=*/false,
+                            adjacency, &work, &stats)
+                 .pairs;
+
+  EXPECT_EQ(stats.batches_run, d.size());
+  got.normalize();
+  ASSERT_EQ(got.size(), d.size());
+  for (std::uint32_t i = 0; i < d.size(); ++i) {
+    EXPECT_EQ(got.pairs()[i], (Pair{i, i}));
+  }
+}
+
+TEST(BatchPipelineDirect, FatalOverflowOnlyOnUnsplittableSinglePoint) {
+  // Two co-located points: each produces TWO pairs, which cannot fit a
+  // 1-pair buffer no matter how the batches are cut.
+  auto d = isolated_points(16);
+  const double dup[2] = {0.0, 0.0};  // duplicates point 0
+  d.push_back(dup);
+  const double eps = 1.0;
+  GridIndex index(d, eps);
+  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
+  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
+  const CellAdjacency adjacency =
+      build_cell_adjacency(arena, dev.view(), /*unicomp=*/false);
+
+  PipelineConfig config;
+  config.streams = 2;
+  config.max_buffer_pairs = 1;
+  BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
+  AtomicWork work;
+  EXPECT_THROW(pipeline.run_cells(ResultRequest{}, dev.view(), false,
+                                  adjacency, &work, nullptr),
+               gpu::DeviceOutOfMemory);
 }
 
 TEST(Batching, EachQuerysPairsAreContiguousInScanOrder) {

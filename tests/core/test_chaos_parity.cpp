@@ -94,8 +94,7 @@ TEST_P(ChaosParity, CountAndHistogramModesSurviveToo) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ChaosParity,
-                         ::testing::Values("gpu", "gpu_unicomp", "gpu_async",
-                                           "gpu_shard"));
+                         ::testing::Values("gpu", "gpu_unicomp", "gpu_shard"));
 
 // ------------------------------------------------------------ failover
 

@@ -166,7 +166,7 @@ TEST_P(ShardStealParity, AllSchedulesMatchGpuByteExactly) {
   const auto d = datagen::ippp(1500, 2, 16.0, 967);
   const auto want = run_gpu(d, 0.4);
   for (const ShardSchedule schedule :
-       {ShardSchedule::kStatic, ShardSchedule::kSerial,
+       {ShardSchedule::kStatic, ShardSchedule::kSteal,
         ShardSchedule::kConcurrent}) {
     auto r = run_chunked(d, 0.4, GetParam(), schedule);
     r.pairs.normalize();
@@ -184,7 +184,7 @@ TEST_P(ShardStealParity, StaticAndStealAgreeRawInEveryMode) {
   // RAW outputs (no normalization): the chunklet-order merge must be
   // schedule- and assignment-independent.
   auto a = run_chunked(d, 0.8, GetParam(), ShardSchedule::kStatic);
-  auto b = run_chunked(d, 0.8, GetParam(), ShardSchedule::kSerial);
+  auto b = run_chunked(d, 0.8, GetParam(), ShardSchedule::kSteal);
   auto c = run_chunked(d, 0.8, GetParam(), ShardSchedule::kConcurrent);
   if (fault::enabled()) {
     // Ambient injection (the SJ_FAULTS chaos sweep): the injector's draw
@@ -203,7 +203,7 @@ TEST_P(ShardStealParity, StaticAndStealAgreeRawInEveryMode) {
   opt.shards = GetParam();
   opt.chunklets = 4 * GetParam();
   opt.mode = ResultMode::kCountOnly;
-  opt.schedule = ShardSchedule::kSerial;
+  opt.schedule = ShardSchedule::kSteal;
   const auto count = ShardedGpuSelfJoin(opt).run(d, 0.8);
   EXPECT_EQ(count.total_pairs, a.pairs.size());
   opt.mode = ResultMode::kHistogram;
@@ -283,9 +283,9 @@ TEST(ShardSteal, SkewedDataForcesStealsAndStaysDeterministic) {
   // the steals.
   const auto d = proxy_blind_skew();
   const auto want = run_gpu(d, 0.6);
-  auto a = run_chunked(d, 0.6, 4, ShardSchedule::kSerial,
+  auto a = run_chunked(d, 0.6, 4, ShardSchedule::kSteal,
                        /*chunklets=*/48, /*max_buffer_pairs=*/4096);
-  auto b = run_chunked(d, 0.6, 4, ShardSchedule::kSerial,
+  auto b = run_chunked(d, 0.6, 4, ShardSchedule::kSteal,
                        /*chunklets=*/48, /*max_buffer_pairs=*/4096);
   auto norm = a.pairs;
   norm.normalize();
@@ -321,7 +321,7 @@ TEST(ShardSteal, SkewedDataForcesStealsAndStaysDeterministic) {
   // steal at least once, or the scheduler has stopped stealing.
   std::uint64_t stolen = a.shard.chunklets_stolen + b.shard.chunklets_stolen;
   for (int attempt = 0; attempt < 4 && stolen == 0; ++attempt) {
-    stolen += run_chunked(d, 0.6, 4, ShardSchedule::kSerial,
+    stolen += run_chunked(d, 0.6, 4, ShardSchedule::kSteal,
                           /*chunklets=*/48, /*max_buffer_pairs=*/4096)
                   .shard.chunklets_stolen;
   }
@@ -363,7 +363,7 @@ TEST(ShardSteal, MeasuredPlanRoundTripsThroughCacheWithIdenticalOutput) {
   // First run plans from the proxy and persists measured per-cell counts.
   ShardedSelfJoinOptions opt;
   opt.shards = 3;
-  opt.schedule = ShardSchedule::kSerial;
+  opt.schedule = ShardSchedule::kSteal;
   opt.plan_cache = path;
   auto first = ShardedGpuSelfJoin(opt).run(d, 0.5);
   EXPECT_FALSE(first.shard.measured_plan);
@@ -396,7 +396,7 @@ TEST(ShardSteal, MeasuredPlanWorksInCountMode) {
   ShardedSelfJoinOptions opt;
   opt.shards = 3;
   opt.mode = ResultMode::kCountOnly;
-  opt.schedule = ShardSchedule::kSerial;
+  opt.schedule = ShardSchedule::kSteal;
   opt.plan_cache = path;
   const auto first = ShardedGpuSelfJoin(opt).run(d, 0.7);
   opt.plan = ShardPlanMode::kMeasured;

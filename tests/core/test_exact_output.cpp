@@ -8,10 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "api/registry.hpp"
 #include "bruteforce/brute_force.hpp"
 #include "common/datagen.hpp"
-#include "core/async_self_join.hpp"
 #include "core/join.hpp"
 #include "core/prepared.hpp"
 #include "core/self_join.hpp"
@@ -49,27 +47,6 @@ TEST(ExactOutput, RawPairsIdenticalAcrossBufferBatchAndStreamSettings) {
       EXPECT_TRUE(ResultSet::equal_normalized(reference.pairs, want.pairs));
     }
   }
-}
-
-TEST(ExactOutput, GpuAndGpuAsyncAgreeByteForByte) {
-  const auto d = datagen::gaussian_mixture(1200, 2, 6, 2.0, 0.0, 60.0, 803);
-  for (const bool unicomp : {false, true}) {
-    GpuSelfJoinOptions opt;
-    opt.unicomp = unicomp;
-    opt.min_batches = 5;
-    EXPECT_EQ(GpuSelfJoin(opt).run(d, 1.3).pairs.pairs(),
-              AsyncGpuSelfJoin(opt).run(d, 1.3).pairs.pairs())
-        << "unicomp " << unicomp;
-  }
-  // Through the registry too: gpu_async mirrors gpu, unicomp=1 mirrors
-  // gpu_unicomp.
-  const auto& registry = api::BackendRegistry::instance();
-  api::RunConfig uni;
-  uni.extra["unicomp"] = "1";
-  EXPECT_EQ(registry.at("gpu").run(d, 1.3).pairs.pairs(),
-            registry.at("gpu_async").run(d, 1.3).pairs.pairs());
-  EXPECT_EQ(registry.at("gpu_unicomp").run(d, 1.3).pairs.pairs(),
-            registry.at("gpu_async").run(d, 1.3, uni).pairs.pairs());
 }
 
 TEST(ExactOutput, PreparedSelfJoinMatchesOneShotByteForByte) {

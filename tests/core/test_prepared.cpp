@@ -44,22 +44,40 @@ TEST(PreparedJoin, SelfJoinMatchesOneShotAcrossRepeatedCalls) {
   oneshot.pairs.normalize();
 
   PreparedJoin prepared(data, eps);
-  // Repeated calls exercise the cached adjacency/estimate path; every
-  // call must match the one-shot engine exactly.
+  // Repeated calls exercise the cached adjacency path; every call must
+  // match the one-shot engine exactly, work counters included (the
+  // cached adjacency's index-search work is reported on every call).
   for (int rep = 0; rep < 3; ++rep) {
     auto r = prepared.self_join(opt);
     r.pairs.normalize();
     EXPECT_EQ(oneshot.pairs.pairs(), r.pairs.pairs()) << "rep " << rep;
     EXPECT_EQ(oneshot.total_pairs, r.total_pairs) << "rep " << rep;
+    EXPECT_EQ(oneshot.stats.metrics.cells_examined,
+              r.stats.metrics.cells_examined)
+        << "rep " << rep;
+    EXPECT_EQ(oneshot.stats.metrics.cells_nonempty,
+              r.stats.metrics.cells_nonempty)
+        << "rep " << rep;
   }
+  EXPECT_GT(oneshot.stats.metrics.cells_examined, 0u);
+  EXPECT_GT(oneshot.stats.metrics.cells_nonempty, 0u);
   // Both unicomp settings share the image but cache separately.
   GpuSelfJoinOptions plain;
   plain.unicomp = false;
   auto plain_oneshot = GpuSelfJoin(plain).run(data, eps);
-  auto plain_warm = prepared.self_join(plain);
   plain_oneshot.pairs.normalize();
-  plain_warm.pairs.normalize();
-  EXPECT_EQ(plain_oneshot.pairs.pairs(), plain_warm.pairs.pairs());
+  for (int rep = 0; rep < 2; ++rep) {
+    auto plain_warm = prepared.self_join(plain);
+    plain_warm.pairs.normalize();
+    EXPECT_EQ(plain_oneshot.pairs.pairs(), plain_warm.pairs.pairs());
+    EXPECT_EQ(plain_oneshot.stats.metrics.cells_examined,
+              plain_warm.stats.metrics.cells_examined)
+        << "rep " << rep;
+    EXPECT_EQ(plain_oneshot.stats.metrics.cells_nonempty,
+              plain_warm.stats.metrics.cells_nonempty)
+        << "rep " << rep;
+  }
+  EXPECT_GT(plain_oneshot.stats.metrics.cells_examined, 0u);
 }
 
 TEST(PreparedJoin, ConcurrentRunsFromManyThreadsAgree) {

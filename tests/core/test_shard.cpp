@@ -268,7 +268,7 @@ TEST(ShardEngine, SerialAndConcurrentSchedulesAgreeByteExactly) {
   const auto d = datagen::ippp(1200, 2, 12.0, 941);
   ShardedSelfJoinOptions opt;
   opt.shards = 4;
-  opt.schedule = ShardSchedule::kSerial;
+  opt.schedule = ShardSchedule::kSteal;
   auto serial = ShardedGpuSelfJoin(opt).run(d, 0.5);
   opt.schedule = ShardSchedule::kConcurrent;
   auto conc = ShardedGpuSelfJoin(opt).run(d, 0.5);
@@ -288,7 +288,7 @@ TEST(ShardEngine, BalanceAndHaloStatsAreReported) {
   const auto d = datagen::ippp(2000, 2, 16.0, 947);
   ShardedSelfJoinOptions opt;
   opt.shards = 4;
-  opt.schedule = ShardSchedule::kSerial;
+  opt.schedule = ShardSchedule::kSteal;
   const auto r = ShardedGpuSelfJoin(opt).run(d, 0.4);
   ASSERT_EQ(r.shard.shards, 4u);
   ASSERT_EQ(r.shard.per_shard.size(), 4u);
@@ -358,13 +358,22 @@ TEST(ShardOptions, ShardKnobsSelectScheduleAndCount) {
   const auto d = datagen::uniform(400, 2, 0.0, 20.0, 959);
   api::RunConfig config;
   config.extra["shards"] = "3";
-  config.extra["schedule"] = "serial";
-  config.extra["streams"] = "2";
+  config.extra["schedule"] = "steal";
+  config.extra["num_streams"] = "2";
   const auto r = backend.run(d, 1.0, config);
   EXPECT_EQ(r.stats.native_value("shards"), 3.0);
   EXPECT_EQ(r.stats.native_value("schedule_concurrent"), 0.0);
   EXPECT_GT(r.stats.native_value("makespan_seconds"), 0.0);
   EXPECT_GT(r.stats.native_value("shard2_pairs"), 0.0);
+
+  // One spelling per knob: the retired "serial" schedule and "streams"
+  // key are rejected.
+  api::RunConfig serial;
+  serial.extra["schedule"] = "serial";
+  EXPECT_THROW(backend.run(d, 1.0, serial), std::invalid_argument);
+  api::RunConfig streams;
+  streams.extra["streams"] = "2";
+  EXPECT_THROW(backend.run(d, 1.0, streams), std::invalid_argument);
 }
 
 }  // namespace
