@@ -1,22 +1,16 @@
-// Head-to-head for the two kernel-level optimisations of this series:
-//
-//   1. AoS vs SoA coordinate layout inside the cell-major staging — the
-//      SoA planes turn the per-dimension distance accumulation into
-//      contiguous unit-stride loops the compiler autovectorises (checked
-//      with -fopt-info-vec; the `soa` knob flips back to the interleaved
-//      AoS path on the SAME grid and batching).
-//   2. pairs vs count-only result mode — count mode skips the result
-//      buffers, the key/value sort and the batch transfers entirely, so
-//      it measures the pure kernel + atomics cost of the join.
+// Pairs vs count-only result mode of the SoA grouped kernel: count mode
+// skips the count pass, the result buffers and the batch transfers
+// entirely, so it measures the pure kernel + atomics cost of the join,
+// and the pairs/count ratio is what materialising the result costs on
+// top of it.
 //
 // Workloads: Syn{2..6}D2M (mid eps of each dataset's bench sweep) and the
 // skewed IPPP2D2M dataset, matching the layout ablation.
 //
 // Output: CSV under SJ_RESULTS_DIR plus BENCH_kernel.json (path
 // overridable via SJ_BENCH_JSON) — the perf-trajectory artefact CI
-// uploads. With SJ_SMOKE_CHECK=1 the process exits non-zero when the
-// geometric-mean SoA-over-AoS speedup falls below 0.9x (a >10%
-// regression), the CI bench-smoke gate.
+// uploads. The process exits 1 when the two modes disagree on a pair
+// count.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -37,18 +31,15 @@ struct Row {
   std::size_t n = 0;
   double eps = 0.0;
   std::string algo;
-  double aos_seconds = 0.0;
-  double soa_seconds = 0.0;
+  double pairs_seconds = 0.0;
   double count_seconds = 0.0;
   std::uint64_t pairs = 0;
-  double soa_speedup = 0.0;    // AoS pairs / SoA pairs
-  double count_speedup = 0.0;  // SoA pairs / SoA count-only
+  double count_speedup = 0.0;  // pairs / count-only
 };
 
 double run_kernel(const sj::Dataset& d, double eps, const std::string& algo,
-                  bool soa, sj::ResultMode mode, std::uint64_t& pairs_out) {
+                  sj::ResultMode mode, std::uint64_t& pairs_out) {
   sj::api::RunConfig config;
-  config.extra["soa"] = soa ? "1" : "0";
   config.mode = mode;
   const auto r =
       sj::api::BackendRegistry::instance().at(algo).run(d, eps, config);
@@ -85,11 +76,10 @@ int main(int argc, char** argv) {
       workloads.push_back({"IPPP2D2M", std::move(d), 0.15});
     }
 
-    TextTable t({"workload", "dim", "algo", "eps", "aos (s)", "soa (s)",
-                 "count (s)", "soa x", "count x", "pairs"});
-    csv::Table out({"workload", "dim", "n", "eps", "algo", "aos_seconds",
-                    "soa_seconds", "count_seconds", "soa_speedup",
-                    "count_speedup", "pairs"});
+    TextTable t({"workload", "dim", "algo", "eps", "pairs (s)", "count (s)",
+                 "count x", "pairs"});
+    csv::Table out({"workload", "dim", "n", "eps", "algo", "pairs_seconds",
+                    "count_seconds", "count_speedup", "pairs"});
     for (const auto& w : workloads) {
       for (const std::string algo : {"gpu", "gpu_unicomp"}) {
         Row row;
@@ -98,51 +88,43 @@ int main(int argc, char** argv) {
         row.n = w.data.size();
         row.eps = w.eps;
         row.algo = algo;
-        std::uint64_t aos_pairs = 0, count_pairs = 0;
-        row.aos_seconds = run_kernel(w.data, w.eps, algo, /*soa=*/false,
-                                     ResultMode::kPairs, aos_pairs);
-        row.soa_seconds = run_kernel(w.data, w.eps, algo, /*soa=*/true,
-                                     ResultMode::kPairs, row.pairs);
-        row.count_seconds = run_kernel(w.data, w.eps, algo, /*soa=*/true,
+        std::uint64_t count_pairs = 0;
+        row.pairs_seconds =
+            run_kernel(w.data, w.eps, algo, ResultMode::kPairs, row.pairs);
+        row.count_seconds = run_kernel(w.data, w.eps, algo,
                                        ResultMode::kCountOnly, count_pairs);
-        if (row.pairs != aos_pairs || row.pairs != count_pairs) {
+        if (row.pairs != count_pairs) {
           std::cerr << "FATAL: pair counts disagree on " << w.name << "/"
-                    << algo << ": aos=" << aos_pairs << " soa=" << row.pairs
+                    << algo << ": pairs=" << row.pairs
                     << " count_only=" << count_pairs << "\n";
           std::exit(1);
         }
-        row.soa_speedup = row.soa_seconds > 0.0
-                              ? row.aos_seconds / row.soa_seconds
-                              : 0.0;
         row.count_speedup = row.count_seconds > 0.0
-                                ? row.soa_seconds / row.count_seconds
+                                ? row.pairs_seconds / row.count_seconds
                                 : 0.0;
         t.add_row({row.workload, std::to_string(row.dim), row.algo,
-                   csv::fmt(row.eps), csv::fmt(row.aos_seconds),
-                   csv::fmt(row.soa_seconds), csv::fmt(row.count_seconds),
-                   csv::fmt(row.soa_speedup), csv::fmt(row.count_speedup),
+                   csv::fmt(row.eps), csv::fmt(row.pairs_seconds),
+                   csv::fmt(row.count_seconds), csv::fmt(row.count_speedup),
                    std::to_string(row.pairs)});
         out.add_row({row.workload, std::to_string(row.dim),
                      std::to_string(row.n), csv::fmt(row.eps), row.algo,
-                     csv::fmt(row.aos_seconds), csv::fmt(row.soa_seconds),
-                     csv::fmt(row.count_seconds), csv::fmt(row.soa_speedup),
+                     csv::fmt(row.pairs_seconds), csv::fmt(row.count_seconds),
                      csv::fmt(row.count_speedup), std::to_string(row.pairs)});
         rows.push_back(row);
       }
     }
-    std::cout << "\n== ablation: AoS vs SoA kernel / pairs vs count-only ==\n";
+    std::cout << "\n== ablation: pairs vs count-only ==\n";
     t.print(std::cout);
-    std::cout << "(all three paths return the same exact pair count; "
-                 "asserted above and by tests/api/test_operation_parity.cpp)\n";
+    std::cout << "(both modes return the same exact pair count; asserted "
+                 "above and by tests/api/test_operation_parity.cpp)\n";
     out.write(Collector::results_dir() + "/ablation_kernel.csv");
   });
   if (rc != 0) return rc;
 
-  // --- BENCH_kernel.json + the CI smoke gate (>10% regression fails).
-  std::vector<double> soa_speedups, count_speedups;
+  // --- BENCH_kernel.json.
+  std::vector<double> count_speedups;
   std::vector<std::string> row_json;
   for (const Row& r : rows) {
-    soa_speedups.push_back(r.soa_speedup);
     count_speedups.push_back(r.count_speedup);
     row_json.push_back(JsonRow()
                            .field("workload", r.workload)
@@ -150,19 +132,15 @@ int main(int argc, char** argv) {
                            .field("n", static_cast<std::uint64_t>(r.n))
                            .field("eps", r.eps)
                            .field("algo", r.algo)
-                           .field("aos_seconds", r.aos_seconds)
-                           .field("soa_seconds", r.soa_seconds)
+                           .field("pairs_seconds", r.pairs_seconds)
                            .field("count_seconds", r.count_seconds)
-                           .field("soa_speedup", r.soa_speedup)
                            .field("count_speedup", r.count_speedup)
                            .field("pairs", r.pairs)
                            .str());
   }
-  const double g = geomean(soa_speedups);
-  std::cout << "geomean SoA-over-AoS speedup:       " << g << "x\n";
-  std::cout << "geomean count-over-pairs speedup:   " << geomean(count_speedups)
-            << "x\n";
+  const double g = geomean(count_speedups);
+  std::cout << "geomean count-over-pairs speedup:   " << g << "x\n";
   write_bench_json("ablation_kernel", "BENCH_kernel.json", g, row_json,
-                   "geomean_speedup_soa_vs_aos");
-  return smoke_check("ablation_kernel", g, 0.9, "SoA geomean speedup");
+                   "geomean_speedup_count_vs_pairs");
+  return 0;
 }

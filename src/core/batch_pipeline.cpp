@@ -59,116 +59,65 @@ class PointMode {
   int block_size_;
 };
 
-/// Ship a launch's work items to the device (the per-batch upload — and
-/// the allocation that injected `alloc` faults hit).
-gpu::DeviceBuffer<CellWorkItem> upload_items(
-    gpu::GlobalMemoryArena& arena, const std::vector<CellWorkItem>& items) {
-  gpu::DeviceBuffer<CellWorkItem> dev(arena, items.size());
-  std::memcpy(dev.data(), items.data(), items.size() * sizeof(CellWorkItem));
-  return dev;
-}
-
-/// Cell-centric execution policy: a unit is one point slot, a launch
-/// covers the cells overlapping slots [u0, u1), each clipped to the range
-/// (one work item — one sequential kernel thread — per cell piece).
-class CellMode {
+/// Grouped execution policy: a unit is one group position (a point slot
+/// in a self-join, a sorted query position in a join), a launch covers
+/// the groups overlapping positions [u0, u1), each clipped to the range
+/// (one work item — one sequential kernel thread — per group piece).
+class GroupedMode {
  public:
-  CellMode(const GridDeviceView& grid, bool unicomp,
-           const CellAdjacency& adjacency, int block_size)
-      : grid_(grid), unicomp_(unicomp), adjacency_(adjacency),
-        block_size_(block_size) {}
-
-  /// The slots the cells own — all of them, except on a gpu_shard slice,
-  /// whose halo slots follow the owned ones and emit nothing.
-  std::uint32_t units() const {
-    return grid_.b_size == 0 ? 0 : grid_.G[grid_.b_size - 1].max + 1;
-  }
-  const char* unit_name() const { return "slots"; }
-
-  gpu::KernelStats launch(gpu::GlobalMemoryArena& arena, std::uint32_t u0,
-                          std::uint32_t u1, const ResultBufferView& result,
-                          AtomicWork* work) const {
-    const GridIndex::CellRange* end = grid_.G + grid_.b_size;
-    std::vector<CellWorkItem> items;
-    for (const GridIndex::CellRange* c = std::partition_point(
-             grid_.G, end,
-             [u0](const GridIndex::CellRange& r) { return r.max < u0; });
-         c != end && c->min < u1; ++c) {
-      items.push_back(CellWorkItem{static_cast<std::uint32_t>(c - grid_.G),
-                                   std::max(c->min, u0),
-                                   std::min(c->max + 1, u1)});
-    }
-    const gpu::DeviceBuffer<CellWorkItem> dev = upload_items(arena, items);
-    CellJoinKernelParams p;
-    p.grid = grid_;
-    p.items = dev.data();
-    p.num_items = items.size();
-    p.ranges = adjacency_.ranges.data();
-    p.range_offsets = adjacency_.offsets.data();
-    p.result = result;
-    p.unicomp = unicomp_;
-    p.work = work;
-    // A cell-mode "thread" covers a whole cell, so launches hold far fewer
-    // work items than point launches hold points; smaller blocks keep
-    // enough blocks in flight for the block-level scheduler.
-    return gpu::launch(
-        gpu::LaunchConfig::cover(items.size(), std::min(block_size_, 32)),
-        [&p](const gpu::ThreadCtx& ctx) { self_join_cells_thread(ctx, p); });
-  }
-
- private:
-  const GridDeviceView& grid_;
-  bool unicomp_;
-  const CellAdjacency& adjacency_;
-  int block_size_;
-};
-
-/// Query/data-join execution policy: a unit is one position of the
-/// adjacency's sorted query order, a launch covers the query groups
-/// overlapping positions [u0, u1), each clipped to the range.
-class JoinGroupMode {
- public:
-  JoinGroupMode(const GridDeviceView& grid, const JoinAdjacency& adjacency,
-                int block_size)
+  GroupedMode(const GridDeviceView& grid, const GroupAdjacency& adjacency,
+              int block_size)
       : grid_(grid), adjacency_(adjacency), block_size_(block_size) {}
 
-  /// The adjacency's query positions — a gpu_shard chunklet's slice of
-  /// them, not the whole broadcast query set.
+  /// The groups' positions — on a gpu_shard chunklet only its own: a
+  /// self-join slice's halo slots follow the owned ones and emit nothing,
+  /// and a join chunklet holds its slice of the query order.
   std::uint32_t units() const {
     const std::vector<std::uint32_t>& go = adjacency_.group_offsets;
     return grid_.n == 0 || go.empty() ? 0 : go.back();
   }
-  const char* unit_name() const { return "query positions"; }
+  const char* unit_name() const {
+    return adjacency_.query_order.empty() ? "slots" : "query positions";
+  }
 
   gpu::KernelStats launch(gpu::GlobalMemoryArena& arena, std::uint32_t u0,
                           std::uint32_t u1, const ResultBufferView& result,
                           AtomicWork* work) const {
     const std::vector<std::uint32_t>& go = adjacency_.group_offsets;
-    std::vector<CellWorkItem> items;
+    std::vector<GroupWorkItem> items;
     for (auto g = static_cast<std::uint32_t>(
              std::upper_bound(go.begin(), go.end(), u0) - go.begin() - 1);
          g + 1 < go.size() && go[g] < u1; ++g) {
       items.push_back(
-          CellWorkItem{g, std::max(go[g], u0), std::min(go[g + 1], u1)});
+          GroupWorkItem{g, std::max(go[g], u0), std::min(go[g + 1], u1)});
     }
-    const gpu::DeviceBuffer<CellWorkItem> dev = upload_items(arena, items);
-    JoinCellsKernelParams p;
+    // The per-batch upload — and the allocation injected `alloc` faults
+    // hit.
+    gpu::DeviceBuffer<GroupWorkItem> dev(arena, items.size());
+    std::memcpy(dev.data(), items.data(),
+                items.size() * sizeof(GroupWorkItem));
+    GroupedScanParams p;
     p.grid = grid_;
-    p.query_order = adjacency_.query_order.data();
+    p.query_order = adjacency_.query_order.empty()
+                        ? nullptr
+                        : adjacency_.query_order.data();
     p.items = dev.data();
     p.num_items = items.size();
     p.ranges = adjacency_.ranges.data();
     p.range_offsets = adjacency_.offsets.data();
     p.result = result;
     p.work = work;
+    // A grouped "thread" covers a whole group, so launches hold far fewer
+    // work items than point launches hold points; smaller blocks keep
+    // enough blocks in flight for the block-level scheduler.
     return gpu::launch(
         gpu::LaunchConfig::cover(items.size(), std::min(block_size_, 32)),
-        [&p](const gpu::ThreadCtx& ctx) { join_cells_thread(ctx, p); });
+        [&p](const gpu::ThreadCtx& ctx) { grouped_scan_thread(ctx, p); });
   }
 
  private:
   const GridDeviceView& grid_;
-  const JoinAdjacency& adjacency_;
+  const GroupAdjacency& adjacency_;
   int block_size_;
 };
 
@@ -271,31 +220,19 @@ PipelineOutput BatchPipeline::run(const ResultRequest& req,
                   stats);
 }
 
-PipelineOutput BatchPipeline::run_cells(const ResultRequest& req,
-                                        const GridDeviceView& grid,
-                                        bool unicomp,
-                                        const CellAdjacency& adjacency,
-                                        AtomicWork* work,
-                                        BatchRunStats* stats) {
-  if (!grid.cell_major) {
+PipelineOutput BatchPipeline::run_groups(const ResultRequest& req,
+                                         const GridDeviceView& grid,
+                                         const GroupAdjacency& adjacency,
+                                         AtomicWork* work,
+                                         BatchRunStats* stats) {
+  if (!grid.cell_major ||
+      adjacency.query_order.empty() != (grid.qpoints == nullptr)) {
     throw std::invalid_argument(
-        "BatchPipeline::run_cells: grid must use the cell-major layout");
+        "BatchPipeline::run_groups: grid must use the cell-major layout, "
+        "with an external query set exactly when the adjacency has a query "
+        "order");
   }
-  return run_impl(CellMode(grid, unicomp, adjacency, config_.block_size), req,
-                  work, stats);
-}
-
-PipelineOutput BatchPipeline::run_join_groups(const ResultRequest& req,
-                                              const GridDeviceView& grid,
-                                              const JoinAdjacency& adjacency,
-                                              AtomicWork* work,
-                                              BatchRunStats* stats) {
-  if (!grid.cell_major || grid.qpoints == nullptr) {
-    throw std::invalid_argument(
-        "BatchPipeline::run_join_groups: grid must be a cell-major data "
-        "layout with an external query set");
-  }
-  return run_impl(JoinGroupMode(grid, adjacency, config_.block_size), req,
+  return run_impl(GroupedMode(grid, adjacency, config_.block_size), req,
                   work, stats);
 }
 
@@ -466,7 +403,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
   // Buffers: `streams` rotating result buffers within the free device
   // memory, after room for the largest per-batch work-item upload.
   const std::uint64_t reserve =
-      std::uint64_t{units} * sizeof(CellWorkItem) + (16u << 10);
+      std::uint64_t{units} * sizeof(GroupWorkItem) + (16u << 10);
   const std::uint64_t free_bytes =
       arena_.free_bytes() > reserve ? arena_.free_bytes() - reserve : 0;
   const std::uint64_t buffer_cap = std::min<std::uint64_t>(

@@ -32,8 +32,7 @@
 
 namespace sj {
 
-struct CellAdjacency;  // kernels.hpp
-struct JoinAdjacency;  // kernels.hpp
+struct GroupAdjacency;  // kernels.hpp
 
 struct PipelineConfig {
   int streams = 3;  ///< rotating device result buffers (copy overlap)
@@ -69,8 +68,10 @@ PipelineConfig pipeline_config(const Options& opt, int device_id = -1) {
 std::exception_ptr annotate_exception(std::exception_ptr e,
                                       const std::string& context);
 
-/// The two-pass executor. One pipeline may serve many runs (gpu_shard
-/// re-arms one per device across its chunklets), one run at a time.
+/// The two-pass executor, in two modes: the paper's point-centric kernel
+/// (run, layout=legacy) and the grouped kernel (run_groups, cell-major).
+/// One pipeline may serve many runs (gpu_shard re-arms one per device
+/// across its chunklets), one run at a time.
 class BatchPipeline {
  public:
   BatchPipeline(gpu::GlobalMemoryArena& arena, const gpu::DeviceSpec& spec,
@@ -81,22 +82,17 @@ class BatchPipeline {
   PipelineOutput run(const ResultRequest& req, const GridDeviceView& grid,
                      bool unicomp, AtomicWork* work, BatchRunStats* stats);
 
-  /// Cell-centric self-join over a cell-major grid: the units are the
-  /// point slots, scanned through the precomputed `adjacency`
-  /// (build_cell_adjacency). A batch's slot range may cut a cell, so one
-  /// oversized cell splits by slot range.
-  PipelineOutput run_cells(const ResultRequest& req,
-                           const GridDeviceView& grid, bool unicomp,
-                           const CellAdjacency& adjacency, AtomicWork* work,
-                           BatchRunStats* stats);
-
-  /// Query/data join over a cell-major data grid with an external query
-  /// set (grid.qpoints): the units are the positions of the adjacency's
-  /// sorted query order, scanned group by group (build_join_adjacency).
-  PipelineOutput run_join_groups(const ResultRequest& req,
-                                 const GridDeviceView& grid,
-                                 const JoinAdjacency& adjacency,
-                                 AtomicWork* work, BatchRunStats* stats);
+  /// Grouped join over a cell-major grid: the units are the adjacency's
+  /// group positions (build_group_adjacency), each scanning its group's
+  /// precomputed candidate ranges. A self-join's groups are the grid's
+  /// non-empty cells in identity order (positions are point slots); a
+  /// join's are its queries sorted by home cell, read from the view's
+  /// external query set. A batch's position range may cut a group, so
+  /// one oversized group splits across batches.
+  PipelineOutput run_groups(const ResultRequest& req,
+                            const GridDeviceView& grid,
+                            const GroupAdjacency& adjacency,
+                            AtomicWork* work, BatchRunStats* stats);
 
  private:
   template <typename Mode>

@@ -8,8 +8,8 @@
 // implementation sizes them EXACTLY instead:
 //
 //   1. one count launch records every emitting unit's pair count — a
-//      query id (point-centric kernel), a point slot (cell-centric
-//      self-join) or a query position (grouped join);
+//      query id (point-centric kernel) or a group position (grouped
+//      kernel: a point slot in a self-join, a query position in a join);
 //   2. an exclusive prefix sum turns the counts into output offsets;
 //   3. batches are contiguous unit ranges cut from those exact counts
 //      (plan_batches below);

@@ -14,7 +14,7 @@
 //                `orig` maps a point slot back to its original dataset
 //                id so emitted pairs still carry original ids. Candidate
 //                scans become contiguous range reads, which is what the
-//                cell-centric kernel exploits.
+//                grouped kernel exploits.
 #pragma once
 
 #include <algorithm>

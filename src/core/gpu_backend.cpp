@@ -23,7 +23,7 @@ namespace sj::backends {
 namespace {
 
 constexpr std::string_view kGpuKeys =
-    "block_size,min_batches,num_streams,max_buffer_pairs,layout,soa,faults,"
+    "block_size,min_batches,num_streams,max_buffer_pairs,layout,faults,"
     "retries,backoff_ms,deadline_ms";
 
 /// The "deadline_ms" knob (sjtool --deadline-ms): arms a function-local
@@ -44,7 +44,7 @@ void apply_deadline(const api::RunConfig& config, Options& opt,
 }
 
 /// The "layout" knob shared by the GPU-SJ engines: cell (default) runs
-/// the cell-major reorder + cell-centric kernel, legacy the paper's
+/// the cell-major reorder + grouped kernel, legacy the paper's
 /// point-centric kernel over the original point order.
 GridLayout parse_layout(const api::RunConfig& config) {
   const std::string v = config.text("layout", "cell");
@@ -129,6 +129,7 @@ api::JoinOutcome make_gpu_outcome(Result r) {
   out.stats.distance_calcs = s.metrics.distance_calcs;
   out.stats.native = {
       {"index_build_seconds", s.index_build_seconds},
+      {"adjacency_seconds", s.adjacency_seconds},
       // The exact-sizing count pass (count launch, prefix sum, batch
       // cut), under the name the sampled estimator's phase had.
       {"estimate_seconds", s.batch.count_seconds},
@@ -184,7 +185,6 @@ class GpuBackend final : public api::Backend {
     opt.collect_metrics = config.collect_metrics;
     opt.mode = config.mode;
     opt.sink = config.sink;
-    opt.soa = config.flag("soa", true);
     apply_gpu_batch_knobs(config, opt);
     exec::ExecControl ctl;
     apply_deadline(config, opt, ctl);
@@ -205,7 +205,6 @@ class GpuBackend final : public api::Backend {
     opt.layout = parse_layout(config);
     opt.mode = config.mode;
     opt.sink = config.sink;
-    opt.soa = config.flag("soa", true);
     apply_gpu_batch_knobs(config, opt);
     exec::ExecControl ctl;
     apply_deadline(config, opt, ctl);
@@ -318,7 +317,7 @@ class GpuShardBackend final : public api::Backend {
  private:
   static constexpr std::string_view kShardKeys =
       "shards,schedule,chunklets,plan,plan_cache,num_streams,"
-      "unicomp,block_size,min_batches,max_buffer_pairs,layout,soa,faults,"
+      "unicomp,block_size,min_batches,max_buffer_pairs,layout,faults,"
       "retries,backoff_ms";
 
   static ShardedSelfJoinOptions parse_shard_options(
@@ -326,7 +325,6 @@ class GpuShardBackend final : public api::Backend {
     ShardedSelfJoinOptions opt;
     opt.unicomp = config.flag("unicomp", false);
     opt.mode = config.mode;
-    opt.soa = config.flag("soa", true);
     // parse_layout rejects unknown values; the engine itself rejects
     // layout=legacy with an error explaining why sharding needs cell.
     opt.layout = parse_layout(config);

@@ -12,8 +12,9 @@
 //   kCellMajor (default) — the data set is reordered cell-major at upload
 //     and the queries are sorted and GROUPED by the data-grid cell they
 //     fall into; each group's candidate slot ranges are resolved once
-//     (build_join_adjacency) and scanned contiguously; batches are
-//     contiguous ranges of that sorted query order.
+//     (build_group_adjacency — the builder and kernel the self-join runs
+//     with the grid's own cells as its groups) and scanned contiguously;
+//     batches are contiguous ranges of that sorted query order.
 //   kLegacy — the paper's point-centric search: every query re-runs the
 //     mask filtering and binary searches of B, candidates gathered
 //     through A[]. Kept for ablation (bench/ablation_join.cpp).
@@ -36,8 +37,6 @@ struct GpuJoinOptions {
   /// Histogram keys are QUERY indices.
   ResultMode mode = ResultMode::kPairs;
   PairSink sink;
-  /// SoA coordinate-plane scan (cell-major only); false = AoS ablation.
-  bool soa = true;
   gpu::DeviceSpec device = gpu::DeviceSpec::titan_x_pascal();
   /// Transient-fault retry policy (batcher.hpp).
   RetryPolicy retry;
@@ -52,6 +51,8 @@ struct GpuJoinStats {
   /// Distinct data-grid home cells over the query set (cell-major layout
   /// only) — the number of adjacency resolutions the join amortises.
   std::uint64_t query_groups = 0;
+  /// Wall time of the query grouping and adjacency build (cell-major).
+  double adjacency_seconds = 0.0;
   BatchRunStats batch;
   gpu::KernelMetrics metrics;
 };

@@ -7,6 +7,7 @@
 
 #include "common/contracts.hpp"
 #include "common/distance.hpp"
+#include "common/timer.hpp"
 #include "core/validate.hpp"
 
 // The blocked distance loops below are written so the per-dimension lane
@@ -80,7 +81,7 @@ struct Emitter {
     }
   }
 
-  /// Blocked emission for the cell-centric kernel: all of one scan
+  /// Blocked emission for the grouped kernel: all of one scan
   /// block's finds at once (two pairs per find when `both` — UNICOMP's
   /// "add both ordered pairs" rule).
   void emit_block(std::uint32_t key, const std::uint32_t* values, int count,
@@ -125,9 +126,9 @@ inline void filter_adjacent(const GridDeviceView& g, const std::uint32_t* c,
   }
 }
 
-/// The neighbourhood enumeration shared by the point-centric and the
-/// cell-centric kernels: visit(cc, both_orders) is called for every
-/// candidate cell of a home cell at coordinates `c`.
+/// The neighbourhood enumeration shared by the point-centric kernel and
+/// the group adjacency builder: visit(cc, both_orders) is called for
+/// every candidate cell of a home cell at coordinates `c`.
 ///
 /// Full mode (Algorithm 1): the cartesian product of the mask-filtered
 /// adjacent coordinates in every dimension, own cell included, all with
@@ -253,11 +254,6 @@ inline void eval_cell(const SelfJoinKernelParams& p, LocalWork& w,
   }
 }
 
-/// Per-thread scratch for the cell-centric kernel's inline-enumeration
-/// mode, reused across work items so the range list never reallocates on
-/// the hot path.
-thread_local std::vector<CandidateRange> t_ranges;
-
 /// Build the candidate slot-range list of the cell at coordinates `c` —
 /// mask-filtering the adjacency, enumerating the neighbourhood (full or
 /// UNICOMP) and binary-searching B ONCE PER CELL instead of once per
@@ -293,20 +289,6 @@ void collect_ranges_at(const GridDeviceView& g, const std::uint32_t* c,
       });
 }
 
-/// collect_ranges_at() for a non-empty cell identified by its index into
-/// B (the self-join's work unit), decoding the coordinates first.
-void collect_cell_ranges(const GridDeviceView& g, std::uint32_t cell_idx,
-                         bool unicomp, LocalWork& w,
-                         std::vector<CandidateRange>& out) {
-  std::uint32_t c[kMaxDims];
-  const std::uint64_t lin = g.B[cell_idx];
-  for (int j = 0; j < g.dim; ++j) {
-    c[j] =
-        static_cast<std::uint32_t>((lin / g.stride[j]) % g.cells_per_dim[j]);
-  }
-  collect_ranges_at(g, c, unicomp, w, out);
-}
-
 /// SoA block width: wide enough that a full AVX2/AVX-512 register set
 /// covers the lane loop, small enough that a block of partial sums stays
 /// in registers.
@@ -319,12 +301,12 @@ constexpr int kSoaScanBlock = 16;
 /// differences branch-free, so the compiler turns it into packed FMAs.
 /// The dimension loop still bails out at BLOCK granularity once every
 /// lane's partial sum exceeds eps^2.
-inline void scan_range_soa(const GridDeviceView& g, LocalWork& w, Emitter& em,
-                           std::uint32_t key, const double* pt,
-                           const CandidateRange& r, double eps2,
-                           gpu::CacheSim* cache) {
+inline void scan_range(const GridDeviceView& g, LocalWork& w, Emitter& em,
+                       std::uint32_t key, const double* pt,
+                       const CandidateRange& r, double eps2,
+                       gpu::CacheSim* cache) {
   SJ_EXPECT(r.begin < r.end && r.end <= g.n,
-            "SoA candidate range must stay inside the slot space");
+            "candidate range must stay inside the slot space");
   const int dim = g.dim;
   double acc[kSoaScanBlock];
   for (std::uint32_t k0 = r.begin; k0 < r.end; k0 += kSoaScanBlock) {
@@ -403,68 +385,6 @@ inline void scan_range_soa(const GridDeviceView& g, LocalWork& w, Emitter& em,
   }
 }
 
-/// Scan one contiguous candidate range for one query point with blocked
-/// distance evaluation: each block of up to kScanBlock candidates is
-/// evaluated with a branch-free lane loop (vectorisable — no per-
-/// candidate early exit, no gather), and the dimension loop bails out at
-/// BLOCK granularity once every lane's partial sum exceeds eps^2.
-/// Dispatches to the SoA path when the view carries coordinate planes
-/// (cell-major uploads; engines null them out under the soa=0 ablation
-/// knob); the AoS body below is that ablation baseline.
-inline void scan_range(const GridDeviceView& g, LocalWork& w, Emitter& em,
-                       std::uint32_t key, const double* pt,
-                       const CandidateRange& r, double eps2,
-                       gpu::CacheSim* cache) {
-  if (g.coord[0] != nullptr) {
-    scan_range_soa(g, w, em, key, pt, r, eps2, cache);
-    return;
-  }
-  SJ_EXPECT(r.begin < r.end && r.end <= g.n,
-            "candidate range must stay inside the slot space");
-  constexpr int kScanBlock = 8;
-  const int dim = g.dim;
-  double acc[kScanBlock];
-  for (std::uint32_t k0 = r.begin; k0 < r.end; k0 += kScanBlock) {
-    const int bw = static_cast<int>(
-        std::min<std::uint32_t>(kScanBlock, r.end - k0));
-    const double* base = g.points + static_cast<std::size_t>(k0) * dim;
-    w.distance_calcs += static_cast<std::uint64_t>(bw);
-    w.global_loads += static_cast<std::uint64_t>(bw) * dim;
-    w.global_load_bytes +=
-        static_cast<std::uint64_t>(bw) * dim * sizeof(double);
-    if (cache != nullptr) {
-      cache->access(reinterpret_cast<std::uint64_t>(base),
-                    static_cast<unsigned>(bw * dim) * sizeof(double));
-    }
-    for (int v = 0; v < bw; ++v) acc[v] = 0.0;
-    bool block_pruned = false;
-    for (int j = 0; j < dim; ++j) {
-      const double pj = pt[j];
-      for (int v = 0; v < bw; ++v) {
-        const double diff = base[v * dim + j] - pj;
-        acc[v] += diff * diff;
-      }
-      // Only bother with the per-block prune in higher dimensions, where
-      // the remaining per-lane work it saves outweighs the min-reduction.
-      if (dim > 3 && j + 1 < dim) {
-        double m = acc[0];
-        for (int v = 1; v < bw; ++v) m = std::min(m, acc[v]);
-        if (m > eps2) {
-          block_pruned = true;
-          break;
-        }
-      }
-    }
-    if (block_pruned) continue;
-    std::uint32_t match[kScanBlock];
-    int m = 0;
-    for (int v = 0; v < bw; ++v) {
-      if (acc[v] <= eps2) match[m++] = g.orig[k0 + v];
-    }
-    if (m > 0) em.emit_block(key, match, m, r.both);
-  }
-}
-
 }  // namespace
 
 void self_join_thread(const gpu::ThreadCtx& ctx,
@@ -505,48 +425,43 @@ void self_join_thread(const gpu::ThreadCtx& ctx,
   if (p.work != nullptr) p.work->flush(w);
 }
 
-void self_join_cells_thread(const gpu::ThreadCtx& ctx,
-                            const CellJoinKernelParams& p) {
+void grouped_scan_thread(const gpu::ThreadCtx& ctx,
+                         const GroupedScanParams& p) {
   const std::uint64_t gid = ctx.global_id();
   if (gid >= p.num_items) return;
-  const CellWorkItem item = p.items[gid];
+  const GroupWorkItem item = p.items[gid];
   const GridDeviceView& g = p.grid;
-  SJ_EXPECT(item.cell < g.b_size,
-            "cell work item must name a non-empty cell index into B");
-  SJ_EXPECT(item.begin <= item.end && item.end <= g.n,
-            "cell work item slot range must stay inside the layout");
+  SJ_EXPECT(item.begin <= item.end,
+            "group work item must name an ordered position range");
 
   LocalWork w;
   Emitter em{p.result, w};
 
-  // The adjacent-cell range list is shared by the whole item — every
-  // point of the cell has the same neighbourhood. With a precomputed
-  // adjacency the lookup is free; the standalone mode (metrics pass)
-  // enumerates it here, once per item.
-  const CandidateRange* ranges;
-  std::size_t num_ranges;
-  if (p.ranges != nullptr) {
-    ranges = p.ranges + p.range_offsets[item.cell];
-    num_ranges = static_cast<std::size_t>(p.range_offsets[item.cell + 1] -
-                                          p.range_offsets[item.cell]);
-  } else {
-    t_ranges.clear();
-    collect_cell_ranges(g, item.cell, p.unicomp, w, t_ranges);
-    ranges = t_ranges.data();
-    num_ranges = t_ranges.size();
-  }
+  // The candidate range list is shared by the whole group — every unit in
+  // it has the same home cell.
+  const CandidateRange* ranges = p.ranges + p.range_offsets[item.group];
+  const std::size_t num_ranges = static_cast<std::size_t>(
+      p.range_offsets[item.group + 1] - p.range_offsets[item.group]);
+  // A join unit loads its query id from the sorted order; a self-join
+  // unit's position is its slot.
+  const std::uint64_t id_loads = p.query_order != nullptr ? 1 : 0;
 
   const double eps2 = g.eps * g.eps;
   for (std::uint32_t s = item.begin; s < item.end; ++s) {
-    const double* pt = g.points + static_cast<std::size_t>(s) * g.dim;
-    const std::uint32_t key = g.orig[s];
+    const std::uint64_t q = p.query_order != nullptr ? p.query_order[s] : s;
+    SJ_INVARIANT(q < g.num_queries(),
+                 "a group position must name a valid query");
+    const double* pt = g.query_point(q);
     em.begin_unit(s);
-    w.global_loads += static_cast<std::uint64_t>(g.dim);
-    w.global_load_bytes += static_cast<std::uint64_t>(g.dim) * sizeof(double);
+    w.global_loads += static_cast<std::uint64_t>(g.dim) + id_loads;
+    w.global_load_bytes +=
+        static_cast<std::uint64_t>(g.dim) * sizeof(double) +
+        id_loads * sizeof(std::uint32_t);
     if (p.cache != nullptr) {
       p.cache->access(reinterpret_cast<std::uint64_t>(pt),
                       static_cast<unsigned>(g.dim) * sizeof(double));
     }
+    const std::uint32_t key = g.query_id(q);
     for (std::size_t r = 0; r < num_ranges; ++r) {
       scan_range(g, w, em, key, pt, ranges[r], eps2, p.cache);
     }
@@ -556,113 +471,22 @@ void self_join_cells_thread(const gpu::ThreadCtx& ctx,
   if (p.work != nullptr) p.work->flush(w);
 }
 
-CellAdjacencyHost build_cell_adjacency_host(const GridDeviceView& grid,
-                                            bool unicomp) {
-  return build_cell_adjacency_span(grid, unicomp, 0,
-                                   static_cast<std::uint32_t>(grid.b_size));
-}
-
-CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
-                                            bool unicomp,
-                                            std::uint32_t cell_begin,
-                                            std::uint32_t cell_end) {
-  CellAdjacencyHost adj;
-  const std::size_t num_cells = cell_end - cell_begin;
-  adj.weights.assign(num_cells, 0);
-  adj.offsets.assign(num_cells + 1, 0);
-  if (num_cells == 0) return adj;
-
-  // One enumeration pass over the cells, accumulated on the host as a
-  // CSR-style (offsets, ranges) pair. The pass is the same work one
-  // point-centric query performs per POINT, so it amortises to a small
-  // fraction of the legacy kernel's search overhead.
-  adj.ranges.reserve(num_cells * 4);
-  LocalWork w;  // planning work, not flushed into join counters
-  for (std::size_t cell = 0; cell < num_cells; ++cell) {
-    collect_cell_ranges(grid,
-                        static_cast<std::uint32_t>(cell_begin + cell),
-                        unicomp, w, adj.ranges);
-    adj.offsets[cell + 1] = adj.ranges.size();
-    std::uint64_t candidates = 0;
-    for (std::size_t r = adj.offsets[cell]; r < adj.offsets[cell + 1]; ++r) {
-      candidates += static_cast<std::uint64_t>(adj.ranges[r].end -
-                                               adj.ranges[r].begin) *
-                    (adj.ranges[r].both != 0 ? 2 : 1);
-    }
-    const GridIndex::CellRange cr = grid.G[cell_begin + cell];
-    // candidates x population can exceed 64 bits for a pathological cell;
-    // saturate so the planner's relative ordering survives instead of
-    // wrapping a heavy cell down to a tiny weight.
-    const unsigned __int128 weight =
-        static_cast<unsigned __int128>(candidates) *
-        (static_cast<std::uint64_t>(cr.max) - cr.min + 1);
-    adj.weights[cell] = static_cast<std::uint64_t>(std::min<unsigned __int128>(
-        weight, std::numeric_limits<std::uint64_t>::max()));
+QueryGroups cell_groups(const GridDeviceView& grid, std::uint32_t cell_begin,
+                        std::uint32_t cell_end) {
+  QueryGroups groups;
+  if (cell_begin == cell_end) return groups;
+  groups.home_cells.assign(grid.B + cell_begin, grid.B + cell_end);
+  groups.group_offsets.reserve(cell_end - cell_begin + 1);
+  for (std::uint32_t cell = cell_begin; cell < cell_end; ++cell) {
+    groups.group_offsets.push_back(grid.G[cell].min);
   }
-  adj.cells_examined = w.cells_examined;
-  adj.cells_nonempty = w.cells_nonempty;
-  if (contracts::active()) {
-    validate::cell_adjacency(adj, num_cells, grid.n,
-                             "build_cell_adjacency_span");
-  }
-  return adj;
+  groups.group_offsets.push_back(grid.G[cell_end - 1].max + 1);
+  return groups;
 }
 
-CellAdjacency build_cell_adjacency(gpu::GlobalMemoryArena& arena,
-                                   const GridDeviceView& grid, bool unicomp) {
-  CellAdjacencyHost host = build_cell_adjacency_host(grid, unicomp);
-  CellAdjacency adj;
-  adj.ranges = gpu::DeviceBuffer<CandidateRange>(arena, host.ranges.size());
-  std::copy(host.ranges.begin(), host.ranges.end(), adj.ranges.data());
-  adj.offsets = gpu::DeviceBuffer<std::uint64_t>(arena, host.offsets.size());
-  std::copy(host.offsets.begin(), host.offsets.end(), adj.offsets.data());
-  adj.cells_examined = host.cells_examined;
-  adj.cells_nonempty = host.cells_nonempty;
-  return adj;
-}
-
-void join_cells_thread(const gpu::ThreadCtx& ctx,
-                       const JoinCellsKernelParams& p) {
-  const std::uint64_t gid = ctx.global_id();
-  if (gid >= p.num_items) return;
-  const CellWorkItem item = p.items[gid];
-  const GridDeviceView& g = p.grid;
-
-  LocalWork w;
-  Emitter em{p.result, w};
-
-  // The candidate range list is shared by the whole group — every query
-  // in it has the same data-grid home cell.
-  const CandidateRange* ranges = p.ranges + p.range_offsets[item.cell];
-  const std::size_t num_ranges = static_cast<std::size_t>(
-      p.range_offsets[item.cell + 1] - p.range_offsets[item.cell]);
-
-  const double eps2 = g.eps * g.eps;
-  for (std::uint32_t s = item.begin; s < item.end; ++s) {
-    const std::uint32_t qid = p.query_order[s];
-    SJ_INVARIANT(qid < g.num_queries(),
-                 "query order entry must name a valid query id");
-    const double* pt = g.query_point(qid);
-    em.begin_unit(s);
-    w.global_loads += static_cast<std::uint64_t>(g.dim) + 1;  // pt + id
-    w.global_load_bytes +=
-        static_cast<std::uint64_t>(g.dim) * sizeof(double) +
-        sizeof(std::uint32_t);
-    if (p.cache != nullptr) {
-      p.cache->access(reinterpret_cast<std::uint64_t>(pt),
-                      static_cast<unsigned>(g.dim) * sizeof(double));
-    }
-    for (std::size_t r = 0; r < num_ranges; ++r) {
-      scan_range(g, w, em, qid, pt, ranges[r], eps2, p.cache);
-    }
-    em.end_unit(s);
-  }
-
-  if (p.work != nullptr) p.work->flush(w);
-}
-
-JoinAdjacencyHost build_join_adjacency_host(const GridDeviceView& grid) {
-  JoinAdjacencyHost adj;
+QueryGroups sorted_query_groups(const GridDeviceView& grid) {
+  const Timer timer;
+  QueryGroups groups;
   const std::uint64_t nq = grid.qn;
 
   // Sort the queries by (home data-grid cell, id): groups become
@@ -678,58 +502,85 @@ JoinAdjacencyHost build_join_adjacency_host(const GridDeviceView& grid) {
   }
   std::sort(keyed.begin(), keyed.end());
 
-  adj.query_order.resize(static_cast<std::size_t>(nq));
-  for (std::uint64_t q = 0; q < nq; ++q) {
-    adj.query_order[static_cast<std::size_t>(q)] =
-        keyed[static_cast<std::size_t>(q)].second;
-  }
-
-  // One adjacency resolution per DISTINCT home cell, amortised over all
-  // of its queries — the join analogue of the self-join's once-per-cell
-  // enumeration.
-  adj.offsets.push_back(0);
-  adj.group_offsets.push_back(0);
-  LocalWork w;
-  std::size_t pos = 0;
-  while (pos < keyed.size()) {
-    const std::uint64_t key = keyed[pos].first;
-    std::size_t end = pos + 1;
-    while (end < keyed.size() && keyed[end].first == key) ++end;
-
-    grid.home_cell(grid.query_point(adj.query_order[pos]), c);
-    collect_ranges_at(grid, c, /*unicomp=*/false, w, adj.ranges);
-    adj.offsets.push_back(adj.ranges.size());
-    adj.group_offsets.push_back(static_cast<std::uint32_t>(end));
-
-    std::uint64_t candidates = 0;
-    for (std::size_t r = adj.offsets[adj.offsets.size() - 2];
-         r < adj.ranges.size(); ++r) {
-      candidates += adj.ranges[r].end - adj.ranges[r].begin;
+  groups.query_order.resize(static_cast<std::size_t>(nq));
+  for (std::size_t pos = 0; pos < keyed.size(); ++pos) {
+    groups.query_order[pos] = keyed[pos].second;
+    if (pos == 0 || keyed[pos].first != keyed[pos - 1].first) {
+      groups.group_offsets.push_back(static_cast<std::uint32_t>(pos));
+      groups.home_cells.push_back(keyed[pos].first);
     }
+  }
+  groups.group_offsets.push_back(static_cast<std::uint32_t>(nq));
+  groups.seconds = timer.seconds();
+  return groups;
+}
+
+GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
+                                         QueryGroups groups, bool unicomp) {
+  const Timer timer;
+  GroupAdjacencyHost adj;
+  adj.query_order = std::move(groups.query_order);
+  adj.group_offsets = std::move(groups.group_offsets);
+  const std::size_t num_groups = groups.home_cells.size();
+  adj.weights.assign(num_groups, 0);
+  adj.offsets.assign(num_groups + 1, 0);
+
+  // One enumeration pass per group, accumulated as a CSR-style (offsets,
+  // ranges) pair. The pass is the same work one point-centric query
+  // performs per POINT, so it amortises over the group's population.
+  adj.ranges.reserve(num_groups * 4);
+  LocalWork w;  // planning work, not flushed into join counters
+  std::uint32_t c[kMaxDims];
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const std::uint64_t home = groups.home_cells[g];
+    for (int j = 0; j < grid.dim; ++j) {
+      c[j] = static_cast<std::uint32_t>((home / grid.stride[j]) %
+                                        grid.cells_per_dim[j]);
+    }
+    collect_ranges_at(grid, c, unicomp, w, adj.ranges);
+    adj.offsets[g + 1] = adj.ranges.size();
+    std::uint64_t candidates = 0;
+    for (std::size_t r = adj.offsets[g]; r < adj.offsets[g + 1]; ++r) {
+      candidates += static_cast<std::uint64_t>(adj.ranges[r].end -
+                                               adj.ranges[r].begin) *
+                    (adj.ranges[r].both != 0 ? 2 : 1);
+    }
+    // candidates x population can exceed 64 bits for a pathological
+    // group; saturate so the planner's relative ordering survives instead
+    // of wrapping a heavy group down to a tiny weight.
     const unsigned __int128 weight =
         static_cast<unsigned __int128>(candidates) *
-        static_cast<std::uint64_t>(end - pos);
-    adj.weights.push_back(static_cast<std::uint64_t>(
-        std::min<unsigned __int128>(
-            weight, std::numeric_limits<std::uint64_t>::max())));
-    pos = end;
+        (adj.group_offsets[g + 1] - adj.group_offsets[g]);
+    adj.weights[g] = static_cast<std::uint64_t>(std::min<unsigned __int128>(
+        weight, std::numeric_limits<std::uint64_t>::max()));
   }
   adj.cells_examined = w.cells_examined;
   adj.cells_nonempty = w.cells_nonempty;
+  adj.build_seconds = groups.seconds + timer.seconds();
   if (contracts::active()) {
-    validate::join_adjacency(adj, nq, grid.n, "build_join_adjacency_host");
+    // Identity order: the groups are consecutive cells starting at the
+    // first group's home cell.
+    const GridIndex::CellRange* cells =
+        adj.query_order.empty() && num_groups > 0
+            ? grid.G + (std::lower_bound(grid.B, grid.B + grid.b_size,
+                                         groups.home_cells[0]) -
+                        grid.B)
+            : nullptr;
+    validate::group_adjacency(adj, cells, grid.qn, grid.n,
+                              "build_group_adjacency");
   }
   return adj;
 }
 
-JoinAdjacency build_join_adjacency(gpu::GlobalMemoryArena& arena,
-                                   const GridDeviceView& grid) {
-  JoinAdjacencyHost host = build_join_adjacency_host(grid);
-  JoinAdjacency adj;
-  adj.query_order =
-      gpu::DeviceBuffer<std::uint32_t>(arena, host.query_order.size());
-  std::copy(host.query_order.begin(), host.query_order.end(),
-            adj.query_order.data());
+GroupAdjacency upload_group_adjacency(gpu::GlobalMemoryArena& arena,
+                                      GroupAdjacencyHost host) {
+  GroupAdjacency adj;
+  if (!host.query_order.empty()) {
+    adj.query_order =
+        gpu::DeviceBuffer<std::uint32_t>(arena, host.query_order.size());
+    std::copy(host.query_order.begin(), host.query_order.end(),
+              adj.query_order.data());
+  }
   adj.ranges = gpu::DeviceBuffer<CandidateRange>(arena, host.ranges.size());
   std::copy(host.ranges.begin(), host.ranges.end(), adj.ranges.data());
   adj.offsets = gpu::DeviceBuffer<std::uint64_t>(arena, host.offsets.size());
@@ -737,6 +588,7 @@ JoinAdjacency build_join_adjacency(gpu::GlobalMemoryArena& arena,
   adj.group_offsets = std::move(host.group_offsets);
   adj.cells_examined = host.cells_examined;
   adj.cells_nonempty = host.cells_nonempty;
+  adj.build_seconds = host.build_seconds;
   return adj;
 }
 

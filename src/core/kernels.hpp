@@ -11,13 +11,17 @@
 // evaluated emitting BOTH ordered pairs. It works on either data layout
 // (candidates are resolved through GridDeviceView's candidate helpers).
 //
-// self_join_cells_thread() is the CELL-CENTRIC kernel over the cell-major
-// layout: one work unit is a (cell, point-subrange) item, the adjacent-
-// cell range list — including the UNICOMP odd/even pattern — is computed
-// ONCE per item, and all of the item's points then scan those contiguous
-// slot ranges with a blocked, vectorisable inner loop. This amortises the
-// per-point binary searches of Algorithm 1 across the cell and removes
-// the A[] gather from the distance loop.
+// grouped_scan_thread() is the CELL-CENTRIC kernel over the cell-major
+// layout, shared by the self-join and the query/data join — "the
+// self-join problem is a special case of a join" (Section II): its query
+// groups are the grid's own non-empty cells. One work unit is a (group,
+// position-subrange) item; the group's candidate slot ranges — including
+// the UNICOMP odd/even pattern, which each range carries in its `both`
+// flag — are resolved ONCE per join (build_group_adjacency), and all of
+// the item's points then scan those contiguous slot ranges with a
+// blocked, vectorisable inner loop. This amortises the per-point binary
+// searches of Algorithm 1 across the group and removes the A[] gather
+// from the distance loop.
 //
 // brute_force_thread() is the GPU brute-force nested-loop kernel used as
 // the paper's index-free baseline (Section VI-B).
@@ -37,8 +41,9 @@
 namespace sj {
 
 /// Where results go. Every kernel walks EMITTING UNITS — a query id
-/// (point-centric kernel), a point slot (cell-centric self-join) or a
-/// query position (grouped join) — and one struct covers every pass:
+/// (point-centric kernel) or a group position (grouped kernel: a point
+/// slot in a self-join, a sorted query position in a join) — and one
+/// struct covers every pass:
 ///
 ///   count pass — `unit_counts` set: each unit's pair count is recorded
 ///                at its unit index (the exact-sizing pass of the
@@ -76,12 +81,11 @@ struct SelfJoinKernelParams {
 void self_join_thread(const gpu::ThreadCtx& ctx,
                       const SelfJoinKernelParams& p);
 
-/// One cell-centric work item: the points in slots [begin, end) of the
-/// non-empty cell with index `cell` into B/G. Items cover whole cells
-/// (begin = G[cell].min, end = G[cell].max + 1) except where a batch's
-/// slot range cuts a cell, which narrows the item to the batch's slots.
-struct CellWorkItem {
-  std::uint32_t cell;
+/// One grouped work item: positions [begin, end) of query group `group`.
+/// Items cover whole groups except where a batch's position range cuts a
+/// group, which narrows the item to the batch's positions.
+struct GroupWorkItem {
+  std::uint32_t group;
   std::uint32_t begin;
   std::uint32_t end;
 };
@@ -94,132 +98,91 @@ struct CandidateRange {
   std::uint32_t both;
 };
 
-/// The per-cell adjacency, resolved ONCE per join: cell i's candidate
-/// slot ranges are ranges[offsets[i], offsets[i+1]). Shared by the count
-/// pass and every fill launch, so no launch repeats the odometer + binary
-/// searches of B.
-struct CellAdjacency {
-  gpu::DeviceBuffer<CandidateRange> ranges;
-  gpu::DeviceBuffer<std::uint64_t> offsets;  // b_size + 1 entries
+/// The builder's input: which emitting units form each query group, and
+/// each group's home cell.
+struct QueryGroups {
+  /// Position -> query id. Empty means the identity: the positions are
+  /// the cell-major slots of the indexed set itself (the self-join).
+  std::vector<std::uint32_t> query_order;
+  /// Group g covers positions [group_offsets[g], group_offsets[g+1]).
+  std::vector<std::uint32_t> group_offsets;
+  /// Linear grid id of each group's home cell.
+  std::vector<std::uint64_t> home_cells;
+  /// Wall time spent forming the groups (the join's sort), carried into
+  /// the adjacency's build time.
+  double seconds = 0.0;
+};
 
-  /// Index-search work the build performed — the cell-mode equivalent of
-  /// the point-centric kernel's cell counters (amortised: once per cell
+/// The self-join's groups: non-empty cells [cell_begin, cell_end) of a
+/// cell-major grid in identity order — group g is cell cell_begin + g, its
+/// positions are the cell's slots and its keys come from orig[].
+QueryGroups cell_groups(const GridDeviceView& grid, std::uint32_t cell_begin,
+                        std::uint32_t cell_end);
+
+/// The join's groups: the external query set (grid.qpoints) sorted by
+/// (data-grid home cell, id), one group per distinct home cell. The home
+/// cell need not be non-empty in the data grid: groups are keyed by
+/// coordinates, not by B entries.
+QueryGroups sorted_query_groups(const GridDeviceView& grid);
+
+/// The group adjacency on the host, resolved ONCE per join: group g's
+/// units are positions [group_offsets[g], group_offsets[g+1]) of
+/// query_order (the identity when empty) and its candidate slot ranges
+/// are ranges[offsets[g], offsets[g+1]). This is what the shard planner
+/// slices per chunklet, and what upload_group_adjacency ships whole.
+struct GroupAdjacencyHost {
+  std::vector<std::uint32_t> query_order;    // empty = identity
+  std::vector<std::uint32_t> group_offsets;  // num_groups + 1 positions
+  std::vector<CandidateRange> ranges;
+  std::vector<std::uint64_t> offsets;  // num_groups + 1 entries
+  /// Per-group candidate-pair counts (group population x candidate
+  /// population, both-orders ranges twice): the shard planner's weights.
+  std::vector<std::uint64_t> weights;
+  /// Index-search work the build performed — the grouped equivalent of
+  /// the point-centric kernel's cell counters (amortised: once per group
   /// instead of once per point). Folded into the join metrics.
   std::uint64_t cells_examined = 0;
   std::uint64_t cells_nonempty = 0;
+  /// Wall time of the build, the grouping included.
+  double build_seconds = 0.0;
+
+  std::size_t num_groups() const {
+    return group_offsets.empty() ? 0 : group_offsets.size() - 1;
+  }
 };
 
-/// Host-resident form of CellAdjacency: the same CSR and work counters as
-/// plain vectors, with no device allocation, plus the per-cell work
-/// weights. This is what the shard planner slices per device — each shard
-/// uploads only its own cells' remapped ranges — and what
-/// build_cell_adjacency uploads whole.
-struct CellAdjacencyHost {
-  std::vector<CandidateRange> ranges;
-  std::vector<std::uint64_t> offsets;  // b_size + 1 entries
-  /// Per-cell candidate-pair counts (cell population x candidate
-  /// population, both-orders ranges twice).
-  std::vector<std::uint64_t> weights;
-  std::uint64_t cells_examined = 0;
-  std::uint64_t cells_nonempty = 0;
-};
+/// Resolve every group's candidate slot ranges on a cell-major grid with
+/// one enumeration pass per group (odometer or, with `unicomp`, the
+/// UNICOMP pattern, plus find_cell each). Candidate ranges are in the
+/// grid's slot coordinates.
+GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
+                                         QueryGroups groups, bool unicomp);
 
-/// Build the adjacency of every non-empty cell of a cell-major grid on
-/// the host with one enumeration pass (odometer or UNICOMP pattern +
-/// find_cell each).
-CellAdjacencyHost build_cell_adjacency_host(const GridDeviceView& grid,
-                                            bool unicomp);
-
-/// build_cell_adjacency_host restricted to cells [cell_begin, cell_end):
-/// offsets/weights are indexed relative to cell_begin (offsets[0] == 0);
-/// candidate ranges stay in GLOBAL slot coordinates. This is the
-/// per-device form: each gpu_shard device resolves only its own cells'
-/// adjacency, so the build parallelises across shards instead of sitting
-/// in the unsharded common phase.
-CellAdjacencyHost build_cell_adjacency_span(const GridDeviceView& grid,
-                                            bool unicomp,
-                                            std::uint32_t cell_begin,
-                                            std::uint32_t cell_end);
-
-/// build_cell_adjacency_host() + upload into `arena` — the single-device
-/// form PreparedJoin::self_join consumes.
-CellAdjacency build_cell_adjacency(gpu::GlobalMemoryArena& arena,
-                                   const GridDeviceView& grid, bool unicomp);
-
-struct CellJoinKernelParams {
-  GridDeviceView grid;  ///< must be cell-major
-  const CellWorkItem* items = nullptr;
-  std::uint64_t num_items = 0;
-  /// Precomputed adjacency (build_cell_adjacency). When null the kernel
-  /// enumerates each item's neighbourhood inline — the standalone mode
-  /// the serial metrics pass uses, which also produces the Table II cell
-  /// counters.
-  const CandidateRange* ranges = nullptr;
-  const std::uint64_t* range_offsets = nullptr;
-  ResultBufferView result;
-  bool unicomp = false;
-  AtomicWork* work = nullptr;
-  gpu::CacheSim* cache = nullptr;  // L1 model; only valid with serial exec
-};
-
-void self_join_cells_thread(const gpu::ThreadCtx& ctx,
-                            const CellJoinKernelParams& p);
-
-/// The query/data join analogue of CellAdjacency: queries are sorted by
-/// the DATA grid cell they fall into, queries sharing a home cell form a
-/// group, and each group's candidate slot ranges in the cell-major data
-/// layout are resolved ONCE (the home cell need not be non-empty in the
-/// data grid — groups are keyed by coordinates, not by B entries). Shared
-/// by the shard planner (weights) and every kernel launch.
-struct JoinAdjacency {
-  /// All query ids, sorted by (home cell, id); group g covers
-  /// query_order[group_offsets[g], group_offsets[g+1]).
-  gpu::DeviceBuffer<std::uint32_t> query_order;
-  std::vector<std::uint32_t> group_offsets;  // num_groups + 1 entries
-
+/// The device-resident group adjacency the grouped kernel reads. The
+/// group offsets stay on the host: the pipeline cuts work items from them.
+struct GroupAdjacency {
+  gpu::DeviceBuffer<std::uint32_t> query_order;  // empty = identity
+  std::vector<std::uint32_t> group_offsets;
   gpu::DeviceBuffer<CandidateRange> ranges;
-  gpu::DeviceBuffer<std::uint64_t> offsets;  // num_groups + 1 entries
-
+  gpu::DeviceBuffer<std::uint64_t> offsets;
   std::uint64_t cells_examined = 0;
   std::uint64_t cells_nonempty = 0;
+  double build_seconds = 0.0;
 
   std::size_t num_groups() const {
     return group_offsets.empty() ? 0 : group_offsets.size() - 1;
   }
 };
 
-/// Host-resident form of JoinAdjacency (see CellAdjacencyHost): what the
-/// shard planner partitions into contiguous group ranges.
-struct JoinAdjacencyHost {
-  std::vector<std::uint32_t> query_order;
-  std::vector<std::uint32_t> group_offsets;  // num_groups + 1 entries
-  std::vector<CandidateRange> ranges;
-  std::vector<std::uint64_t> offsets;  // num_groups + 1 entries
-  std::vector<std::uint64_t> weights;
-  std::uint64_t cells_examined = 0;
-  std::uint64_t cells_nonempty = 0;
+/// Ship a host adjacency into `arena`.
+GroupAdjacency upload_group_adjacency(gpu::GlobalMemoryArena& arena,
+                                      GroupAdjacencyHost host);
 
-  std::size_t num_groups() const {
-    return group_offsets.empty() ? 0 : group_offsets.size() - 1;
-  }
-};
-
-/// Build the query-group adjacency for a query/data join on the host:
-/// `grid` must be a cell-major view of the indexed data with qpoints/qn
-/// describing the external query set.
-JoinAdjacencyHost build_join_adjacency_host(const GridDeviceView& grid);
-
-/// build_join_adjacency_host() + upload into `arena` — the single-device
-/// form PreparedJoin::run consumes.
-JoinAdjacency build_join_adjacency(gpu::GlobalMemoryArena& arena,
-                                   const GridDeviceView& grid);
-
-struct JoinCellsKernelParams {
-  GridDeviceView grid;  ///< cell-major data side, qpoints/qn set
+struct GroupedScanParams {
+  GridDeviceView grid;  ///< cell-major; qpoints/qn set for a join
+  /// Position -> query id (a join's sorted order); null = identity.
   const std::uint32_t* query_order = nullptr;
-  /// Work items: `cell` is a GROUP index into range_offsets, [begin, end)
-  /// a position range of query_order.
-  const CellWorkItem* items = nullptr;
+  const GroupWorkItem* items = nullptr;
   std::uint64_t num_items = 0;
   const CandidateRange* ranges = nullptr;
   const std::uint64_t* range_offsets = nullptr;
@@ -228,11 +191,12 @@ struct JoinCellsKernelParams {
   gpu::CacheSim* cache = nullptr;  // L1 model; only valid with serial exec
 };
 
-/// Cell-centric query/data join kernel: one work unit is a query group
-/// subrange; all of its queries scan the group's precomputed contiguous
-/// candidate ranges with the blocked distance loop.
-void join_cells_thread(const gpu::ThreadCtx& ctx,
-                       const JoinCellsKernelParams& p);
+/// The grouped kernel: one work unit is a query-group subrange; each of
+/// its units reads its point and key through GridDeviceView::query_point /
+/// query_id and scans the group's precomputed contiguous candidate ranges
+/// with the blocked distance loop.
+void grouped_scan_thread(const gpu::ThreadCtx& ctx,
+                         const GroupedScanParams& p);
 
 struct BruteForceKernelParams {
   const double* points = nullptr;

@@ -72,14 +72,6 @@ void PreparedJoin::stage() {
   upload_seconds_ = t.seconds();
 }
 
-GridDeviceView PreparedJoin::view(bool soa) const {
-  GridDeviceView grid = dev_->view();
-  if (!soa) {
-    for (int j = 0; j < grid.dim; ++j) grid.coord[j] = nullptr;
-  }
-  return grid;
-}
-
 GpuJoinResult PreparedJoin::run(const Dataset& queries,
                                 const GpuJoinOptions& opt) const {
   parse::matching_dims("argument 'queries' of PreparedJoin::run",
@@ -101,7 +93,7 @@ GpuJoinResult PreparedJoin::run(const Dataset& queries,
   gpu::DeviceBuffer<double> qbuf(arena_, queries.raw().size());
   std::memcpy(qbuf.data(), queries.raw().data(),
               queries.raw().size() * sizeof(double));
-  GridDeviceView grid = view(opt.soa);
+  GridDeviceView grid = dev_->view();
   grid.qpoints = qbuf.data();
   grid.qn = queries.size();
 
@@ -113,9 +105,12 @@ GpuJoinResult PreparedJoin::run(const Dataset& queries,
     // Group the queries by their data-grid home cell and resolve each
     // group's candidate ranges ONCE; the build carries the index-search
     // work (once per query group rather than once per query).
-    const JoinAdjacency adjacency = build_join_adjacency(arena_, grid);
+    const GroupAdjacency adjacency = upload_group_adjacency(
+        arena_, build_group_adjacency(grid, sorted_query_groups(grid),
+                                      /*unicomp=*/false));
     st.query_groups = adjacency.num_groups();
-    out = pipeline.run_join_groups(req, grid, adjacency, &work, &st.batch);
+    st.adjacency_seconds = adjacency.build_seconds;
+    out = pipeline.run_groups(req, grid, adjacency, &work, &st.batch);
     st.metrics.cells_examined += adjacency.cells_examined;
     st.metrics.cells_nonempty += adjacency.cells_nonempty;
   } else {
@@ -138,17 +133,23 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
     return result;
   }
 
-  const GridDeviceView grid = view(opt.soa);
-  // Cell mode: the adjacency is query-independent, so it is resolved once
-  // per unicomp flag and amortises across the calls.
-  const CellAdjacency* adjacency = nullptr;
+  const GridDeviceView& grid = dev_->view();
+  // Cell mode: the groups are the grid's own cells, so the adjacency is
+  // query-independent — resolved once per unicomp flag, it amortises
+  // across the calls.
+  const GroupAdjacency* adjacency = nullptr;
   if (layout_ == GridLayout::kCellMajor) {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    std::unique_ptr<CellAdjacency>& cached =
+    std::unique_ptr<GroupAdjacency>& cached =
         self_adjacency_[opt.unicomp ? 1 : 0];
     if (cached == nullptr) {
-      cached = std::make_unique<CellAdjacency>(
-          build_cell_adjacency(arena_, grid, opt.unicomp));
+      cached = std::make_unique<GroupAdjacency>(upload_group_adjacency(
+          arena_,
+          build_group_adjacency(
+              grid,
+              cell_groups(grid, 0, static_cast<std::uint32_t>(grid.b_size)),
+              opt.unicomp)));
+      st.adjacency_seconds = cached->build_seconds;
     }
     adjacency = cached.get();
   }
@@ -159,8 +160,7 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
   BatchPipeline pipeline(arena_, device_, pipeline_config(opt));
   PipelineOutput out;
   if (adjacency != nullptr) {
-    out = pipeline.run_cells(req, grid, opt.unicomp, *adjacency, &work,
-                             &st.batch);
+    out = pipeline.run_groups(req, grid, *adjacency, &work, &st.batch);
     // The adjacency build carries the cell-mode index-search work
     // (resolved once per cell rather than once per point). Every call
     // reports it, cached or not, so the counters depend only on the data,

@@ -29,7 +29,7 @@ class PreparedJoin {
   /// Build the data-side image: host grid index (radix-sort binning) +
   /// device staging in `layout`. `data` is referenced, not copied, and
   /// must outlive the PreparedJoin. The cell-major layout feeds the
-  /// grouped join and the cell-centric self-join; kLegacy keeps the
+  /// grouped kernel, for joins and self-joins alike; kLegacy keeps the
   /// paper's point-centric kernel over the original point order.
   PreparedJoin(const Dataset& data, double eps,
                const gpu::DeviceSpec& device = gpu::DeviceSpec::titan_x_pascal(),
@@ -50,22 +50,20 @@ class PreparedJoin {
   double upload_seconds() const { return upload_seconds_; }
 
   /// Join `queries` against the prepared data grid: the per-call work is
-  /// query upload + per-group adjacency (cell-major) + the batched
-  /// pipeline; the index and data staging are amortised. opt.layout and
-  /// opt.device are ignored (fixed at construction).
+  /// query upload + the adjacency of the queries' groups (cell-major) +
+  /// the batched pipeline; the index and data staging are amortised.
+  /// opt.layout and opt.device are ignored (fixed at construction).
   GpuJoinResult run(const Dataset& queries, const GpuJoinOptions& opt) const;
 
   /// Self-join over the prepared grid at the index's eps. On the
-  /// cell-major layout the cell adjacency is resolved once per unicomp
-  /// flag and cached across calls; its index-search counters are folded
-  /// into every call's metrics. opt.layout and opt.device are ignored.
+  /// cell-major layout the adjacency of the grid's cells is resolved once
+  /// per unicomp flag and cached across calls; its index-search counters
+  /// are folded into every call's metrics, its build time only into the
+  /// call that built it. opt.layout and opt.device are ignored.
   SelfJoinResult self_join(const GpuSelfJoinOptions& opt) const;
 
  private:
   void stage();
-  /// The staged grid as one call's kernels see it: without the SoA
-  /// planes for the AoS ablation (soa=false).
-  GridDeviceView view(bool soa) const;
 
   const Dataset* data_;
   GridIndex index_;
@@ -78,7 +76,7 @@ class PreparedJoin {
 
   mutable std::mutex cache_mu_;
   /// The self-join adjacency, indexed by unicomp flag.
-  mutable std::unique_ptr<CellAdjacency> self_adjacency_[2];
+  mutable std::unique_ptr<GroupAdjacency> self_adjacency_[2];
 };
 
 }  // namespace sj

@@ -53,28 +53,32 @@ void collect_gpu_stats(const GridDeviceView& grid,
   // --- Optional metrics pass: serial execution with the L1 cache model
   // (deterministic access order, as a profiler replay would see). Runs
   // the kernel matching the grid's layout so the cache counters reflect
-  // the access pattern the join actually used.
+  // the access pattern the join actually used: on the cell-major layout
+  // the grouped kernel over an adjacency of the grid's cells.
   if (opt.collect_metrics) {
     gpu::CacheSim cache(opt.device);
     AtomicWork mwork;
     if (grid.cell_major) {
-      std::vector<CellWorkItem> items;
-      items.reserve(static_cast<std::size_t>(grid.b_size));
-      for (std::uint64_t cell = 0; cell < grid.b_size; ++cell) {
-        const GridIndex::CellRange r = grid.G[cell];
-        items.push_back(CellWorkItem{static_cast<std::uint32_t>(cell),
-                                     r.min, r.max + 1});
+      const GroupAdjacencyHost adj = build_group_adjacency(
+          grid, cell_groups(grid, 0, static_cast<std::uint32_t>(grid.b_size)),
+          opt.unicomp);
+      std::vector<GroupWorkItem> items;
+      items.reserve(adj.num_groups());
+      for (std::uint32_t g = 0; g < adj.num_groups(); ++g) {
+        items.push_back(GroupWorkItem{g, adj.group_offsets[g],
+                                      adj.group_offsets[g + 1]});
       }
-      CellJoinKernelParams p;
+      GroupedScanParams p;
       p.grid = grid;
       p.items = items.data();
       p.num_items = items.size();
-      p.unicomp = opt.unicomp;
+      p.ranges = adj.ranges.data();
+      p.range_offsets = adj.offsets.data();
       p.work = &mwork;
       p.cache = &cache;
       gpu::launch(
           gpu::LaunchConfig::cover(items.size(), opt.block_size),
-          [&p](const gpu::ThreadCtx& ctx) { self_join_cells_thread(ctx, p); },
+          [&p](const gpu::ThreadCtx& ctx) { grouped_scan_thread(ctx, p); },
           gpu::ExecMode::kSerial);
     } else {
       SelfJoinKernelParams p;

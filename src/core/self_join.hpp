@@ -26,8 +26,9 @@ struct GpuSelfJoinOptions {
   bool unicomp = true;
 
   /// Data layout + kernel shape. kCellMajor (the default) reorders the
-  /// dataset cell-by-cell at upload time and runs the cell-centric kernel
-  /// (adjacency resolved once per cell, contiguous candidate scans);
+  /// dataset cell-by-cell at upload time and runs the grouped kernel over
+  /// the grid's own cells (adjacency resolved once per cell, contiguous
+  /// SoA candidate scans);
   /// kLegacy keeps the paper's point-centric kernel over the original
   /// order, selectable for ablation and parity checks.
   GridLayout layout = GridLayout::kCellMajor;
@@ -58,11 +59,6 @@ struct GpuSelfJoinOptions {
   ResultMode mode = ResultMode::kPairs;
   PairSink sink;
 
-  /// Scan the SoA coordinate planes (cell-major layout only; the
-  /// vectorised per-dimension loop). false reverts to the AoS blocked
-  /// scan for ablation. Ignored under kLegacy, which has no planes.
-  bool soa = true;
-
   /// Device resource model (defaults to the paper's TITAN X Pascal).
   gpu::DeviceSpec device = gpu::DeviceSpec::titan_x_pascal();
 
@@ -82,6 +78,9 @@ struct SelfJoinStats {
   double index_build_seconds = 0.0;
   double upload_seconds = 0.0;
   double join_seconds = 0.0;  // count pass, batched fills and transfers
+  /// Adjacency build (cell-major): 0 when a prepared self-join reused the
+  /// cached adjacency; summed over the chunklets on gpu_shard.
+  double adjacency_seconds = 0.0;
 
   BatchRunStats batch;
 

@@ -139,58 +139,6 @@ void fill_planes(const double* points, std::size_t n, int dim,
   }
 }
 
-/// One chunklet's data slice staged on its device (owned slots first,
-/// halo intervals after, in ShardSlice's local numbering): points,
-/// original-id map and — unless the AoS ablation dropped them from the
-/// host view — SoA planes, plus a kernel view over them that each facet
-/// completes with its own adjacency fields.
-struct StagedSlice {
-  gpu::DeviceBuffer<double> points;
-  gpu::DeviceBuffer<std::uint32_t> orig;
-  gpu::DeviceBuffer<double> coords;
-  GridDeviceView grid;
-};
-
-/// Stage `slice` of the host staging `hv` into `arena`, and copy the
-/// slice's local candidate-range CSR into `local` (a CellAdjacency or a
-/// JoinAdjacency).
-template <typename Adjacency>
-StagedSlice stage_slice(gpu::GlobalMemoryArena& arena,
-                        const GridDeviceView& hv, const ShardSlice& slice,
-                        Adjacency& local) {
-  const std::uint32_t nlocal = slice.local_points();
-  const std::size_t values = static_cast<std::size_t>(nlocal) * hv.dim;
-  StagedSlice st;
-  st.points = gpu::DeviceBuffer<double>(arena, values);
-  st.orig = gpu::DeviceBuffer<std::uint32_t>(arena, nlocal);
-  upload_slice(hv, slice, st.points.data(), st.orig.data());
-  if (hv.coord[0] != nullptr) {
-    st.coords = gpu::DeviceBuffer<double>(arena, values);
-    fill_planes(st.points.data(), nlocal, hv.dim, st.coords.data());
-    for (int j = 0; j < hv.dim; ++j) {
-      st.grid.coord[j] =
-          st.coords.data() + static_cast<std::size_t>(j) * nlocal;
-    }
-  }
-
-  local.ranges = gpu::DeviceBuffer<CandidateRange>(arena,
-                                                   slice.ranges.size());
-  std::copy(slice.ranges.begin(), slice.ranges.end(), local.ranges.data());
-  local.offsets =
-      gpu::DeviceBuffer<std::uint64_t>(arena, slice.offsets.size());
-  std::copy(slice.offsets.begin(), slice.offsets.end(),
-            local.offsets.data());
-
-  st.grid.points = st.points.data();
-  st.grid.n = nlocal;
-  st.grid.dim = hv.dim;
-  st.grid.orig = st.orig.data();
-  st.grid.cell_major = true;
-  st.grid.width = hv.width;
-  st.grid.eps = hv.eps;
-  return st;
-}
-
 /// Failover accounting surfaced into ShardedRunStats.
 struct FailoverStats {
   std::size_t shards_failed_over = 0;
@@ -444,8 +392,85 @@ struct ChunkOutput {
   std::uint64_t weight = 0;
   std::uint64_t owned_points = 0;
   std::uint64_t halo_points = 0;
+  double adjacency_seconds = 0.0;  ///< the chunklet's own adjacency build
   int slot = -1;  ///< device slot that ran it (stats attribution)
 };
+
+/// Run groups [g0, g1) of `adj` as one chunklet on `ctx`'s device. The
+/// slice of the host staging `hv` it needs is what the groups' candidate
+/// ranges reference, plus — in identity order (the self-join), whose
+/// positions are data slots — the slots the groups own; a sorted query
+/// order (the join) owns no data, so every referenced slot is halo. The
+/// slice is staged (owned slots first, halo after, in ShardSlice's local
+/// numbering) with the local adjacency, positions rebased to 0, and run
+/// through the grouped pipeline.
+void run_chunklet(DeviceCtx& ctx, const GridDeviceView& hv,
+                  const GroupAdjacencyHost& adj, std::uint32_t g0,
+                  std::uint32_t g1, const ResultRequest& req,
+                  ChunkOutput& out, AtomicWork& work) {
+  const std::vector<std::uint32_t>& go = adj.group_offsets;
+  const bool identity = adj.query_order.empty();
+  ShardSlice slice =
+      make_shard_slice(adj.ranges, adj.offsets, adj.weights, g0, g1,
+                       identity ? go[g0] : 0, identity ? go[g1] : 0);
+  if (contracts::active()) {
+    validate::shard_slice(slice, hv.n,
+                          identity ? "ShardedGpuSelfJoin(slice)"
+                                   : "sharded_join(slice)");
+  }
+  out.units = g1 - g0;
+  out.weight = slice.weight;
+  out.owned_points = go[g1] - go[g0];  // slots or queries it emits for
+  out.halo_points = slice.halo_points();
+  const std::uint32_t nlocal = slice.local_points();
+  if (nlocal == 0) return;  // no candidates anywhere in these groups
+
+  gpu::GlobalMemoryArena& arena = *ctx.arena;
+  if (!identity && ctx.qbuf.empty()) {
+    // The query set is broadcast whole, ONCE per device arena (re-arming
+    // drops it with the old one): the kernel reads queries by their
+    // GLOBAL index (which is also the emitted pair key), so every
+    // chunklet's query_order slice indexes into the same buffer.
+    const std::size_t qvalues = static_cast<std::size_t>(hv.qn) * hv.dim;
+    ctx.qbuf = gpu::DeviceBuffer<double>(arena, qvalues);
+    std::memcpy(ctx.qbuf.data(), hv.qpoints, qvalues * sizeof(double));
+  }
+  const std::size_t values = static_cast<std::size_t>(nlocal) * hv.dim;
+  gpu::DeviceBuffer<double> points(arena, values);
+  gpu::DeviceBuffer<std::uint32_t> orig(arena, nlocal);
+  upload_slice(hv, slice, points.data(), orig.data());
+  gpu::DeviceBuffer<double> coords(arena, values);
+  fill_planes(points.data(), nlocal, hv.dim, coords.data());
+
+  GroupAdjacencyHost local;
+  if (!identity) {
+    local.query_order.assign(adj.query_order.begin() + go[g0],
+                             adj.query_order.begin() + go[g1]);
+  }
+  local.group_offsets.reserve(static_cast<std::size_t>(g1 - g0) + 1);
+  for (std::uint32_t g = g0; g <= g1; ++g) {
+    local.group_offsets.push_back(go[g] - go[g0]);
+  }
+  local.ranges = std::move(slice.ranges);
+  local.offsets = std::move(slice.offsets);
+  const GroupAdjacency local_adj =
+      upload_group_adjacency(arena, std::move(local));
+
+  GridDeviceView grid;
+  grid.points = points.data();
+  grid.n = nlocal;
+  grid.dim = hv.dim;
+  for (int j = 0; j < hv.dim; ++j) {
+    grid.coord[j] = coords.data() + static_cast<std::size_t>(j) * nlocal;
+  }
+  grid.orig = orig.data();
+  grid.cell_major = true;
+  grid.width = hv.width;
+  grid.eps = hv.eps;
+  grid.qpoints = identity ? nullptr : ctx.qbuf.data();
+  grid.qn = hv.qn;
+  out.out = ctx.pipeline->run_groups(req, grid, local_adj, &work, &out.batch);
+}
 
 /// Accumulate one chunklet's pipeline stats into a per-device or
 /// run-level total.
@@ -597,6 +622,9 @@ std::vector<ChunkOutput> drive_chunklets(const ChunkletPlan& cplan,
   result.shard.shards_failed_over = failover.shards_failed_over;
   result.shard.recovery_seconds = failover.recovery_seconds;
 
+  for (const ChunkOutput& o : outs) {
+    result.stats.adjacency_seconds += o.adjacency_seconds;
+  }
   PipelineOutput merged =
       merge_chunklets(outs, works, result.stats.metrics, result.stats.batch);
   fold_device_rows(slots, outs, result.shard);
@@ -688,10 +716,7 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   phase.reset();
   const HostStage stage(d, index);
   st.upload_seconds = phase.seconds();
-  GridDeviceView hv = stage.view;
-  if (!opt_.soa) {
-    for (int j = 0; j < hv.dim; ++j) hv.coord[j] = nullptr;
-  }
+  const GridDeviceView& hv = stage.view;
   // Chunklet weights: the cheap population-window proxy by default (the
   // exact adjacency weights would cost a global enumeration — the very
   // pass each device resolves for ITS OWN cells below, in parallel);
@@ -711,45 +736,24 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   result.shard.common_seconds = total.seconds();
 
   // --- Per-device execution: each chunklet resolves its own cells'
-  // adjacency, stages its owned span + halo, and runs the cell pipeline.
+  // adjacency, stages its owned span + halo, and runs the grouped pipeline.
   phase.reset();
   const std::vector<ChunkOutput> outs =
       drive_chunklets(cplan, opt_, d.size(), result,
   [&](DeviceCtx& ctx, std::uint32_t c, const ResultRequest& req,
       ChunkOutput& out, AtomicWork& work) {
-    gpu::GlobalMemoryArena& arena = *ctx.arena;
-    const std::uint32_t c0 = cplan.bounds[c];
-    const std::uint32_t c1 = cplan.bounds[c + 1];
-    CellAdjacencyHost adj =
-        build_cell_adjacency_span(hv, opt_.unicomp, c0, c1);
-    const ShardSlice slice =
-        make_shard_slice(adj.ranges, adj.offsets, adj.weights, 0, c1 - c0,
-                         hv.G[c0].min, hv.G[c1 - 1].max + 1);
-    if (contracts::active()) {
-      validate::shard_slice(slice, hv.n, "ShardedGpuSelfJoin(slice)");
-    }
+    const GroupAdjacencyHost adj = build_group_adjacency(
+        hv, cell_groups(hv, cplan.bounds[c], cplan.bounds[c + 1]),
+        opt_.unicomp);
     // The adjacency build carries the chunklet's index-search work
     // (resolved once per owned cell).
     LocalWork planning;
     planning.cells_examined = adj.cells_examined;
     planning.cells_nonempty = adj.cells_nonempty;
     work.flush(planning);
-
-    CellAdjacency local;
-    StagedSlice staged = stage_slice(arena, hv, slice, local);
-    gpu::DeviceBuffer<GridIndex::CellRange> cells(arena, c1 - c0);
-    for (std::uint32_t j = 0; j < c1 - c0; ++j) {
-      cells[j] = {hv.G[c0 + j].min - slice.owned_begin,
-                  hv.G[c0 + j].max - slice.owned_begin};
-    }
-    staged.grid.G = cells.data();
-    staged.grid.b_size = c1 - c0;
-    out.out = ctx.pipeline->run_cells(req, staged.grid, opt_.unicomp, local,
-                                      &work, &out.batch);
-    out.units = c1 - c0;
-    out.weight = slice.weight;
-    out.owned_points = slice.owned_points();
-    out.halo_points = slice.halo_points();
+    out.adjacency_seconds = adj.build_seconds;
+    run_chunklet(ctx, hv, adj, 0, static_cast<std::uint32_t>(adj.num_groups()),
+                 req, out, work);
   });
   st.join_seconds = phase.seconds();
 
@@ -794,11 +798,10 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   GridDeviceView hv = stage.view;
   hv.qpoints = queries.raw().data();
   hv.qn = queries.size();
-  if (!opt.soa) {
-    for (int j = 0; j < hv.dim; ++j) hv.coord[j] = nullptr;
-  }
-  const JoinAdjacencyHost adj = build_join_adjacency_host(hv);
+  const GroupAdjacencyHost adj =
+      build_group_adjacency(hv, sorted_query_groups(hv), /*unicomp=*/false);
   st.query_groups = adj.num_groups();
+  st.adjacency_seconds = adj.build_seconds;
 
   // The sharded units are the query GROUPS; their adjacency weights are
   // already exact, so the join facet needs no measured plan.
@@ -809,48 +812,8 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   drive_chunklets(cplan, opt, queries.size(), result,
   [&](DeviceCtx& ctx, std::uint32_t c, const ResultRequest& req,
       ChunkOutput& out, AtomicWork& work) {
-    gpu::GlobalMemoryArena& arena = *ctx.arena;
-    if (ctx.qbuf.empty()) {
-      // The query set is broadcast whole, ONCE per device arena
-      // (re-arming drops it with the old one): the kernel reads queries
-      // by their GLOBAL index (which is also the emitted pair key), so
-      // every chunklet's query_order slice indexes into the same buffer.
-      ctx.qbuf = gpu::DeviceBuffer<double>(arena, queries.raw().size());
-      std::memcpy(ctx.qbuf.data(), queries.raw().data(),
-                  queries.raw().size() * sizeof(double));
-    }
-    const std::uint32_t g0 = cplan.bounds[c];
-    const std::uint32_t g1 = cplan.bounds[c + 1];
-    // Query groups own no data slots — the chunklet's data slice is
-    // exactly the slots its groups' candidate ranges reference (all
-    // "halo").
-    const ShardSlice slice = make_shard_slice(adj.ranges, adj.offsets,
-                                              adj.weights, g0, g1, 0, 0);
-    if (contracts::active()) {
-      validate::shard_slice(slice, hv.n, "sharded_join(slice)");
-    }
-    const std::uint32_t nlocal = slice.local_points();
-    const std::uint32_t q0 = adj.group_offsets[g0];
-    const std::uint32_t q1 = adj.group_offsets[g1];
-    out.units = g1 - g0;
-    out.weight = slice.weight;
-    out.owned_points = q0 < q1 ? q1 - q0 : 0;  // queries in the chunklet
-    out.halo_points = nlocal;  // data slots replicated for it
-    if (nlocal == 0) return;  // no candidates anywhere in these groups
-
-    JoinAdjacency local;
-    StagedSlice staged = stage_slice(arena, hv, slice, local);
-    local.query_order = gpu::DeviceBuffer<std::uint32_t>(arena, q1 - q0);
-    std::copy(adj.query_order.begin() + q0, adj.query_order.begin() + q1,
-              local.query_order.data());
-    local.group_offsets.reserve(static_cast<std::size_t>(g1 - g0) + 1);
-    for (std::uint32_t g = g0; g <= g1; ++g) {
-      local.group_offsets.push_back(adj.group_offsets[g] - q0);
-    }
-    staged.grid.qpoints = ctx.qbuf.data();
-    staged.grid.qn = queries.size();
-    out.out = ctx.pipeline->run_join_groups(req, staged.grid, local, &work,
-                                            &out.batch);
+    run_chunklet(ctx, hv, adj, cplan.bounds[c], cplan.bounds[c + 1], req,
+                 out, work);
   });
   st.metrics.cells_examined += adj.cells_examined;
   st.metrics.cells_nonempty += adj.cells_nonempty;

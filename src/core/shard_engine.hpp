@@ -10,8 +10,9 @@
 // slots plus the one-cell halo of neighbour data its kernels read
 // (derived from the precomputed adjacency, see shard_plan.hpp).
 //
-// Ownership rule: the cell-centric kernel emits a pair only from the scan
-// of the pair's home cell, and every cell is owned by exactly one shard —
+// Ownership rule: the grouped kernel emits each pair from the scan of
+// exactly one unit, and every group (for the self-join, a cell) is owned
+// with all of its units by exactly one shard —
 // so shard results are disjoint by construction, need no dedup pass, and
 // concatenate in deterministic shard-key order (each shard's own output
 // is already deterministic: the pipeline's exact two-pass output is in
@@ -19,9 +20,10 @@
 // single-device engines'.
 //
 // sharded_join() runs the query/data join through the same machinery:
-// the sharded units are the query GROUPS of build_join_adjacency (each
-// group owned by one shard), and a shard's data slice is exactly the
-// slots its groups' candidate ranges reference.
+// the sharded units are the sorted query GROUPS of build_group_adjacency
+// (each group owned by one shard), and a shard's data slice is exactly
+// the slots its groups' candidate ranges reference — the self-join's
+// cells own their slots besides.
 //
 // Work distribution is OVER-DECOMPOSED: instead of one slice per device,
 // plan_chunklets splits the cell range into M >> K contiguous chunklets

@@ -15,10 +15,10 @@
 // remaps every candidate range into the shard-local slot space: owned
 // slots first, halo intervals appended in ascending global order.
 //
-// Exactness needs no dedup pass: each cell (group) is owned by exactly
-// one shard, and the cell-centric kernel emits a pair only from the scan
-// of its home cell — so shard results are disjoint by construction and
-// concatenate in shard order.
+// Exactness needs no dedup pass: each group (for the self-join, a cell)
+// is owned by exactly one shard, and the grouped kernel emits each pair
+// from the scan of exactly one unit — so shard results are disjoint by
+// construction and concatenate in shard order.
 #pragma once
 
 #include <cstddef>

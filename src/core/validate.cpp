@@ -43,7 +43,7 @@ void check_strictly_increasing_u64(const std::uint64_t* v, std::uint64_t n,
   for (std::uint64_t i = 1; i < n; ++i) SJ_CHECK(v[i - 1] < v[i], ctx);
 }
 
-/// Shared CSR + range-shape checks for both adjacency forms. Ranges are
+/// CSR + range-shape checks of the group adjacency. Ranges are
 /// validated against [0, n_slots) and each unit's ranges must be pairwise
 /// non-overlapping (they describe disjoint candidate cells, possibly
 /// merged when contiguous).
@@ -167,29 +167,32 @@ void device_grid(const GridDeviceView& v, const Dataset* d, const char* ctx) {
   }
 }
 
-void cell_adjacency(const CellAdjacencyHost& adj, std::size_t num_cells,
-                    std::uint64_t n_slots, const char* ctx) {
+void group_adjacency(const GroupAdjacencyHost& adj,
+                     const GridIndex::CellRange* cells, std::uint64_t queries,
+                     std::uint64_t n_slots, const char* ctx) {
   contracts::ScopedTimer timer;
-  check_adjacency_csr(adj.ranges, adj.offsets, adj.weights, num_cells,
-                      n_slots, ctx);
-}
-
-void join_adjacency(const JoinAdjacencyHost& adj, std::uint64_t qn,
-                    std::uint64_t n_slots, const char* ctx) {
-  contracts::ScopedTimer timer;
-  SJ_CHECK(adj.query_order.size() == qn, ctx);
-  SJ_CHECK(is_permutation_of_iota(adj.query_order.data(), qn), ctx);
-
   const std::size_t groups = adj.num_groups();
-  SJ_CHECK(qn == 0 ? groups == 0 : !adj.group_offsets.empty(), ctx);
-  if (qn > 0) {
-    SJ_CHECK(adj.group_offsets.front() == 0, ctx);
-    SJ_CHECK(adj.group_offsets.back() == qn, ctx);
-    // Strictly increasing: groups are keyed by distinct home cells and
-    // every group holds at least one query.
-    for (std::size_t g = 1; g < adj.group_offsets.size(); ++g) {
-      SJ_CHECK(adj.group_offsets[g - 1] < adj.group_offsets[g], ctx);
+  const std::vector<std::uint32_t>& go = adj.group_offsets;
+  if (adj.query_order.empty()) {
+    // Identity order: the groups are cells and their positions the
+    // cells' slots.
+    SJ_CHECK(groups == 0 || cells != nullptr, ctx);
+    for (std::size_t g = 0; g < groups; ++g) {
+      SJ_CHECK(go[g] == cells[g].min, ctx);
     }
+    if (groups > 0) {
+      SJ_CHECK(go.back() ==
+                   static_cast<std::uint64_t>(cells[groups - 1].max) + 1,
+               ctx);
+    }
+  } else {
+    SJ_CHECK(adj.query_order.size() == queries, ctx);
+    SJ_CHECK(is_permutation_of_iota(adj.query_order.data(), queries), ctx);
+    SJ_CHECK(!go.empty() && go.front() == 0 && go.back() == queries, ctx);
+  }
+  // Strictly increasing: every group holds at least one unit.
+  for (std::size_t g = 1; g < go.size(); ++g) {
+    SJ_CHECK(go[g - 1] < go[g], ctx);
   }
   check_adjacency_csr(adj.ranges, adj.offsets, adj.weights, groups, n_slots,
                       ctx);

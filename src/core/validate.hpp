@@ -1,6 +1,6 @@
 // Deep structural validators for the layered data structures the engines
-// build: grid index / device grid, cell and query-group adjacency CSRs,
-// and shard plans. Each validator is a one-shot O(n + ranges) walk that
+// build: grid index / device grid, the group adjacency CSR, and shard
+// plans. Each validator is a one-shot O(n + ranges) walk that
 // aborts with a contracts::fail report on the first violated invariant.
 //
 // The validators are ALWAYS compiled (tests corrupt a structure and call
@@ -41,26 +41,21 @@ void grid_index(const GridIndex& index, const Dataset& d, const char* context);
 void device_grid(const GridDeviceView& view, const Dataset* d,
                  const char* context);
 
-/// Cell-adjacency CSR invariants for cells [0, num_cells) over a slot
-/// space of size n_slots:
-///   - offsets has num_cells + 1 entries, offsets[0] == 0, monotone
-///     non-decreasing, ending at ranges.size()
-///   - weights has num_cells entries
-///   - every range non-empty, in [0, n_slots), both flag in {0, 1}
-///   - each cell's merged ranges pairwise non-overlapping
-void cell_adjacency(const CellAdjacencyHost& adj, std::size_t num_cells,
-                    std::uint64_t n_slots, const char* context);
-
-/// Query-group adjacency invariants over qn queries and n_slots data
-/// slots:
-///   - query_order is a permutation of [0, qn)
-///   - group_offsets strictly increasing from 0 to qn (no empty groups)
+/// Group-adjacency invariants over a data slot space of size n_slots:
+///   - identity order (empty query_order): `cells` lists the groups'
+///     cells in order, and group g's positions are cell g's slots
+///     (group_offsets[g] == cells[g].min, the last offset one past the
+///     last cell's max)
+///   - sorted order: query_order is a permutation of [0, queries), and
+///     group_offsets run from 0 to queries (`cells` is unused)
+///   - group_offsets strictly increasing (no empty groups)
 ///   - offsets a well-formed CSR over num_groups() ending at ranges.size()
 ///   - weights has num_groups() entries
 ///   - every range non-empty, in [0, n_slots), both flag in {0, 1}
 ///   - each group's merged ranges pairwise non-overlapping
-void join_adjacency(const JoinAdjacencyHost& adj, std::uint64_t qn,
-                    std::uint64_t n_slots, const char* context);
+void group_adjacency(const GroupAdjacencyHost& adj,
+                     const GridIndex::CellRange* cells, std::uint64_t queries,
+                     std::uint64_t n_slots, const char* context);
 
 /// Shard boundary invariants: boundaries[0] == 0, strictly increasing,
 /// ending at num_units — the shards are disjoint, non-empty, and cover

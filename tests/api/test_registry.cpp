@@ -151,12 +151,13 @@ TEST(RunConfig, UnknownExtraKeySurfacesFromBackends) {
                  std::invalid_argument)
         << name;
   }
-  // The knobs of the retired sampled estimator and host assembly stage
-  // are unknown keys too, not silently accepted.
+  // The knobs of the retired sampled estimator, host assembly stage and
+  // AoS scan are unknown keys too, not silently accepted.
   for (const char* name : {"gpu_unicomp", "gpu_shard"}) {
-    for (const char* removed : {"assembly_threads", "sample_rate", "safety"}) {
+    for (const char* removed :
+         {"assembly_threads", "sample_rate", "safety", "soa"}) {
       RunConfig stale;
-      stale.extra[removed] = "1";
+      stale.extra.emplace(removed, "1");
       EXPECT_THROW(BackendRegistry::instance().at(name).run(d, 1.0, stale),
                    std::invalid_argument)
           << name << " accepted " << removed;

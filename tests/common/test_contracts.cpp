@@ -159,66 +159,94 @@ TEST(ContractsDeath, DeviceGridValidatorRejectsSoaPlaneDrift) {
                "SJ_CHECK violation.*soa plane drift");
 }
 
-// -------------------------------------------------- adjacency validators
+// -------------------------------------------------- adjacency validator
 
+// A self-join's groups are cells in identity order: the validator binds
+// group g's positions to cell g's slots.
 TEST(Contracts, CellAdjacencyValidatorAcceptsWellFormedCsr) {
-  CellAdjacencyHost adj;
+  const std::vector<GridIndex::CellRange> cells{{0, 3}};
+  GroupAdjacencyHost adj;
+  adj.group_offsets = {0, 4};
   adj.ranges = {{0, 2, 0}, {2, 4, 1}};
   adj.offsets = {0, 2};
   adj.weights = {8};
-  validate::cell_adjacency(adj, 1, 4, "well-formed cell adjacency");
+  validate::group_adjacency(adj, cells.data(), 0, 4,
+                            "well-formed cell adjacency");
 }
 
 TEST(ContractsDeath, CellAdjacencyValidatorRejectsOutOfBoundsRange) {
-  CellAdjacencyHost adj;
+  const std::vector<GridIndex::CellRange> cells{{0, 3}};
+  GroupAdjacencyHost adj;
+  adj.group_offsets = {0, 4};
   adj.ranges = {{0, 5, 0}};  // slot space has only 4 slots
   adj.offsets = {0, 1};
   adj.weights = {5};
-  EXPECT_DEATH(
-      validate::cell_adjacency(adj, 1, 4, "range past the slot space"),
-      "SJ_CHECK violation.*range past the slot space");
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+                                         "range past the slot space"),
+               "SJ_CHECK violation.*range past the slot space");
 }
 
 TEST(ContractsDeath, CellAdjacencyValidatorRejectsOverlappingRanges) {
-  CellAdjacencyHost adj;
+  const std::vector<GridIndex::CellRange> cells{{0, 3}};
+  GroupAdjacencyHost adj;
+  adj.group_offsets = {0, 4};
   adj.ranges = {{0, 3, 0}, {2, 4, 0}};  // [0,3) and [2,4) overlap
   adj.offsets = {0, 2};
   adj.weights = {7};
-  EXPECT_DEATH(
-      validate::cell_adjacency(adj, 1, 4, "overlapping candidate ranges"),
-      "SJ_CHECK violation.*overlapping candidate ranges");
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+                                         "overlapping candidate ranges"),
+               "SJ_CHECK violation.*overlapping candidate ranges");
 }
 
 TEST(ContractsDeath, CellAdjacencyValidatorRejectsNonMonotoneOffsets) {
-  CellAdjacencyHost adj;
+  const std::vector<GridIndex::CellRange> cells{{0, 1}, {2, 3}};
+  GroupAdjacencyHost adj;
+  adj.group_offsets = {0, 2, 4};
   adj.ranges = {{0, 2, 0}};
   adj.offsets = {0, 1, 0};  // CSR must be non-decreasing and end at size
   adj.weights = {2, 0};
-  EXPECT_DEATH(validate::cell_adjacency(adj, 2, 4, "broken csr offsets"),
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+                                         "broken csr offsets"),
                "SJ_CHECK violation.*broken csr offsets");
 }
 
+TEST(ContractsDeath, CellAdjacencyValidatorRejectsOffsetDriftedFromCell) {
+  const std::vector<GridIndex::CellRange> cells{{0, 1}, {2, 3}};
+  GroupAdjacencyHost adj;
+  adj.group_offsets = {0, 2, 4};
+  adj.ranges = {{0, 4, 0}, {0, 4, 0}};
+  adj.offsets = {0, 1, 2};
+  adj.weights = {8, 8};
+  validate::group_adjacency(adj, cells.data(), 0, 4, "intact cell groups");
+  adj.group_offsets[1] = 3;  // group 1 no longer starts at cell 1's slots
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+                                         "group offset drifted from cell"),
+               "SJ_CHECK violation.*group offset drifted from cell");
+}
+
+// A join's groups are its queries in sorted order.
 TEST(ContractsDeath, JoinAdjacencyValidatorRejectsDuplicateQueryOrder) {
-  JoinAdjacencyHost adj;
+  GroupAdjacencyHost adj;
   adj.query_order = {0, 0};  // query 1 lost, query 0 doubled
   adj.group_offsets = {0, 2};
   adj.ranges = {{0, 2, 0}};
   adj.offsets = {0, 1};
   adj.weights = {4};
-  EXPECT_DEATH(
-      validate::join_adjacency(adj, 2, 4, "query order not a permutation"),
-      "SJ_CHECK violation.*query order not a permutation");
+  EXPECT_DEATH(validate::group_adjacency(adj, nullptr, 2, 4,
+                                         "query order not a permutation"),
+               "SJ_CHECK violation.*query order not a permutation");
 }
 
 TEST(ContractsDeath, JoinAdjacencyValidatorRejectsEmptyGroup) {
-  JoinAdjacencyHost adj;
+  GroupAdjacencyHost adj;
   adj.query_order = {0, 1};
   adj.group_offsets = {0, 2, 2};  // second group holds no queries
   adj.ranges = {{0, 2, 0}, {2, 3, 0}};
   adj.offsets = {0, 1, 2};
   adj.weights = {4, 1};
-  EXPECT_DEATH(validate::join_adjacency(adj, 2, 4, "empty query group"),
-               "SJ_CHECK violation.*empty query group");
+  EXPECT_DEATH(
+      validate::group_adjacency(adj, nullptr, 2, 4, "empty query group"),
+      "SJ_CHECK violation.*empty query group");
 }
 
 // ------------------------------------------------- shard plan validators

@@ -227,7 +227,7 @@ TEST(Batching, FatalOverflowRequiresUnsplittableSinglePoint) {
   EXPECT_EQ(run_point_pipeline(d, 1.0, config, nullptr).total_pairs, 19u);
 }
 
-// --- Direct BatchPipeline coverage of the cell-centric mode.
+// --- Direct BatchPipeline coverage of the grouped mode.
 
 TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
   // Nonzero pairs against a 1-pair buffer: the exact counts cut one
@@ -237,8 +237,12 @@ TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
   GridIndex index(d, eps);
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
   DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
-  const CellAdjacency adjacency =
-      build_cell_adjacency(arena, dev.view(), /*unicomp=*/false);
+  const GroupAdjacency adjacency = upload_group_adjacency(
+      arena, build_group_adjacency(
+                 dev.view(),
+                 cell_groups(dev.view(), 0,
+                             static_cast<std::uint32_t>(dev.view().b_size)),
+                 /*unicomp=*/false));
 
   PipelineConfig config;
   config.streams = 3;
@@ -247,8 +251,8 @@ TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
   AtomicWork work;
   BatchRunStats stats;
   auto got = pipeline
-                 .run_cells(ResultRequest{}, dev.view(), /*unicomp=*/false,
-                            adjacency, &work, &stats)
+                 .run_groups(ResultRequest{}, dev.view(), adjacency, &work,
+                             &stats)
                  .pairs;
 
   EXPECT_EQ(stats.batches_run, d.size());
@@ -269,16 +273,20 @@ TEST(BatchPipelineDirect, FatalOverflowOnlyOnUnsplittableSinglePoint) {
   GridIndex index(d, eps);
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
   DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
-  const CellAdjacency adjacency =
-      build_cell_adjacency(arena, dev.view(), /*unicomp=*/false);
+  const GroupAdjacency adjacency = upload_group_adjacency(
+      arena, build_group_adjacency(
+                 dev.view(),
+                 cell_groups(dev.view(), 0,
+                             static_cast<std::uint32_t>(dev.view().b_size)),
+                 /*unicomp=*/false));
 
   PipelineConfig config;
   config.streams = 2;
   config.max_buffer_pairs = 1;
   BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;
-  EXPECT_THROW(pipeline.run_cells(ResultRequest{}, dev.view(), false,
-                                  adjacency, &work, nullptr),
+  EXPECT_THROW(pipeline.run_groups(ResultRequest{}, dev.view(), adjacency,
+                                   &work, nullptr),
                gpu::DeviceOutOfMemory);
 }
 

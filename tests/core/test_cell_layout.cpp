@@ -160,7 +160,13 @@ TEST(CellBatchPlanner, WeightsTrackSkewAndPartitionBalances) {
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
   DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
 
-  const auto weights = build_cell_adjacency_host(dev.view(), false).weights;
+  const auto weights =
+      build_group_adjacency(
+          dev.view(),
+          cell_groups(dev.view(), 0,
+                      static_cast<std::uint32_t>(dev.view().b_size)),
+          false)
+          .weights;
   ASSERT_EQ(weights.size(), index.num_nonempty_cells());
   const std::uint64_t total =
       std::accumulate(weights.begin(), weights.end(), std::uint64_t{0});
@@ -222,7 +228,8 @@ TEST(CellAdjacencyBuild, RangesCoverExactlyTheKernelCandidates) {
   const GridDeviceView& v = dev.view();
 
   for (bool unicomp : {false, true}) {
-    const CellAdjacencyHost adj = build_cell_adjacency_host(v, unicomp);
+    const GroupAdjacencyHost adj = build_group_adjacency(
+        v, cell_groups(v, 0, static_cast<std::uint32_t>(v.b_size)), unicomp);
     ASSERT_EQ(adj.weights.size(), index.num_nonempty_cells());
     EXPECT_GT(adj.cells_examined, 0u);
     // offsets is a valid monotone CSR over ranges.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/datagen.hpp"
 
@@ -118,6 +120,39 @@ TEST(GpuJoin, SelfJoinAsTwoSetJoinMatchesSelfJoin) {
   opt.unicomp = true;
   auto self = GpuSelfJoin(opt).run(d, 2.0);
   EXPECT_TRUE(ResultSet::equal_normalized(two_set.pairs, self.pairs));
+
+  // Without UNICOMP the self-join IS the join of a set with itself: the
+  // grid's cells and the queries sorted by home cell are the same groups
+  // in the same order, so the raw bytes and the work counters match.
+  struct Input {
+    Dataset data;
+    double eps;
+  };
+  std::vector<Input> inputs;
+  for (int dim = 1; dim <= 6; ++dim) {
+    inputs.push_back({datagen::uniform(600, dim, 0.0, 100.0, 300 + dim),
+                      std::pow(2.2, dim - 2)});
+  }
+  inputs.push_back({datagen::ippp(1500, 2, 32.0, 311), 1.0});
+  for (const Input& in : inputs) {
+    GpuJoinOptions join_opt;
+    join_opt.min_batches = 5;
+    GpuSelfJoinOptions self_opt;
+    self_opt.unicomp = false;
+    self_opt.min_batches = 5;
+    const auto join = gpu_join(in.data, in.data, in.eps, join_opt);
+    const auto raw = GpuSelfJoin(self_opt).run(in.data, in.eps);
+    const std::string label = "dim=" + std::to_string(in.data.dim()) +
+                              " n=" + std::to_string(in.data.size());
+    EXPECT_GT(raw.pairs.size(), in.data.size()) << label;
+    EXPECT_EQ(join.pairs.pairs(), raw.pairs.pairs()) << label;
+    EXPECT_EQ(join.stats.metrics.distance_calcs,
+              raw.stats.metrics.distance_calcs)
+        << label;
+    EXPECT_EQ(join.stats.metrics.cells_examined,
+              raw.stats.metrics.cells_examined)
+        << label;
+  }
 }
 
 TEST(GpuJoin, EmptySidesProduceEmptyResult) {
@@ -156,6 +191,7 @@ TEST(GpuJoin, StatsPopulated) {
   const auto b = datagen::uniform(1000, 2, 0.0, 100.0, 6);
   const auto r = gpu_join(a, b, 2.0);
   EXPECT_GT(r.stats.total_seconds, 0.0);
+  EXPECT_GT(r.stats.adjacency_seconds, 0.0);
   EXPECT_GT(r.stats.metrics.distance_calcs, 0u);
   EXPECT_EQ(r.stats.metrics.results, r.pairs.size());
 }

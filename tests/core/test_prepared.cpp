@@ -80,6 +80,19 @@ TEST(PreparedJoin, SelfJoinMatchesOneShotAcrossRepeatedCalls) {
   EXPECT_GT(plain_oneshot.stats.metrics.cells_examined, 0u);
 }
 
+TEST(PreparedJoin, AdjacencyTimeCountsOnlyTheCallThatBuildsIt) {
+  const auto data = datagen::uniform(1000, 2, 0.0, 40.0, 19);
+  const auto queries = datagen::uniform(300, 2, 0.0, 40.0, 20);
+  PreparedJoin prepared(data, 1.1);
+  EXPECT_GT(prepared.self_join({}).stats.adjacency_seconds, 0.0);
+  // The cached adjacency is reused: no build, no build time.
+  EXPECT_EQ(prepared.self_join({}).stats.adjacency_seconds, 0.0);
+  // A join groups its own queries on every call.
+  for (int rep = 0; rep < 2; ++rep) {
+    EXPECT_GT(prepared.run(queries, {}).stats.adjacency_seconds, 0.0);
+  }
+}
+
 TEST(PreparedJoin, ConcurrentRunsFromManyThreadsAgree) {
   const auto data = datagen::uniform(800, 2, 0.0, 30.0, 27);
   const auto queries = datagen::uniform(300, 2, 0.0, 30.0, 28);

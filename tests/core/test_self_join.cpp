@@ -142,6 +142,7 @@ TEST(GpuSelfJoin, StatsArePopulated) {
   GpuSelfJoin join;
   const auto r = join.run(d, 2.0);
   EXPECT_GT(r.stats.total_seconds, 0.0);
+  EXPECT_GT(r.stats.adjacency_seconds, 0.0);
   EXPECT_GT(r.stats.grid_nonempty_cells, 0u);
   EXPECT_GE(r.stats.batch.batches_run, 3u);  // paper minimum
   EXPECT_GT(r.stats.metrics.distance_calcs, 0u);

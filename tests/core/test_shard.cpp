@@ -313,6 +313,17 @@ TEST(ShardEngine, BalanceAndHaloStatsAreReported) {
   EXPECT_GE(r.shard.makespan_seconds, r.shard.common_seconds);
 }
 
+TEST(ShardEngine, AdjacencyTimeIsReportedForBothFacets) {
+  const auto d = datagen::uniform(1500, 2, 0.0, 40.0, 951);
+  ShardedSelfJoinOptions opt;
+  opt.shards = 2;
+  opt.chunklets = 6;
+  // Every chunklet resolves its own cells' adjacency; the run reports the
+  // sum.
+  EXPECT_GT(ShardedGpuSelfJoin(opt).run(d, 1.0).stats.adjacency_seconds, 0.0);
+  EXPECT_GT(sharded_join(d, d, 1.0, opt).stats.adjacency_seconds, 0.0);
+}
+
 // ------------------------------------------------------------- options
 
 TEST(ShardOptions, InvalidKnobsAreRejected) {
