@@ -60,6 +60,8 @@ DeviceGrid::DeviceGrid(gpu::GlobalMemoryArena& arena, const Dataset& d,
   if (layout == GridLayout::kCellMajor) {
     view_.orig = a_.data();
     view_.cell_major = true;
+    cell_table_ = make_cell_table(index);
+    if (!cell_table_.empty()) view_.cell_table = cell_table_.data();
   } else {
     view_.A = a_.data();
   }

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/dataset.hpp"
 #include "core/grid_index.hpp"
@@ -53,6 +54,23 @@ struct GridDeviceView {
   const std::uint64_t* B = nullptr;
   std::uint64_t b_size = 0;
   const GridIndex::CellRange* G = nullptr;
+
+  /// Cell-major layout, when the grid fits the O(|D|) budget: the direct-
+  /// address cell table (make_cell_table), linear cell id -> B index or
+  /// kEmptyCell. Host memory: only the host-side adjacency builder reads
+  /// it. Null means find_cell binary-searches B.
+  const std::uint32_t* cell_table = nullptr;
+
+  /// B index of the cell with linear id `id`, or kEmptyCell when the cell
+  /// is empty: one load from the staged cell table, else a binary search
+  /// of B (Section IV-D).
+  std::uint32_t find_cell(std::uint64_t id) const {
+    if (cell_table != nullptr) return cell_table[id];
+    const std::uint64_t* end = B + b_size;
+    const std::uint64_t* it = std::lower_bound(B, end, id);
+    return it != end && *it == id ? static_cast<std::uint32_t>(it - B)
+                                  : kEmptyCell;
+  }
 
   /// Cell-major layout only: per-dimension coordinate planes, coord[j][k]
   /// = j-th coordinate of the point in slot k (structure-of-arrays twin of
@@ -107,12 +125,7 @@ struct GridDeviceView {
   /// because the cell width is >= eps).
   void home_cell(const double* pt, std::uint32_t* c) const {
     for (int j = 0; j < dim; ++j) {
-      const double rel = (pt[j] - gmin[j]) / width;
-      std::int64_t cj = static_cast<std::int64_t>(rel);  // rel >= 0 in-grid
-      cj = std::min<std::int64_t>(
-          std::max<std::int64_t>(cj, 0),
-          static_cast<std::int64_t>(cells_per_dim[j]) - 1);
-      c[j] = static_cast<std::uint32_t>(cj);
+      c[j] = clamp_cell_coord((pt[j] - gmin[j]) / width, cells_per_dim[j]);
     }
   }
 
@@ -137,6 +150,7 @@ class DeviceGrid {
   gpu::DeviceBuffer<GridIndex::CellRange> g_;
   gpu::DeviceBuffer<std::uint32_t> a_;  // legacy: A; cell-major: orig map
   gpu::DeviceBuffer<std::uint32_t> m_[kMaxDims];
+  std::vector<std::uint32_t> cell_table_;  // host memory, cell-major only
   GridDeviceView view_;
 };
 

@@ -72,43 +72,23 @@ GridIndex::GridIndex(const Dataset& d, double eps) {
 
   // Bin points: (linear cell id, point id), sorted by cell then id. The
   // sort groups each cell's points contiguously, giving A directly and
-  // the unique cell ids giving B and G.
-  struct Entry {
-    std::uint64_t cell;
-    std::uint32_t pid;
-  };
-  std::vector<Entry> entries(n);
+  // the unique cell ids giving B and G. The index build is the serialized
+  // prefix of every sharded run, so the radix sort's constant factor
+  // directly caps multi-device strong scaling.
+  std::vector<CellKey> entries(n);
   std::uint32_t coords[kMaxDims];
   std::uint64_t max_cell = 0;
   for (std::size_t i = 0; i < n; ++i) {
     cell_coords(d.pt(i), coords);
     entries[i].cell = linearize(coords);
-    entries[i].pid = static_cast<std::uint32_t>(i);
+    entries[i].id = static_cast<std::uint32_t>(i);
     max_cell = std::max(max_cell, entries[i].cell);
   }
-  // Stable LSD radix sort on the cell id, 8 bits per pass, touching only
-  // the bytes the largest cell id occupies (a near-square grid rarely
-  // needs more than three). Pids enter in ascending input order and
-  // stability preserves that within equal cells, so the (cell, pid)
-  // order — and therefore A, B and G — is byte-identical to what a
-  // comparison sort would produce, at O(n) per pass instead of
-  // O(n log n): the index build is the serialized prefix of every
-  // sharded run, so its constant factor directly caps multi-device
-  // strong scaling.
-  {
-    std::vector<Entry> tmp(n);
-    for (int shift = 0; shift < 64 && (max_cell >> shift) != 0; shift += 8) {
-      std::size_t count[257] = {};
-      for (const Entry& e : entries) ++count[((e.cell >> shift) & 0xFF) + 1];
-      for (int b = 1; b <= 256; ++b) count[b] += count[b - 1];
-      for (const Entry& e : entries) tmp[count[(e.cell >> shift) & 0xFF]++] = e;
-      entries.swap(tmp);
-    }
-  }
+  sort_cell_keys(entries, max_cell);
 
   A_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    A_[i] = entries[i].pid;
+    A_[i] = entries[i].id;
     if (i == 0 || entries[i].cell != entries[i - 1].cell) {
       B_.push_back(entries[i].cell);
       G_.push_back({static_cast<std::uint32_t>(i),
@@ -131,6 +111,33 @@ GridIndex::GridIndex(const Dataset& d, double eps) {
   }
 
   if (contracts::active()) validate::grid_index(*this, d, "GridIndex(build)");
+}
+
+void sort_cell_keys(std::vector<CellKey>& keys, std::uint64_t max_cell) {
+  std::vector<CellKey> tmp(keys.size());
+  for (int shift = 0; shift < 64 && (max_cell >> shift) != 0; shift += 8) {
+    std::size_t count[257] = {};
+    for (const CellKey& k : keys) ++count[((k.cell >> shift) & 0xFF) + 1];
+    for (int b = 1; b <= 256; ++b) count[b] += count[b - 1];
+    for (const CellKey& k : keys) tmp[count[(k.cell >> shift) & 0xFF]++] = k;
+    keys.swap(tmp);
+  }
+}
+
+std::vector<std::uint32_t> make_cell_table(const GridIndex& index) {
+  const std::uint64_t n = index.num_points();
+  const std::uint64_t cells = index.total_cells();
+  std::vector<std::uint32_t> table;
+  if (n == 0 ||
+      cells > std::max(kCellTableMinEntries, kCellTableEntriesPerPoint * n)) {
+    return table;
+  }
+  table.assign(static_cast<std::size_t>(cells), kEmptyCell);
+  const std::vector<std::uint64_t>& B = index.B();
+  for (std::size_t i = 0; i < B.size(); ++i) {
+    table[static_cast<std::size_t>(B[i])] = static_cast<std::uint32_t>(i);
+  }
+  return table;
 }
 
 GridIndex::Parts GridIndex::to_parts() const {
@@ -269,11 +276,7 @@ std::uint64_t GridIndex::total_cells() const {
 
 void GridIndex::cell_coords(const double* pt, std::uint32_t* out) const {
   for (int j = 0; j < dim_; ++j) {
-    const double rel = (pt[j] - gmin_[j]) / width_;
-    std::int64_t c = static_cast<std::int64_t>(std::floor(rel));
-    c = std::max<std::int64_t>(c, 0);
-    c = std::min<std::int64_t>(c, static_cast<std::int64_t>(cells_per_dim_[j]) - 1);
-    out[j] = static_cast<std::uint32_t>(c);
+    out[j] = clamp_cell_coord((pt[j] - gmin_[j]) / width_, cells_per_dim_[j]);
   }
 }
 

@@ -6,7 +6,10 @@
 // space complexity O(|D|) regardless of the hypervolume:
 //
 //   B — sorted array of the linearised ids of the non-empty cells; cell
-//       existence is decided by binary search (Section IV-D).
+//       existence is decided by binary search (Section IV-D). Where the
+//       grid's TOTAL cell count is itself O(|D|), the host-side adjacency
+//       builder instead reads a direct-address cell table staged beside B
+//       (make_cell_table): one load per lookup.
 //   G — for each non-empty cell C_h, the inclusive range
 //       [Amin_h, Amax_h] of its points inside A.
 //   A — lookup array mapping those ranges to point ids; |A| = |D|.
@@ -16,11 +19,24 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/dataset.hpp"
 
 namespace sj {
+
+/// Cell coordinate of a point `rel` cell widths above the grid's lower
+/// corner, clamped into [0, cells). The clamp runs in floating point
+/// BEFORE the integer conversion: converting a value outside the target
+/// range (a query ~2^63 cells away) or a NaN is undefined behaviour. NaN
+/// goes to cell 0. The single implementation shared by the host index and
+/// the device view.
+inline std::uint32_t clamp_cell_coord(double rel, std::uint32_t cells) {
+  if (!(rel > 0.0)) return 0;  // below the grid, or NaN
+  if (rel >= static_cast<double>(cells - 1)) return cells - 1;
+  return static_cast<std::uint32_t>(rel);  // truncation == floor here
+}
 
 /// Row-major linearisation of n-dimensional cell coordinates. The single
 /// implementation shared by the host index and the device view
@@ -33,6 +49,20 @@ inline std::uint64_t linearize_cell(const std::uint32_t* coords,
   }
   return id;
 }
+
+/// A (linear cell id, point id) sort key.
+struct CellKey {
+  std::uint64_t cell;
+  std::uint32_t id;
+};
+
+/// Stable LSD radix sort of `keys` by cell, 8 bits per pass, touching
+/// only the bytes `max_cell` occupies (a near-square grid rarely needs
+/// more than three). Keys entered in ascending id order leave in (cell,
+/// id) order — byte-identical to a comparison sort — at O(n) per pass
+/// instead of O(n log n). The index build bins its points with it and the
+/// join groups its queries with it.
+void sort_cell_keys(std::vector<CellKey>& keys, std::uint64_t max_cell);
 
 class GridIndex {
  public:
@@ -133,5 +163,24 @@ class GridIndex {
   std::vector<std::uint32_t> A_;
   std::vector<std::uint32_t> M_[kMaxDims];
 };
+
+/// Cell-table entry of an empty cell.
+inline constexpr std::uint32_t kEmptyCell =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// The paper stores only the non-empty cells so that the index stays
+/// O(|D|) in space whatever the grid's hypervolume (Section IV-B). A
+/// direct-address table over ALL cells keeps that bound only while the
+/// total cell count is itself O(|D|): at most this many entries per
+/// point, and never less than kCellTableMinEntries (a 256 KiB table) so
+/// that small datasets on small grids still get one.
+inline constexpr std::uint64_t kCellTableEntriesPerPoint = 8;
+inline constexpr std::uint64_t kCellTableMinEntries = std::uint64_t{1} << 16;
+
+/// Direct-address cell table of `index`: entry c holds the B index of the
+/// cell with linear id c, or kEmptyCell. Empty — no table, lookups binary-
+/// search B — when the grid's total cell count exceeds the O(|D|) budget
+/// above.
+std::vector<std::uint32_t> make_cell_table(const GridIndex& index);
 
 }  // namespace sj

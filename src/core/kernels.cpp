@@ -214,7 +214,8 @@ void enumerate_neighborhood(int dim, const std::uint32_t* c,
 }
 
 /// Evaluate one candidate cell of a point-centric query: binary-search B
-/// for existence, then compute distances to every point it contains
+/// for existence (the legacy layout stages no cell table, so find_cell is
+/// the paper's search), then compute distances to every point it contains
 /// (Algorithm 1, lines 10-17). `both_orders` implements UNICOMP's "add
 /// both (p, q) and (q, p)" rule for neighbour cells. `key` is the
 /// ORIGINAL dataset id emitted for the query point.
@@ -222,14 +223,12 @@ inline void eval_cell(const SelfJoinKernelParams& p, LocalWork& w,
                       Emitter& em, std::uint32_t key, const double* pt,
                       const std::uint32_t* cc, bool both_orders) {
   const GridDeviceView& g = p.grid;
-  const std::uint64_t lin = g.linearize(cc);
   ++w.cells_examined;
-  const std::uint64_t* end = g.B + g.b_size;
-  const std::uint64_t* it = std::lower_bound(g.B, end, lin);
-  if (it == end || *it != lin) return;
+  const std::uint32_t cell = g.find_cell(g.linearize(cc));
+  if (cell == kEmptyCell) return;
   ++w.cells_nonempty;
 
-  const GridIndex::CellRange range = g.G[it - g.B];
+  const GridIndex::CellRange range = g.G[cell];
   SJ_INVARIANT(static_cast<std::uint64_t>(range.max) < g.n,
                "G cell range must stay inside the point count");
   const double eps2 = g.eps * g.eps;
@@ -256,12 +255,13 @@ inline void eval_cell(const SelfJoinKernelParams& p, LocalWork& w,
 
 /// Build the candidate slot-range list of the cell at coordinates `c` —
 /// mask-filtering the adjacency, enumerating the neighbourhood (full or
-/// UNICOMP) and binary-searching B ONCE PER CELL instead of once per
-/// point. Contiguous ranges with the same orientation are merged:
-/// adjacent non-empty cells occupy adjacent slot ranges in the cell-major
-/// layout, so the 3^n candidate cells frequently collapse into a few long
-/// scans. `c` need not name a non-empty cell itself (a join query group's
-/// home cell may hold no data points).
+/// UNICOMP) and looking each candidate cell up ONCE PER GROUP instead of
+/// once per point (GridDeviceView::find_cell: the staged cell table, else
+/// a binary search of B). Contiguous ranges with the same orientation are
+/// merged: adjacent non-empty cells occupy adjacent slot ranges in the
+/// cell-major layout, so the 3^n candidate cells frequently collapse into
+/// a few long scans. `c` need not name a non-empty cell itself (a join
+/// query group's home cell may hold no data points).
 void collect_ranges_at(const GridDeviceView& g, const std::uint32_t* c,
                        bool unicomp, LocalWork& w,
                        std::vector<CandidateRange>& out) {
@@ -273,12 +273,10 @@ void collect_ranges_at(const GridDeviceView& g, const std::uint32_t* c,
       g.dim, c, adj, adjn, unicomp,
       [&](const std::uint32_t* cc, bool both) {
         ++w.cells_examined;
-        const std::uint64_t id = g.linearize(cc);
-        const std::uint64_t* bend = g.B + g.b_size;
-        const std::uint64_t* it = std::lower_bound(g.B, bend, id);
-        if (it == bend || *it != id) return;
+        const std::uint32_t cell = g.find_cell(g.linearize(cc));
+        if (cell == kEmptyCell) return;
         ++w.cells_nonempty;
-        const GridIndex::CellRange r = g.G[it - g.B];
+        const GridIndex::CellRange r = g.G[cell];
         const std::uint32_t flag = both ? 1 : 0;
         if (out.size() > first && out.back().end == r.min &&
             out.back().both == flag) {
@@ -287,6 +285,24 @@ void collect_ranges_at(const GridDeviceView& g, const std::uint32_t* c,
           out.push_back({r.min, r.max + 1, flag});
         }
       });
+}
+
+/// Groups one task of the parallel adjacency build resolves: enough
+/// enumerations to amortise the task's range buffer, few enough that a
+/// grid of a few thousand cells still spreads over the team.
+constexpr std::size_t kGroupsPerChunk = 64;
+
+/// Run task(0), ..., task(tasks - 1): over the OpenMP team when there is
+/// more than one task, inline otherwise (no thread team for one task).
+template <typename F>
+void for_each_task(std::size_t tasks, F&& task) {
+  if (tasks <= 1) {
+    if (tasks == 1) task(std::size_t{0});
+    return;
+  }
+  const auto n = static_cast<std::int64_t>(tasks);
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::int64_t k = 0; k < n; ++k) task(static_cast<std::size_t>(k));
 }
 
 /// SoA block width: wide enough that a full AVX2/AVX-512 register set
@@ -492,22 +508,22 @@ QueryGroups sorted_query_groups(const GridDeviceView& grid) {
   // Sort the queries by (home data-grid cell, id): groups become
   // contiguous position ranges and the within-group order is
   // deterministic.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(
-      static_cast<std::size_t>(nq));
+  std::vector<CellKey> keys(static_cast<std::size_t>(nq));
   std::uint32_t c[kMaxDims];
-  for (std::uint64_t q = 0; q < nq; ++q) {
+  std::uint64_t max_cell = 0;
+  for (std::size_t q = 0; q < keys.size(); ++q) {
     grid.home_cell(grid.query_point(q), c);
-    keyed[static_cast<std::size_t>(q)] = {grid.linearize(c),
-                                          static_cast<std::uint32_t>(q)};
+    keys[q] = {grid.linearize(c), static_cast<std::uint32_t>(q)};
+    max_cell = std::max(max_cell, keys[q].cell);
   }
-  std::sort(keyed.begin(), keyed.end());
+  sort_cell_keys(keys, max_cell);
 
-  groups.query_order.resize(static_cast<std::size_t>(nq));
-  for (std::size_t pos = 0; pos < keyed.size(); ++pos) {
-    groups.query_order[pos] = keyed[pos].second;
-    if (pos == 0 || keyed[pos].first != keyed[pos - 1].first) {
+  groups.query_order.resize(keys.size());
+  for (std::size_t pos = 0; pos < keys.size(); ++pos) {
+    groups.query_order[pos] = keys[pos].id;
+    if (pos == 0 || keys[pos].cell != keys[pos - 1].cell) {
       groups.group_offsets.push_back(static_cast<std::uint32_t>(pos));
-      groups.home_cells.push_back(keyed[pos].first);
+      groups.home_cells.push_back(keys[pos].cell);
     }
   }
   groups.group_offsets.push_back(static_cast<std::uint32_t>(nq));
@@ -525,46 +541,72 @@ GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
   adj.weights.assign(num_groups, 0);
   adj.offsets.assign(num_groups + 1, 0);
 
-  // One enumeration pass per group, accumulated as a CSR-style (offsets,
-  // ranges) pair. The pass is the same work one point-centric query
-  // performs per POINT, so it amortises over the group's population.
-  adj.ranges.reserve(num_groups * 4);
-  LocalWork w;  // planning work, not flushed into join counters
-  std::uint32_t c[kMaxDims];
+  // One enumeration pass per group — the same work one point-centric
+  // query performs per POINT, so it amortises over the group's
+  // population. Fixed-size chunks of groups resolve independently, each
+  // into its own range buffer with stack-local counters, and record each
+  // group's range count in offsets[g + 1]; a prefix sum over the counts
+  // then places every chunk's ranges. A group's ranges depend only on its
+  // home cell, so the CSR is byte-identical to a serial build for any
+  // thread count. A single chunk resolves inline, without a thread team.
+  const std::size_t num_chunks =
+      (num_groups + kGroupsPerChunk - 1) / kGroupsPerChunk;
+  std::vector<std::vector<CandidateRange>> chunk_ranges(num_chunks);
+  std::vector<LocalWork> chunk_work(num_chunks);
+  auto resolve = [&](std::size_t k) {
+    std::vector<CandidateRange> ranges;
+    LocalWork w;  // planning work, not flushed into join counters
+    std::uint32_t c[kMaxDims];
+    const std::size_t g_end = std::min(num_groups, (k + 1) * kGroupsPerChunk);
+    for (std::size_t g = k * kGroupsPerChunk; g < g_end; ++g) {
+      const std::uint64_t home = groups.home_cells[g];
+      for (int j = 0; j < grid.dim; ++j) {
+        c[j] = static_cast<std::uint32_t>((home / grid.stride[j]) %
+                                          grid.cells_per_dim[j]);
+      }
+      const std::size_t first = ranges.size();
+      collect_ranges_at(grid, c, unicomp, w, ranges);
+      std::uint64_t candidates = 0;
+      for (std::size_t r = first; r < ranges.size(); ++r) {
+        candidates += static_cast<std::uint64_t>(ranges[r].end -
+                                                 ranges[r].begin) *
+                      (ranges[r].both != 0 ? 2 : 1);
+      }
+      // candidates x population can exceed 64 bits for a pathological
+      // group; saturate so the planner's relative ordering survives
+      // instead of wrapping a heavy group down to a tiny weight.
+      const unsigned __int128 weight =
+          static_cast<unsigned __int128>(candidates) *
+          (adj.group_offsets[g + 1] - adj.group_offsets[g]);
+      adj.weights[g] = static_cast<std::uint64_t>(std::min<unsigned __int128>(
+          weight, std::numeric_limits<std::uint64_t>::max()));
+      adj.offsets[g + 1] = ranges.size() - first;
+    }
+    chunk_ranges[k] = std::move(ranges);
+    chunk_work[k] = w;
+  };
+  for_each_task(num_chunks, resolve);
+
   for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::uint64_t home = groups.home_cells[g];
-    for (int j = 0; j < grid.dim; ++j) {
-      c[j] = static_cast<std::uint32_t>((home / grid.stride[j]) %
-                                        grid.cells_per_dim[j]);
-    }
-    collect_ranges_at(grid, c, unicomp, w, adj.ranges);
-    adj.offsets[g + 1] = adj.ranges.size();
-    std::uint64_t candidates = 0;
-    for (std::size_t r = adj.offsets[g]; r < adj.offsets[g + 1]; ++r) {
-      candidates += static_cast<std::uint64_t>(adj.ranges[r].end -
-                                               adj.ranges[r].begin) *
-                    (adj.ranges[r].both != 0 ? 2 : 1);
-    }
-    // candidates x population can exceed 64 bits for a pathological
-    // group; saturate so the planner's relative ordering survives instead
-    // of wrapping a heavy group down to a tiny weight.
-    const unsigned __int128 weight =
-        static_cast<unsigned __int128>(candidates) *
-        (adj.group_offsets[g + 1] - adj.group_offsets[g]);
-    adj.weights[g] = static_cast<std::uint64_t>(std::min<unsigned __int128>(
-        weight, std::numeric_limits<std::uint64_t>::max()));
+    adj.offsets[g + 1] += adj.offsets[g];
   }
-  adj.cells_examined = w.cells_examined;
-  adj.cells_nonempty = w.cells_nonempty;
+  adj.ranges.resize(static_cast<std::size_t>(adj.offsets[num_groups]));
+  for_each_task(num_chunks, [&](std::size_t k) {
+    std::copy(chunk_ranges[k].begin(), chunk_ranges[k].end(),
+              adj.ranges.begin() + static_cast<std::ptrdiff_t>(
+                                       adj.offsets[k * kGroupsPerChunk]));
+  });
+  for (const LocalWork& w : chunk_work) {
+    adj.cells_examined += w.cells_examined;
+    adj.cells_nonempty += w.cells_nonempty;
+  }
   adj.build_seconds = groups.seconds + timer.seconds();
   if (contracts::active()) {
     // Identity order: the groups are consecutive cells starting at the
     // first group's home cell.
     const GridIndex::CellRange* cells =
         adj.query_order.empty() && num_groups > 0
-            ? grid.G + (std::lower_bound(grid.B, grid.B + grid.b_size,
-                                         groups.home_cells[0]) -
-                        grid.B)
+            ? grid.G + grid.find_cell(groups.home_cells[0])
             : nullptr;
     validate::group_adjacency(adj, cells, grid.qn, grid.n,
                               "build_group_adjacency");

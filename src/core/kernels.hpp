@@ -119,8 +119,8 @@ struct QueryGroups {
 QueryGroups cell_groups(const GridDeviceView& grid, std::uint32_t cell_begin,
                         std::uint32_t cell_end);
 
-/// The join's groups: the external query set (grid.qpoints) sorted by
-/// (data-grid home cell, id), one group per distinct home cell. The home
+/// The join's groups: the external query set (grid.qpoints) radix-sorted
+/// by (data-grid home cell, id), one group per distinct home cell. The home
 /// cell need not be non-empty in the data grid: groups are keyed by
 /// coordinates, not by B entries.
 QueryGroups sorted_query_groups(const GridDeviceView& grid);
@@ -153,8 +153,11 @@ struct GroupAdjacencyHost {
 
 /// Resolve every group's candidate slot ranges on a cell-major grid with
 /// one enumeration pass per group (odometer or, with `unicomp`, the
-/// UNICOMP pattern, plus find_cell each). Candidate ranges are in the
-/// grid's slot coordinates.
+/// UNICOMP pattern) and one GridDeviceView::find_cell per candidate cell:
+/// a load from the staged cell table, or a binary search of B when none
+/// is staged. Fixed-size chunks of groups resolve across the OpenMP team;
+/// the result is byte-identical for any thread count. Candidate ranges
+/// are in the grid's slot coordinates.
 GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
                                          QueryGroups groups, bool unicomp);
 

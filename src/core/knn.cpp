@@ -133,15 +133,10 @@ void knn_thread(const gpu::ThreadCtx& ctx, const KnnKernelParams& p) {
   BestK best(p.out->dists_row(pid), p.out->ids_row(pid), p.k);
 
   // Home cell coordinates.
+  std::uint32_t home[kMaxDims];
+  g.home_cell(pt, home);
   std::int64_t ci[kMaxDims];
-  for (int j = 0; j < g.dim; ++j) {
-    const double rel = (pt[j] - g.gmin[j]) / g.width;
-    std::int64_t cj = static_cast<std::int64_t>(std::floor(rel));
-    cj = std::min<std::int64_t>(
-        std::max<std::int64_t>(cj, 0),
-        static_cast<std::int64_t>(g.cells_per_dim[j]) - 1);
-    ci[j] = cj;
-  }
+  for (int j = 0; j < g.dim; ++j) ci[j] = home[j];
 
   // Maximum useful ring: the grid's extent in cells.
   std::int64_t max_ring = 0;
@@ -199,13 +194,11 @@ void knn_thread(const gpu::ThreadCtx& ctx, const KnnKernelParams& p) {
         const bool prune =
             best.full() && cell_min_sq_dist(g, pt, cc) >= best.worst();
         if (!prune) {
-          const std::uint64_t lin = g.linearize(cc);
           ++w.cells_examined;
-          const std::uint64_t* bend = g.B + g.b_size;
-          const std::uint64_t* bit = std::lower_bound(g.B, bend, lin);
-          if (bit != bend && *bit == lin) {
+          const std::uint32_t cell = g.find_cell(g.linearize(cc));
+          if (cell != kEmptyCell) {
             ++w.cells_nonempty;
-            const GridIndex::CellRange range = g.G[bit - g.B];
+            const GridIndex::CellRange range = g.G[cell];
             for (std::uint32_t kk = range.min; kk <= range.max; ++kk) {
               const std::uint32_t q = g.A[kk];
               if (p.self_mode && !p.include_self && q == pid) continue;

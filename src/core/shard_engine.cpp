@@ -67,6 +67,7 @@ void validate_shard_options(const ShardedSelfJoinOptions& opt,
 struct HostStage {
   std::vector<double> points;
   std::vector<double> coords;  ///< SoA planes, coords[j * n + slot]
+  std::vector<std::uint32_t> cell_table;  ///< empty when over budget
   GridDeviceView view;
 
   HostStage(const Dataset& d, const GridIndex& index) {
@@ -89,6 +90,8 @@ struct HostStage {
     view.G = index.G().data();
     view.orig = index.A().data();
     view.cell_major = true;
+    cell_table = make_cell_table(index);
+    if (!cell_table.empty()) view.cell_table = cell_table.data();
     view.width = index.cell_width();
     view.eps = index.eps();
     for (int j = 0; j < dim; ++j) {

@@ -133,6 +133,20 @@ void device_grid(const GridDeviceView& v, const Dataset* d, const char* ctx) {
   check_cell_ranges_partition(v.G, v.b_size, v.n, ctx);
   check_masks(v.M, v.m_size, v.cells_per_dim, v.dim, ctx);
 
+  if (v.cell_table != nullptr) {
+    // The table inverts B exactly: every non-empty cell maps to its own B
+    // index, and no other entry names a cell.
+    std::uint64_t cells = 1;
+    for (int j = 0; j < v.dim; ++j) cells *= v.cells_per_dim[j];
+    for (std::uint64_t i = 0; i < v.b_size; ++i) {
+      SJ_CHECK(v.B[i] < cells && v.cell_table[v.B[i]] == i, ctx);
+    }
+    const auto named = static_cast<std::uint64_t>(std::count_if(
+        v.cell_table, v.cell_table + cells,
+        [](std::uint32_t e) { return e != kEmptyCell; }));
+    SJ_CHECK(named == v.b_size, ctx);
+  }
+
   if (v.cell_major) {
     SJ_CHECK(v.A == nullptr, ctx);
     SJ_CHECK(v.orig != nullptr || v.n == 0, ctx);

@@ -38,6 +38,8 @@ void grid_index(const GridIndex& index, const Dataset& d, const char* context);
 ///   - when `d` is non-null, the (reordered) AoS coordinates match the
 ///     source dataset point-for-point
 ///   - masks strictly increasing and within cells_per_dim
+///   - when a cell table is staged: table[B[i]] == i for every i, and
+///     exactly b_size entries are not kEmptyCell
 void device_grid(const GridDeviceView& view, const Dataset* d,
                  const char* context);
 

@@ -159,6 +159,26 @@ TEST(ContractsDeath, DeviceGridValidatorRejectsSoaPlaneDrift) {
                "SJ_CHECK violation.*soa plane drift");
 }
 
+TEST(ContractsDeath, DeviceGridValidatorRejectsCorruptCellTable) {
+  const std::vector<double> points{0.1, 0.2, 0.3, 0.4};
+  const std::vector<std::uint64_t> B{5};
+  const std::vector<GridIndex::CellRange> G{{0, 3}};
+  const std::vector<std::uint32_t> orig{0, 1, 2, 3};
+  GridDeviceView view = tiny_cell_major_view(points, B, G, orig);
+  view.cells_per_dim[0] = 10;
+  std::vector<std::uint32_t> table(10, kEmptyCell);
+  table[5] = 0;
+  view.cell_table = table.data();
+  validate::device_grid(view, nullptr, "intact table");  // sanity: passes
+  table[5] = 1;  // cell 5 no longer maps back to B[0]
+  EXPECT_DEATH(validate::device_grid(view, nullptr, "corrupt cell table"),
+               "SJ_CHECK violation.*corrupt cell table");
+  table[5] = 0;
+  table[2] = 0;  // an empty cell claims B[0] as well
+  EXPECT_DEATH(validate::device_grid(view, nullptr, "stray cell table entry"),
+               "SJ_CHECK violation.*stray cell table entry");
+}
+
 // -------------------------------------------------- adjacency validator
 
 // A self-join's groups are cells in identity order: the validator binds

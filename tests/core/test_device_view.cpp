@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/datagen.hpp"
 #include "core/grid_index.hpp"
@@ -86,6 +88,36 @@ TEST(DeviceGrid, QueryPointDefaultsToIndexedSet) {
   v.qn = q.size();
   EXPECT_EQ(v.num_queries(), q.size());
   EXPECT_EQ(v.query_point(3), q.raw().data() + 3 * 2);
+}
+
+TEST(DeviceGrid, HomeCellClampsFarAndNanCoordinates) {
+  const auto d = datagen::uniform(200, 3, 0.0, 10.0, 15);
+  GridIndex index(d, 1.0);
+  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
+  for (GridLayout layout : {GridLayout::kLegacy, GridLayout::kCellMajor}) {
+    DeviceGrid dev(arena, d, index, layout);
+    const GridDeviceView& v = dev.view();
+    std::uint32_t c[kMaxDims];
+    const double far[] = {1e300, -1e300, 5.0};
+    v.home_cell(far, c);
+    EXPECT_EQ(c[0], index.cells_in_dim(0) - 1);
+    EXPECT_EQ(c[1], 0u);
+    std::uint32_t want[kMaxDims];
+    index.cell_coords(far, want);
+    EXPECT_EQ(c[2], want[2]);
+    const double nan[] = {std::nan(""), 1e300, -1e300};
+    v.home_cell(nan, c);
+    EXPECT_EQ(c[0], 0u);
+    EXPECT_EQ(c[1], index.cells_in_dim(1) - 1);
+    EXPECT_EQ(c[2], 0u);
+    // In-grid points land where the host index puts them.
+    for (std::size_t i = 0; i < d.size(); i += 7) {
+      v.home_cell(d.pt(i), c);
+      index.cell_coords(d.pt(i), want);
+      EXPECT_EQ(std::vector<std::uint32_t>(c, c + 3),
+                std::vector<std::uint32_t>(want, want + 3));
+    }
+  }
 }
 
 TEST(DeviceGrid, TooSmallDeviceThrows) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -182,6 +183,28 @@ TEST(GridIndex, SinglePoint) {
   EXPECT_EQ(g.num_nonempty_cells(), 1u);
   EXPECT_EQ(g.A().size(), 1u);
   EXPECT_EQ(g.A()[0], 0u);
+}
+
+TEST(GridIndex, CellCoordsClampFarAndNanCoordinates) {
+  GridIndex g(small2d(), 1.0);
+  const std::uint32_t top0 = g.cells_in_dim(0) - 1;
+  const std::uint32_t top1 = g.cells_in_dim(1) - 1;
+  std::uint32_t c[kMaxDims];
+  const double far_high_low[] = {1e300, -1e300};
+  g.cell_coords(far_high_low, c);
+  EXPECT_EQ(c[0], top0);
+  EXPECT_EQ(c[1], 0u);
+  const double far_low_high[] = {-1e300, 1e300};
+  g.cell_coords(far_low_high, c);
+  EXPECT_EQ(c[0], 0u);
+  EXPECT_EQ(c[1], top1);
+  const double nan_and_inside[] = {std::nan(""), 2.5};
+  g.cell_coords(nan_and_inside, c);
+  EXPECT_EQ(c[0], 0u);
+  const double inside[] = {0.5, 2.5};
+  std::uint32_t want[kMaxDims];
+  g.cell_coords(inside, want);
+  EXPECT_EQ(c[1], want[1]);
 }
 
 TEST(GridIndex, IdenticalPointsShareOneCell) {

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 #include <vector>
 
+#include "bruteforce/brute_force.hpp"
 #include "common/datagen.hpp"
 #include "core/join.hpp"
 #include "core/self_join.hpp"
@@ -90,6 +92,26 @@ TEST(PreparedJoin, AdjacencyTimeCountsOnlyTheCallThatBuildsIt) {
   // A join groups its own queries on every call.
   for (int rep = 0; rep < 2; ++rep) {
     EXPECT_GT(prepared.run(queries, {}).stats.adjacency_seconds, 0.0);
+  }
+}
+
+TEST(PreparedJoin, FarAndNanQueriesMatchBruteForce) {
+  const auto data = datagen::uniform(800, 2, 0.0, 30.0, 23);
+  Dataset queries = datagen::uniform(200, 2, -2.0, 32.0, 24);
+  const double nan = std::nan("");
+  for (const auto& q : std::vector<std::vector<double>>{
+           {1e300, 15.0}, {-1e300, -1e300}, {15.0, 1e300}, {nan, 10.0},
+           {10.0, nan}, {nan, nan}, {1e300, nan}, {-1e300, 0.5}}) {
+    queries.push_back(q.data());
+  }
+  const double eps = 1.3;
+  const auto want = brute::join(queries, data, eps);
+  for (GridLayout layout : {GridLayout::kCellMajor, GridLayout::kLegacy}) {
+    PreparedJoin prepared(data, eps, gpu::DeviceSpec::titan_x_pascal(),
+                          layout);
+    const GpuJoinResult got = prepared.run(queries, {});
+    EXPECT_GT(got.total_pairs, 0u);
+    EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want.pairs));
   }
 }
 
