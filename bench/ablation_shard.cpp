@@ -1,26 +1,23 @@
 // Strong scaling of gpu_shard: 1/2/4/8 simulated devices on the uniform
 // Syn2D2M workload and a strongly skewed IPPP dataset (the case the
-// weighted chunklet plan + work stealing are built for), ablated over
-// schedule=static (the PR-5 one-slice-per-device plan) vs schedule=steal
-// (over-decomposed chunklets with work stealing).
+// weighted chunklet plan + work stealing are built for).
 //
 // One host core serialises the simulated devices, so the scaling metric
 // is the modelled multi-device MAKESPAN — common host phases plus the
 // slowest device's busy clock, measured under the virtual-time serial
-// drives so device timings do not contend for the core (the same
-// modelling stance as the PCIe transfer model; the true wall time is
-// reported alongside). Every configuration is cross-checked against the
-// single-device gpu backend's pair count — the byte-level parity lives in
-// tests/core/test_shard.cpp and test_chunklet.cpp.
+// drive (schedule=steal) so device timings do not contend for the core
+// (the same modelling stance as the PCIe transfer model; the true wall
+// time is reported alongside). Every configuration is cross-checked
+// against the single-device gpu backend's pair count — the byte-level
+// parity lives in tests/core/test_shard.cpp and test_chunklet.cpp.
 //
 // Output: the usual CSV under SJ_RESULTS_DIR plus BENCH_shard.json (path
 // overridable via SJ_BENCH_JSON) carrying two top-level metrics:
-// geomean_speedup_4shards_vs_1 (over the steal rows) and
-// efficiency_8shards_ippp (the skewed workload's 8-device efficiency
-// under stealing — the headline the chunklet scheduler exists for). With
-// SJ_SMOKE_CHECK=1 the process exits non-zero when the geomean 4-device
-// speedup falls below 1.44x or the IPPP 8-device efficiency falls below
-// 0.85 — the CI bench-smoke gates.
+// geomean_speedup_4shards_vs_1 and efficiency_8shards_ippp (the skewed
+// workload's 8-device efficiency — the headline the chunklet scheduler
+// exists for). With SJ_SMOKE_CHECK=1 the process exits non-zero when the
+// geomean 4-device speedup falls below 1.44x or the IPPP 8-device
+// efficiency falls below 0.85 — the CI bench-smoke gates.
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -40,7 +37,6 @@ struct Row {
   std::string workload;
   std::size_t n = 0;
   double eps = 0.0;
-  std::string schedule;  // "static" or "steal"
   int shards = 0;
   double wall_seconds = 0.0;
   double makespan_seconds = 0.0;
@@ -81,83 +77,72 @@ int main(int argc, char** argv) {
     }
 
     const auto& registry = api::BackendRegistry::instance();
-    TextTable t({"workload", "schedule", "shards", "makespan (s)",
-                 "wall (s)", "speedup", "efficiency", "stolen",
-                 "max shard (s)", "pairs"});
-    csv::Table out({"workload", "n", "eps", "schedule", "shards",
-                    "makespan_seconds", "wall_seconds", "speedup",
-                    "efficiency", "chunklets", "stolen",
-                    "max_shard_seconds", "pairs"});
+    TextTable t({"workload", "shards", "makespan (s)", "wall (s)",
+                 "speedup", "efficiency", "stolen", "max shard (s)",
+                 "pairs"});
+    csv::Table out({"workload", "n", "eps", "shards", "makespan_seconds",
+                    "wall_seconds", "speedup", "efficiency", "chunklets",
+                    "stolen", "max_shard_seconds", "pairs"});
     for (const auto& w : workloads) {
       const std::uint64_t want_pairs =
           registry.at("gpu").run(w.data, w.eps).pairs.size();
-      // Both schedules share the 1-device baseline (with one device the
-      // drives are identical: nothing to steal).
       double base_makespan = 0.0;
-      for (const std::string schedule : {"static", "steal"}) {
-        for (int shards : {1, 2, 4, 8}) {
-          if (shards == 1 && schedule == "steal") continue;
-          api::RunConfig config;
-          config.extra["shards"] = std::to_string(shards);
-          // Virtual-time drives: per-device busy timings free of
-          // host-core contention, which is what the makespan models.
-          config.extra["schedule"] = schedule;
-          const auto r = registry.at("gpu_shard").run(w.data, w.eps, config);
-          if (r.pairs.size() != want_pairs) {
-            std::cerr << "FATAL: gpu_shard(" << shards << "," << schedule
-                      << ") disagrees on " << w.name << ": got "
-                      << r.pairs.size() << " pairs, gpu " << want_pairs
-                      << "\n";
-            std::exit(1);
-          }
-          Row row;
-          row.workload = w.name;
-          row.n = w.data.size();
-          row.eps = w.eps;
-          row.schedule = schedule;
-          row.shards = shards;
-          row.wall_seconds = r.stats.seconds;
-          row.makespan_seconds = r.stats.native_value("makespan_seconds");
-          row.chunklets =
-              static_cast<std::uint64_t>(r.stats.native_value("chunklets"));
-          row.stolen = static_cast<std::uint64_t>(
-              r.stats.native_value("chunklets_stolen"));
-          row.pairs = r.pairs.size();
-          const auto devices =
-              static_cast<std::size_t>(r.stats.native_value("shards"));
-          for (std::size_t s = 0; s < devices; ++s) {
-            row.max_shard_seconds = std::max(
-                row.max_shard_seconds,
-                r.stats.native_value("shard" + std::to_string(s) +
-                                     "_seconds"));
-          }
-          if (shards == 1) base_makespan = row.makespan_seconds;
-          row.speedup = row.makespan_seconds > 0.0
-                            ? base_makespan / row.makespan_seconds
-                            : 0.0;
-          row.efficiency = row.speedup / shards;
-          t.add_row({row.workload, row.schedule, std::to_string(row.shards),
+      for (int shards : {1, 2, 4, 8}) {
+        api::RunConfig config;
+        config.extra["shards"] = std::to_string(shards);
+        // Virtual-time drive: per-device busy timings free of host-core
+        // contention, which is what the makespan models.
+        config.extra["schedule"] = "steal";
+        const auto r = registry.at("gpu_shard").run(w.data, w.eps, config);
+        if (r.pairs.size() != want_pairs) {
+          std::cerr << "FATAL: gpu_shard(" << shards << ") disagrees on "
+                    << w.name << ": got " << r.pairs.size() << " pairs, gpu "
+                    << want_pairs << "\n";
+          std::exit(1);
+        }
+        Row row;
+        row.workload = w.name;
+        row.n = w.data.size();
+        row.eps = w.eps;
+        row.shards = shards;
+        row.wall_seconds = r.stats.seconds;
+        row.makespan_seconds = r.stats.native_value("makespan_seconds");
+        row.chunklets =
+            static_cast<std::uint64_t>(r.stats.native_value("chunklets"));
+        row.stolen = static_cast<std::uint64_t>(
+            r.stats.native_value("chunklets_stolen"));
+        row.pairs = r.pairs.size();
+        const auto devices =
+            static_cast<std::size_t>(r.stats.native_value("shards"));
+        for (std::size_t s = 0; s < devices; ++s) {
+          row.max_shard_seconds = std::max(
+              row.max_shard_seconds,
+              r.stats.native_value("shard" + std::to_string(s) + "_seconds"));
+        }
+        if (shards == 1) base_makespan = row.makespan_seconds;
+        row.speedup = row.makespan_seconds > 0.0
+                          ? base_makespan / row.makespan_seconds
+                          : 0.0;
+        row.efficiency = row.speedup / shards;
+        t.add_row({row.workload, std::to_string(row.shards),
+                   csv::fmt(row.makespan_seconds), csv::fmt(row.wall_seconds),
+                   csv::fmt(row.speedup), csv::fmt(row.efficiency),
+                   std::to_string(row.stolen),
+                   csv::fmt(row.max_shard_seconds),
+                   std::to_string(row.pairs)});
+        out.add_row({row.workload, std::to_string(row.n), csv::fmt(row.eps),
+                     std::to_string(row.shards),
                      csv::fmt(row.makespan_seconds),
                      csv::fmt(row.wall_seconds), csv::fmt(row.speedup),
-                     csv::fmt(row.efficiency), std::to_string(row.stolen),
+                     csv::fmt(row.efficiency), std::to_string(row.chunklets),
+                     std::to_string(row.stolen),
                      csv::fmt(row.max_shard_seconds),
                      std::to_string(row.pairs)});
-          out.add_row({row.workload, std::to_string(row.n),
-                       csv::fmt(row.eps), row.schedule,
-                       std::to_string(row.shards),
-                       csv::fmt(row.makespan_seconds),
-                       csv::fmt(row.wall_seconds), csv::fmt(row.speedup),
-                       csv::fmt(row.efficiency),
-                       std::to_string(row.chunklets),
-                       std::to_string(row.stolen),
-                       csv::fmt(row.max_shard_seconds),
-                       std::to_string(row.pairs)});
-          rows.push_back(row);
-        }
+        rows.push_back(row);
       }
     }
-    std::cout << "\n== ablation: gpu_shard strong scaling, static plan vs "
-                 "work stealing (modelled multi-device makespan) ==\n";
+    std::cout << "\n== ablation: gpu_shard strong scaling with work "
+                 "stealing (modelled multi-device makespan) ==\n";
     t.print(std::cout);
     std::cout << "(every configuration returns the identical pair set; "
                  "asserted above and byte-exactly by "
@@ -167,23 +152,21 @@ int main(int argc, char** argv) {
   if (rc != 0) return rc;
 
   // --- BENCH_shard.json + the CI smoke gates: geomean 4-device speedup
-  // under stealing (below 1.44x = >10% off the 1.6x scale-out target)
-  // and the skewed workload's 8-device efficiency under stealing (below
-  // 0.85 the over-decomposition has regressed).
+  // (below 1.44x = >10% off the 1.6x scale-out target) and the skewed
+  // workload's 8-device efficiency (below 0.85 the over-decomposition has
+  // regressed).
   std::vector<double> speedups4;
   double efficiency8_ippp = 0.0;
   std::vector<std::string> row_json;
   for (const Row& r : rows) {
-    const bool steal_row = r.schedule == "steal" || r.shards == 1;
-    if (r.shards == 4 && steal_row) speedups4.push_back(r.speedup);
-    if (r.shards == 8 && steal_row && r.workload == "IPPP2D2M") {
+    if (r.shards == 4) speedups4.push_back(r.speedup);
+    if (r.shards == 8 && r.workload == "IPPP2D2M") {
       efficiency8_ippp = r.efficiency;
     }
     row_json.push_back(JsonRow()
                            .field("workload", r.workload)
                            .field("n", static_cast<std::uint64_t>(r.n))
                            .field("eps", r.eps)
-                           .field("schedule", r.schedule)
                            .field("shards", r.shards)
                            .field("makespan_seconds", r.makespan_seconds)
                            .field("wall_seconds", r.wall_seconds)

@@ -39,7 +39,7 @@ Measurement run_algo(const std::string& algo, const Dataset& d, double eps) {
     config.extra.emplace("use_float", "1");
   } else if (backend.name() == "gpu_bf") {
     // The paper's lower bound counts pairs without storing them.
-    config.extra.emplace("materialize", "0");
+    config.mode = ResultMode::kCountOnly;
   }
   const auto outcome = backend.run(d, eps, config);
   // BackendStats::seconds already follows each engine's paper measurement

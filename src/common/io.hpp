@@ -17,7 +17,7 @@ namespace sj::io {
 /// directory, is flushed to stable storage (fsync), then renamed over
 /// `path`. Readers never observe a torn or partially-written file — they
 /// see either the old content or the new, which is what lets loaders
-/// trust an exact-match cache key or a snapshot checksum. Creates parent
+/// trust a snapshot checksum. Creates parent
 /// directories; throws std::runtime_error on any failure (the temp file
 /// is removed).
 void atomic_write_file(const std::string& path, const void* bytes,

@@ -8,42 +8,6 @@
 
 namespace sj {
 
-std::vector<std::uint32_t> weighted_partition(
-    const std::vector<std::uint64_t>& weights, std::size_t parts) {
-  const std::size_t num_units = weights.size();
-  // max_end below underflows if a part cannot take its one guaranteed
-  // unit; every caller clamps parts into [1, num_units] first.
-  SJ_EXPECT(parts >= 1 && parts <= num_units,
-            "weighted_partition: parts must be clamped into [1, num_units]");
-  // Weights are per-cell candidate-pair counts and can sum past 64 bits
-  // in adversarial cases; accumulate in 128 bits.
-  unsigned __int128 total = 0;
-  for (const std::uint64_t w : weights) total += w;
-
-  std::vector<std::uint32_t> boundaries;
-  boundaries.reserve(parts + 1);
-  boundaries.push_back(0);
-  std::size_t pos = 0;
-  unsigned __int128 cum = 0;
-  for (std::size_t b = 0; b + 1 < parts; ++b) {
-    // Close part b where the cumulative weight reaches its equal share,
-    // taking at least one unit and leaving one for every later part.
-    const unsigned __int128 target =
-        total * static_cast<unsigned __int128>(b + 1) / parts;
-    const std::size_t max_end = num_units - (parts - 1 - b);
-    do {
-      cum += weights[pos];
-      ++pos;
-    } while (pos < max_end && cum < target);
-    boundaries.push_back(static_cast<std::uint32_t>(pos));
-  }
-  boundaries.push_back(static_cast<std::uint32_t>(num_units));
-  SJ_ENSURE(boundaries.size() == parts + 1 && boundaries.front() == 0 &&
-                boundaries.back() == num_units,
-            "weighted_partition: boundaries must cover every unit");
-  return boundaries;
-}
-
 std::vector<std::uint32_t> plan_batches(const std::uint64_t* offsets,
                                         std::uint32_t units,
                                         std::size_t min_batches,

@@ -30,14 +30,6 @@
 
 namespace sj {
 
-/// Place `parts` contiguous boundaries over `weights` so each part takes
-/// at least one entry and carries an approximately equal share of the
-/// total weight. Returns parts + 1 boundaries (boundaries[p] ..
-/// boundaries[p+1] is part p); `parts` must be in [1, weights.size()].
-/// The balance rule of the gpu_shard planner (per-device work balance).
-std::vector<std::uint32_t> weighted_partition(
-    const std::vector<std::uint64_t>& weights, std::size_t parts);
-
 /// Cut `units` emitting units into contiguous batches from their exact
 /// output offsets (`offsets`: the exclusive prefix sum of the per-unit
 /// pair counts, units + 1 entries). Yields at least min(min_batches,

@@ -316,18 +316,14 @@ class GpuShardBackend final : public api::Backend {
 
  private:
   static constexpr std::string_view kShardKeys =
-      "shards,schedule,chunklets,plan,plan_cache,num_streams,"
-      "unicomp,block_size,min_batches,max_buffer_pairs,layout,faults,"
-      "retries,backoff_ms";
+      "shards,schedule,chunklets,num_streams,unicomp,block_size,"
+      "min_batches,max_buffer_pairs,faults,retries,backoff_ms";
 
   static ShardedSelfJoinOptions parse_shard_options(
       const api::RunConfig& config) {
     ShardedSelfJoinOptions opt;
     opt.unicomp = config.flag("unicomp", false);
     opt.mode = config.mode;
-    // parse_layout rejects unknown values; the engine itself rejects
-    // layout=legacy with an error explaining why sharding needs cell.
-    opt.layout = parse_layout(config);
     apply_gpu_batch_knobs(config, opt);
     opt.shards = positive_int(config, "shards", opt.shards);
     const std::string schedule = config.text("schedule", "concurrent");
@@ -335,31 +331,14 @@ class GpuShardBackend final : public api::Backend {
       opt.schedule = ShardSchedule::kConcurrent;
     } else if (schedule == "steal") {
       opt.schedule = ShardSchedule::kSteal;
-    } else if (schedule == "static") {
-      opt.schedule = ShardSchedule::kStatic;
     } else {
       throw std::invalid_argument(
-          "option 'schedule' must be 'concurrent', 'steal', or 'static'");
+          "option 'schedule' must be 'concurrent' or 'steal'");
     }
     opt.chunklets = config.integer("chunklets", opt.chunklets);
     if (opt.chunklets < 0) {
       throw std::invalid_argument(
           "option 'chunklets' must be >= 0 (0 = auto: 12 per device)");
-    }
-    const std::string plan = config.text("plan", "proxy");
-    if (plan == "proxy") {
-      opt.plan = ShardPlanMode::kProxy;
-    } else if (plan == "measured") {
-      opt.plan = ShardPlanMode::kMeasured;
-    } else {
-      throw std::invalid_argument(
-          "option 'plan' must be 'proxy' or 'measured'");
-    }
-    opt.plan_cache = config.text("plan_cache", "");
-    if (opt.plan == ShardPlanMode::kMeasured && opt.plan_cache.empty()) {
-      throw std::invalid_argument(
-          "option 'plan=measured' needs 'plan_cache=<path>' (the per-cell "
-          "pair counts a prior run persisted)");
     }
     return opt;
   }
@@ -372,12 +351,9 @@ class GpuShardBackend final : public api::Backend {
     native["shards"] = static_cast<double>(shard.shards);
     native["schedule_concurrent"] =
         opt.schedule == ShardSchedule::kConcurrent ? 1.0 : 0.0;
-    native["schedule_static"] =
-        opt.schedule == ShardSchedule::kStatic ? 1.0 : 0.0;
     native["chunklets"] = static_cast<double>(shard.chunklets_total);
     native["chunklets_stolen"] =
         static_cast<double>(shard.chunklets_stolen);
-    native["plan_measured"] = shard.measured_plan ? 1.0 : 0.0;
     native["common_seconds"] = shard.common_seconds;
     native["makespan_seconds"] = shard.makespan_seconds;
     native["busy_sum_seconds"] = shard.busy_sum_seconds;
@@ -414,18 +390,14 @@ class GpuBruteForceBackend final : public api::Backend {
 
   api::JoinOutcome run(const Dataset& d, double eps,
                        const api::RunConfig& config) const override {
-    config.check_keys(name(), "block_size,materialize");
+    config.check_keys(name(), "block_size");
     reject_threads(name(), config);
     api::check_result_mode(name(), config, /*supports_sink=*/true);
-    // materialize=0 keeps the paper's count-only lower-bound measurement
-    // (no pair buffer in device memory); the count is still reported in
-    // native["num_pairs"]. mode=count takes that same bufferless kernel;
-    // histogram and sink reduce from the materialised pairs.
-    const bool materialize =
-        config.mode == ResultMode::kPairs
-            ? config.flag("materialize", true)
-            : config.mode != ResultMode::kCountOnly;
-    auto r = gpu_brute_force(d, eps, materialize,
+    // mode=count is the paper's lower-bound measurement: the bufferless
+    // kernel keeps no pair buffer in device memory, and the count is
+    // reported in native["num_pairs"]. Histogram and sink reduce from the
+    // materialised pairs.
+    auto r = gpu_brute_force(d, eps, config.mode != ResultMode::kCountOnly,
                              positive_int(config, "block_size", 256));
     api::JoinOutcome out;
     api::finalize_outcome(out, std::move(r.pairs), config, d.size());

@@ -171,10 +171,9 @@ class ChunkletScheduler {
   }
 
   /// Next chunklet for device slot `d`: its own deque's front while any
-  /// remains, else (when stealing is allowed) the most-loaded victim's
-  /// back. Returns false when the slot has no work to take.
-  bool pop(std::size_t d, bool allow_steal, std::uint32_t& chunklet,
-           bool& stolen) {
+  /// remains, else the most-loaded victim's back. Returns false when every
+  /// deque is empty.
+  bool pop(std::size_t d, std::uint32_t& chunklet, bool& stolen) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!queues_[d].empty()) {
       chunklet = queues_[d].front();
@@ -183,7 +182,6 @@ class ChunkletScheduler {
       stolen = false;
       return true;
     }
-    if (!allow_steal) return false;
     std::size_t victim = queues_.size();
     for (std::size_t v = 0; v < queues_.size(); ++v) {
       if (v == d || queues_[v].empty()) continue;
@@ -323,7 +321,7 @@ void run_chunklets(
         std::uint32_t c = 0;
         bool stolen = false;
         while (!abort.load(std::memory_order_relaxed) &&
-               sched.pop(s, /*allow_steal=*/true, c, stolen)) {
+               sched.pop(s, c, stolen)) {
           slots[s].busy_seconds += run_one(s, c, stolen);
         }
       });
@@ -332,26 +330,17 @@ void run_chunklets(
   } else {
     // Virtual-time drive: the device with the earliest clock is the one
     // that would go idle first in real time — it takes the next chunklet,
-    // stealing when its own deque is dry (schedule=steal) or retiring
-    // (schedule=static). Chunklets run alone on the host core, so their
-    // measured busy seconds are contention-free and the accumulated
-    // clocks model true K-device execution.
-    const bool allow_steal = schedule != ShardSchedule::kStatic;
-    std::vector<char> done(k, 0);
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) break;
-      std::size_t s = k;
-      for (std::size_t d = 0; d < k; ++d) {
-        if (done[d]) continue;
-        if (s == k || slots[d].busy_seconds < slots[s].busy_seconds) s = d;
+    // stealing when its own deque is dry. Chunklets run alone on the host
+    // core, so their measured busy seconds are contention-free and the
+    // accumulated clocks model true K-device execution.
+    std::uint32_t c = 0;
+    bool stolen = false;
+    while (k > 0 && !abort.load(std::memory_order_relaxed)) {
+      std::size_t s = 0;
+      for (std::size_t d = 1; d < k; ++d) {
+        if (slots[d].busy_seconds < slots[s].busy_seconds) s = d;
       }
-      if (s == k) break;
-      std::uint32_t c = 0;
-      bool stolen = false;
-      if (!sched.pop(s, allow_steal, c, stolen)) {
-        done[s] = 1;
-        continue;
-      }
+      if (!sched.pop(s, c, stolen)) break;
       slots[s].busy_seconds += run_one(s, c, stolen);
     }
   }
@@ -579,12 +568,11 @@ ChunkletPlan plan_units(const std::vector<std::uint64_t>& weights,
 /// The chunklet outputs merge in chunklet order into `result` (pairs,
 /// counts, histograms over `keys` entries, metrics and batch stats) and
 /// the per-device rows into result.shard, whose common_seconds the caller
-/// has set. Returns the per-chunklet records, pairs moved out.
+/// has set.
 template <typename Result, typename Job>
-std::vector<ChunkOutput> drive_chunklets(const ChunkletPlan& cplan,
-                                         const ShardedSelfJoinOptions& opt,
-                                         std::uint64_t keys, Result& result,
-                                         const Job& job) {
+void drive_chunklets(const ChunkletPlan& cplan,
+                     const ShardedSelfJoinOptions& opt, std::uint64_t keys,
+                     Result& result, const Job& job) {
   const std::size_t k = cplan.devices();
   const std::size_t m = cplan.chunklets();
   result.shard.shards = k;
@@ -638,54 +626,6 @@ std::vector<ChunkOutput> drive_chunklets(const ChunkletPlan& cplan,
     result.histogram.assign(keys, 0);
   }
   result.stats.metrics.kernel_seconds = result.stats.batch.kernel_seconds;
-  return outs;
-}
-
-/// Measured per-cell weights for the next run's plan=measured: exact
-/// per-point neighbour counts when the mode materialised them (pairs /
-/// histogram), per-chunklet pair totals spread by the planning weights in
-/// count-only mode.
-std::vector<std::uint64_t> measured_cell_weights(
-    const GridDeviceView& hv, const ChunkletPlan& cplan,
-    const std::vector<std::uint64_t>& cell_weights,
-    const std::vector<ChunkOutput>& outs, const ResultSet& pairs,
-    const std::vector<std::uint32_t>& histogram, ResultMode mode) {
-  const std::size_t cells = static_cast<std::size_t>(hv.b_size);
-  std::vector<std::uint64_t> measured(cells, 0);
-  std::vector<std::uint32_t> counts;
-  if (mode == ResultMode::kHistogram) {
-    counts = histogram;
-  } else if (mode == ResultMode::kPairs) {
-    counts = pairs.counts_per_key(static_cast<std::size_t>(hv.n));
-  }
-  if (!counts.empty()) {
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      std::uint64_t w = 0;
-      for (std::uint32_t k = hv.G[cell].min; k <= hv.G[cell].max; ++k) {
-        w += counts[hv.orig[k]];
-      }
-      measured[cell] = w;
-    }
-    return measured;
-  }
-  // Count-only: the run measured per-CHUNKLET totals; spread each over
-  // its cells proportionally to the planning weights (even split when a
-  // chunklet's planned weight is zero).
-  for (std::size_t c = 0; c < cplan.chunklets(); ++c) {
-    const std::uint64_t total = outs[c].out.total_pairs;
-    const std::uint32_t u0 = cplan.bounds[c];
-    const std::uint32_t u1 = cplan.bounds[c + 1];
-    for (std::uint32_t u = u0; u < u1; ++u) {
-      if (cplan.weights[c] > 0) {
-        measured[u] = static_cast<std::uint64_t>(
-            static_cast<unsigned __int128>(total) * cell_weights[u] /
-            cplan.weights[c]);
-      } else {
-        measured[u] = total / (u1 - u0);
-      }
-    }
-  }
-  return measured;
 }
 
 }  // namespace
@@ -720,29 +660,17 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   const HostStage stage(d, index);
   st.upload_seconds = phase.seconds();
   const GridDeviceView& hv = stage.view;
-  // Chunklet weights: the cheap population-window proxy by default (the
-  // exact adjacency weights would cost a global enumeration — the very
-  // pass each device resolves for ITS OWN cells below, in parallel);
-  // plan=measured re-plans from the per-cell pair counts a prior run
-  // persisted via plan_cache, falling back to the proxy on a miss.
-  const PlanCacheKey cache_key{static_cast<std::uint64_t>(d.size()), d.dim(),
-                               eps, static_cast<std::uint64_t>(hv.b_size)};
-  std::vector<std::uint64_t> cell_weights;
-  if (opt_.plan == ShardPlanMode::kMeasured && !opt_.plan_cache.empty()) {
-    cell_weights = load_plan_cache(opt_.plan_cache, cache_key);
-    result.shard.measured_plan = !cell_weights.empty();
-  }
-  if (cell_weights.empty()) cell_weights = proxy_cell_weights(hv);
-
-  const ChunkletPlan cplan =
-      plan_units(cell_weights, opt_, "ShardedGpuSelfJoin(plan)");
+  // Chunklet weights: the cheap population-window proxy (the exact
+  // adjacency weights would cost a global enumeration — the very pass each
+  // device resolves for ITS OWN cells below, in parallel).
+  const ChunkletPlan cplan = plan_units(proxy_cell_weights(hv), opt_,
+                                        "ShardedGpuSelfJoin(plan)");
   result.shard.common_seconds = total.seconds();
 
   // --- Per-device execution: each chunklet resolves its own cells'
   // adjacency, stages its owned span + halo, and runs the grouped pipeline.
   phase.reset();
-  const std::vector<ChunkOutput> outs =
-      drive_chunklets(cplan, opt_, d.size(), result,
+  drive_chunklets(cplan, opt_, d.size(), result,
   [&](DeviceCtx& ctx, std::uint32_t c, const ResultRequest& req,
       ChunkOutput& out, AtomicWork& work) {
     const GroupAdjacencyHost adj = build_group_adjacency(
@@ -759,16 +687,6 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
                  req, out, work);
   });
   st.join_seconds = phase.seconds();
-
-  // Feed the measured per-cell pair counts forward for the next run's
-  // plan=measured (written in every plan mode — a proxy-planned run is
-  // exactly how the first measured plan gets seeded).
-  if (!opt_.plan_cache.empty()) {
-    save_plan_cache(opt_.plan_cache, cache_key,
-                    measured_cell_weights(hv, cplan, cell_weights, outs,
-                                          result.pairs, result.histogram,
-                                          opt_.mode));
-  }
 
   collect_gpu_stats(hv, opt_, st);
   st.total_seconds = total.seconds();
@@ -806,8 +724,8 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   st.query_groups = adj.num_groups();
   st.adjacency_seconds = adj.build_seconds;
 
-  // The sharded units are the query GROUPS; their adjacency weights are
-  // already exact, so the join facet needs no measured plan.
+  // The sharded units are the query GROUPS, planned by their exact
+  // adjacency weights.
   const ChunkletPlan cplan =
       plan_units(adj.weights, opt, "sharded_join(plan)");
   result.shard.common_seconds = total.seconds();

@@ -47,11 +47,10 @@
 // on the host core and its busy seconds advance its device's clock; the
 // device with the earliest clock (i.e. the first to go idle) takes the
 // next chunklet, stealing when its own deque is dry — giving clean
-// deterministic makespans (what the ablation uses). schedule=static is
-// the same drive with stealing off (the PR-5 plan, the ablation's
-// baseline column). schedule=concurrent (the default) overlaps the
-// devices on real host threads with real-idleness stealing, which is
-// also what the ThreadSanitizer job exercises.
+// deterministic makespans (what the ablation uses). schedule=concurrent
+// (the default) overlaps the devices on real host threads with
+// real-idleness stealing, which is also what the ThreadSanitizer job
+// exercises.
 #pragma once
 
 #include <cstdint>
@@ -62,19 +61,11 @@
 
 namespace sj {
 
-/// How the K device pipelines are driven on the host.
+/// How the K device pipelines are driven on the host. Both steal.
 enum class ShardSchedule {
   kConcurrent,  ///< one host thread per device, real-idleness stealing
-  kSteal,       ///< virtual-time serial drive WITH stealing
-                ///< (schedule=steal) — clean makespans
-  kStatic       ///< virtual-time serial drive, stealing OFF (the PR-5
-                ///< static plan, the ablation baseline)
-};
-
-/// Where the chunklet weights come from.
-enum class ShardPlanMode {
-  kProxy,    ///< population-window proxy (cheap boundary pass, default)
-  kMeasured  ///< per-cell pair counts from a prior run via plan_cache=
+  kSteal        ///< virtual-time serial drive (schedule=steal) — clean
+                ///< makespans
 };
 
 struct ShardedSelfJoinOptions : GpuSelfJoinOptions {
@@ -86,12 +77,6 @@ struct ShardedSelfJoinOptions : GpuSelfJoinOptions {
   /// the stealing scheduler); 0 = kChunkletsPerDevice * shards. Clamped
   /// into [devices, non-empty cells].
   int chunklets = 0;
-  /// Chunklet weight source; kMeasured falls back to the proxy when
-  /// plan_cache is unset, missing, or keyed to a different join.
-  ShardPlanMode plan = ShardPlanMode::kProxy;
-  /// Path persisting per-cell pair counts across runs (plan=measured
-  /// reads it; every sharded self-join run writes it when set).
-  std::string plan_cache;
 };
 
 /// Per-device execution record — the balance data sjtool --stats prints.
@@ -120,16 +105,13 @@ struct ShardedRunStats {
   std::size_t shards = 0;  ///< effective device count after clamping
   std::size_t chunklets_total = 0;   ///< over-decomposition degree M
   std::size_t chunklets_stolen = 0;  ///< chunklets run off a foreign deque
-  /// True when plan=measured actually used cached per-cell counts (false
-  /// on a cache miss, which falls back to the proxy weights).
-  bool measured_plan = false;
   /// Unsharded host work: index build, cell-major staging and chunklet
   /// planning.
   double common_seconds = 0.0;
   /// Modelled K-device response time: common_seconds + the busiest
-  /// device's clock. Meaningful under the virtual-time serial drives
-  /// (schedule=steal/static), where chunklet busy times do not contend
-  /// for the host core.
+  /// device's clock. Meaningful under the virtual-time serial drive
+  /// (schedule=steal), where chunklet busy times do not contend for the
+  /// host core.
   double makespan_seconds = 0.0;
   double busy_sum_seconds = 0.0;  ///< total device busy time
   /// Device slots whose physical device died (fault::DeviceLost) and that

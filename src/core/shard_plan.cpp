@@ -1,15 +1,11 @@
 #include "core/shard_plan.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "common/contracts.hpp"
-#include "common/io.hpp"
-#include "core/batcher.hpp"
 
 namespace sj {
 
@@ -46,6 +42,42 @@ std::vector<std::uint64_t> proxy_cell_weights(const GridDeviceView& grid) {
         w, std::numeric_limits<std::uint64_t>::max()));
   }
   return weights;
+}
+
+std::vector<std::uint32_t> weighted_partition(
+    const std::vector<std::uint64_t>& weights, std::size_t parts) {
+  const std::size_t num_units = weights.size();
+  // max_end below underflows if a part cannot take its one guaranteed
+  // unit; every caller clamps parts into [1, num_units] first.
+  SJ_EXPECT(parts >= 1 && parts <= num_units,
+            "weighted_partition: parts must be clamped into [1, num_units]");
+  // Weights are per-cell candidate-pair counts and can sum past 64 bits
+  // in adversarial cases; accumulate in 128 bits.
+  unsigned __int128 total = 0;
+  for (const std::uint64_t w : weights) total += w;
+
+  std::vector<std::uint32_t> boundaries;
+  boundaries.reserve(parts + 1);
+  boundaries.push_back(0);
+  std::size_t pos = 0;
+  unsigned __int128 cum = 0;
+  for (std::size_t b = 0; b + 1 < parts; ++b) {
+    // Close part b where the cumulative weight reaches its equal share,
+    // taking at least one unit and leaving one for every later part.
+    const unsigned __int128 target =
+        total * static_cast<unsigned __int128>(b + 1) / parts;
+    const std::size_t max_end = num_units - (parts - 1 - b);
+    do {
+      cum += weights[pos];
+      ++pos;
+    } while (pos < max_end && cum < target);
+    boundaries.push_back(static_cast<std::uint32_t>(pos));
+  }
+  boundaries.push_back(static_cast<std::uint32_t>(num_units));
+  SJ_ENSURE(boundaries.size() == parts + 1 && boundaries.front() == 0 &&
+                boundaries.back() == num_units,
+            "weighted_partition: boundaries must cover every unit");
+  return boundaries;
 }
 
 std::vector<std::uint32_t> plan_shard_boundaries(
@@ -118,55 +150,6 @@ ChunkletPlan plan_chunklets(const std::vector<std::uint64_t>& unit_weights,
   plan.device_bounds =
       plan_shard_boundaries(plan.weights, std::min(k, m_eff));
   return plan;
-}
-
-namespace {
-constexpr char kPlanCacheMagic[] = "sjplancache";
-constexpr int kPlanCacheVersion = 1;
-}  // namespace
-
-std::vector<std::uint64_t> load_plan_cache(const std::string& path,
-                                           const PlanCacheKey& key) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string magic;
-  int version = 0;
-  std::uint64_t n = 0;
-  int dim = 0;
-  double eps = 0.0;
-  std::uint64_t num_cells = 0;
-  in >> magic >> version >> n >> dim >> eps >> num_cells;
-  if (!in || magic != kPlanCacheMagic || version != kPlanCacheVersion ||
-      n != key.n || dim != key.dim || eps != key.eps ||
-      num_cells != key.num_cells) {
-    return {};
-  }
-  std::vector<std::uint64_t> weights(num_cells, 0);
-  for (std::uint64_t c = 0; c < num_cells; ++c) in >> weights[c];
-  if (!in) return {};
-  return weights;
-}
-
-void save_plan_cache(const std::string& path, const PlanCacheKey& key,
-                     const std::vector<std::uint64_t>& weights) {
-  SJ_EXPECT(weights.size() == key.num_cells,
-            "plan cache must carry one weight per non-empty cell");
-  std::ostringstream body;
-  body.precision(17);
-  body << kPlanCacheMagic << ' ' << kPlanCacheVersion << ' ' << key.n << ' '
-       << key.dim << ' ' << key.eps << ' ' << key.num_cells << '\n';
-  for (std::size_t c = 0; c < weights.size(); ++c) {
-    body << weights[c] << (c + 1 == weights.size() ? '\n' : ' ');
-  }
-  // Atomic publish (temp + fsync + rename): load_plan_cache trusts an
-  // exact-match key, so an interrupted plain write could leave a torn
-  // file whose intact header vouches for garbage weights.
-  try {
-    io::atomic_write_file(path, body.str());
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error("plan_cache: cannot write '" + path +
-                             "': " + e.what());
-  }
 }
 
 ShardSlice make_shard_slice(const std::vector<CandidateRange>& ranges,

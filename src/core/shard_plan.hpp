@@ -3,8 +3,8 @@
 // The cell-major layout makes multi-device partitioning natural: a shard
 // is a CONTIGUOUS range of non-empty cells (self-join) or query groups
 // (query/data join), so its owned point slots are one contiguous span.
-// Boundaries are placed with the weighted_partition balance rule, so
-// skewed IPPP-style data does not serialise on one device.
+// Boundaries are placed by weighted_partition, so skewed IPPP-style data
+// does not serialise on one device.
 //
 // Each shard additionally needs the NEIGHBOUR data its kernels read — the
 // one-cell halo. Rather than reasoning geometrically, the halo is derived
@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -77,9 +76,18 @@ struct ShardSlice {
 /// global enumeration, or it becomes the scale-out serial tail.
 std::vector<std::uint64_t> proxy_cell_weights(const GridDeviceView& grid);
 
+/// Place `parts` contiguous boundaries over `weights` so each part takes
+/// at least one entry and carries an approximately equal share of the
+/// total weight: part b closes where the cumulative weight first reaches
+/// (b + 1) / parts of the total. Returns parts + 1 boundaries
+/// (boundaries[p] .. boundaries[p+1] is part p); `parts` must be in
+/// [1, weights.size()]. The balance rule behind every shard and chunklet
+/// boundary below.
+std::vector<std::uint32_t> weighted_partition(
+    const std::vector<std::uint64_t>& weights, std::size_t parts);
+
 /// Partition units 0..weights.size() into `shards` contiguous ranges of
-/// approximately equal total weight (the weighted_partition balance
-/// rule).
+/// approximately equal total weight (weighted_partition).
 /// The shard count is clamped into [1, weights.size()] — fewer units than
 /// requested devices means some devices stay idle. Zero-weight parts (one
 /// giant unit next to zero-weight tails forces weighted_partition's
@@ -117,28 +125,6 @@ inline constexpr std::size_t kChunkletsPerDevice = 12;
 /// come back smaller than requested on degenerate weight profiles.
 ChunkletPlan plan_chunklets(const std::vector<std::uint64_t>& unit_weights,
                             std::size_t devices, std::size_t chunklets = 0);
-
-/// Measured-plan persistence (plan=measured + plan_cache=): per-cell pair
-/// counts fed back from a prior run, keyed to the exact join geometry so
-/// a stale cache can never skew a different dataset's plan.
-struct PlanCacheKey {
-  std::uint64_t n = 0;          ///< dataset size
-  int dim = 0;                  ///< dimensionality
-  double eps = 0.0;             ///< join radius
-  std::uint64_t num_cells = 0;  ///< non-empty grid cells
-};
-
-/// Read the cached per-cell weights; returns an empty vector when the
-/// file is absent, malformed, or keyed to a different join (the caller
-/// falls back to the proxy weights).
-std::vector<std::uint64_t> load_plan_cache(const std::string& path,
-                                           const PlanCacheKey& key);
-
-/// Persist per-cell weights for the next run's plan=measured. Throws
-/// std::runtime_error when the path cannot be written (a silently dropped
-/// cache would make the follow-up run's plan source ambiguous).
-void save_plan_cache(const std::string& path, const PlanCacheKey& key,
-                     const std::vector<std::uint64_t>& weights);
 
 /// Slice the global adjacency CSR for owned units [unit_begin, unit_end):
 /// clip every candidate range against the owned global slot span

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "common/datagen.hpp"
@@ -151,16 +154,28 @@ TEST(RunConfig, UnknownExtraKeySurfacesFromBackends) {
                  std::invalid_argument)
         << name;
   }
-  // The knobs of the retired sampled estimator, host assembly stage and
-  // AoS scan are unknown keys too, not silently accepted.
-  for (const char* name : {"gpu_unicomp", "gpu_shard"}) {
-    for (const char* removed :
-         {"assembly_threads", "sample_rate", "safety", "soa"}) {
+  // Retired knobs are unknown keys too, not silently accepted: those of
+  // the sampled estimator, host assembly stage and AoS scan, gpu_shard's
+  // measured plan and its one-value layout, and gpu_bf's second spelling
+  // of --mode count.
+  const std::map<std::string, std::vector<std::string>> retired = {
+      {"gpu_unicomp", {"assembly_threads", "sample_rate", "safety", "soa"}},
+      {"gpu_shard",
+       {"assembly_threads", "sample_rate", "safety", "soa", "plan",
+        "plan_cache", "layout"}},
+      {"gpu_bf", {"materialize"}},
+  };
+  for (const auto& [name, keys] : retired) {
+    for (const std::string& removed : keys) {
       RunConfig stale;
       stale.extra.emplace(removed, "1");
-      EXPECT_THROW(BackendRegistry::instance().at(name).run(d, 1.0, stale),
-                   std::invalid_argument)
-          << name << " accepted " << removed;
+      try {
+        BackendRegistry::instance().at(name).run(d, 1.0, stale);
+        ADD_FAILURE() << name << " accepted " << removed;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("(known: "), std::string::npos)
+            << name << ": " << e.what();
+      }
     }
   }
 }

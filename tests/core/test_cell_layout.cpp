@@ -15,6 +15,7 @@
 #include "core/grid_index.hpp"
 #include "core/kernels.hpp"
 #include "core/self_join.hpp"
+#include "core/shard_plan.hpp"
 #include "gpusim/arena.hpp"
 
 namespace sj {

@@ -8,13 +8,13 @@
 //   * the ownership rule — each cell (query group) is owned by exactly
 //     one shard, so shard outputs are disjoint and concatenate with no
 //     dedup pass.
-// End-to-end, gpu_shard must produce BYTE-IDENTICAL normalized pair sets
-// to the single-device gpu backend for every shard count, including
-// shard-boundary-straddling eps, overflow-stressed runs (run-twice
-// determinism), a single giant cell, and the empty/eps=0/duplicate
-// battery. Suites are named Shard* so the ThreadSanitizer CI job's
-// filter picks them up (the concurrent schedule exercises K overlapped
-// pipelines).
+// End-to-end, gpu_shard must produce BYTE-IDENTICAL raw output to the
+// single-device engine with the same unicomp setting (gpu or
+// gpu_unicomp) for every shard count, including shard-boundary-straddling
+// eps, small-buffer runs (run-twice determinism), a single giant cell,
+// and the empty/eps=0/duplicate battery. Suites are named Shard* so the
+// ThreadSanitizer CI job's filter picks them up (the concurrent schedule
+// exercises K overlapped pipelines).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 
 #include "api/registry.hpp"
 #include "common/datagen.hpp"
-#include "common/fault.hpp"
 #include "core/self_join.hpp"
 #include "core/shard_engine.hpp"
 #include "core/shard_plan.hpp"
@@ -127,10 +126,13 @@ TEST(ShardPlan, SliceWithEmptyOwnedSpanIsAllHalo) {
 
 // --------------------------------------------------- end-to-end parity
 
-ResultSet run_gpu(const Dataset& d, double eps) {
-  auto pairs = api::BackendRegistry::instance().at("gpu").run(d, eps).pairs;
-  pairs.normalize();
-  return pairs;
+/// Raw output of the single-device engine with the given unicomp
+/// setting: gpu_shard's reference bytes.
+ResultSet run_gpu(const Dataset& d, double eps, bool unicomp = false) {
+  return api::BackendRegistry::instance()
+      .at(unicomp ? "gpu_unicomp" : "gpu")
+      .run(d, eps)
+      .pairs;
 }
 
 ResultSet run_shard(const Dataset& d, double eps, int shards,
@@ -142,13 +144,10 @@ ResultSet run_shard(const Dataset& d, double eps, int shards,
   opt.schedule = schedule;
   opt.unicomp = unicomp;
   opt.max_buffer_pairs = max_buffer_pairs;
-  auto r = ShardedGpuSelfJoin(opt).run(d, eps);
-  r.pairs.normalize();
-  return r.pairs;
+  return ShardedGpuSelfJoin(opt).run(d, eps).pairs;
 }
 
-/// Byte-identical normalized pair sets (stronger than set equality: the
-/// exact vectors must match).
+/// Byte-identical raw outputs: the same pairs in the same order.
 void expect_identical(const ResultSet& got, const ResultSet& want,
                       const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
@@ -173,7 +172,7 @@ TEST_P(ShardParity, MatchesGpuOnClusteredSkew) {
 
 TEST_P(ShardParity, MatchesGpuUnicompAndHigherDims) {
   const auto d = datagen::uniform(400, 3, 0.0, 8.0, 913);
-  const auto want = run_gpu(d, 0.9);
+  const auto want = run_gpu(d, 0.9, /*unicomp=*/true);
   expect_identical(run_shard(d, 0.9, GetParam(), ShardSchedule::kConcurrent,
                              /*unicomp=*/true),
                    want, "unicomp shards=" + std::to_string(GetParam()));
@@ -199,13 +198,11 @@ TEST_P(ShardParity, JoinMatchesGpuBackend) {
   const auto q = datagen::ippp(500, 2, 8.0, 919);
   const auto data = datagen::uniform(800, 2, 0.0, 8.0, 921);
   const auto& registry = api::BackendRegistry::instance();
-  auto want = registry.at("gpu").join(q, data, 0.35).pairs;
-  want.normalize();
+  const auto want = registry.at("gpu").join(q, data, 0.35).pairs;
 
   api::RunConfig config;
   config.extra["shards"] = std::to_string(GetParam());
-  auto got = registry.at("gpu_shard").join(q, data, 0.35, config).pairs;
-  got.normalize();
+  const auto got = registry.at("gpu_shard").join(q, data, 0.35, config).pairs;
   expect_identical(got, want, "join shards=" + std::to_string(GetParam()));
 }
 
@@ -221,9 +218,8 @@ TEST(ShardEngine, SingleGiantCellSplitsInsideOneShard) {
   const auto want = run_gpu(d, 1.0);
   ShardedSelfJoinOptions opt;
   opt.shards = 4;
-  auto r = ShardedGpuSelfJoin(opt).run(d, 1.0);
+  const auto r = ShardedGpuSelfJoin(opt).run(d, 1.0);
   EXPECT_EQ(r.shard.shards, 1u);  // clamped to the non-empty cell count
-  r.pairs.normalize();
   expect_identical(r.pairs, want, "giant cell");
 }
 
@@ -269,18 +265,11 @@ TEST(ShardEngine, SerialAndConcurrentSchedulesAgreeByteExactly) {
   ShardedSelfJoinOptions opt;
   opt.shards = 4;
   opt.schedule = ShardSchedule::kSteal;
-  auto serial = ShardedGpuSelfJoin(opt).run(d, 0.5);
+  const auto serial = ShardedGpuSelfJoin(opt).run(d, 0.5);
   opt.schedule = ShardSchedule::kConcurrent;
-  auto conc = ShardedGpuSelfJoin(opt).run(d, 0.5);
+  const auto conc = ShardedGpuSelfJoin(opt).run(d, 0.5);
   // RAW outputs (no normalization): the shard-order merge must be
-  // schedule-independent. Under the ambient SJ_FAULTS sweep the
-  // injector's draw counters advance across the two runs, so OOM splits
-  // land differently and the raw batch order legitimately differs —
-  // only the content contract applies then.
-  if (fault::enabled()) {
-    serial.pairs.normalize();
-    conc.pairs.normalize();
-  }
+  // schedule-independent.
   EXPECT_TRUE(serial.pairs.pairs() == conc.pairs.pairs());
 }
 
@@ -288,6 +277,10 @@ TEST(ShardEngine, BalanceAndHaloStatsAreReported) {
   const auto d = datagen::ippp(2000, 2, 16.0, 947);
   ShardedSelfJoinOptions opt;
   opt.shards = 4;
+  // One chunklet per device: nothing to steal, so each device runs
+  // exactly the weighted partition's share (stealing would make the
+  // per-device weights follow chunklet timings).
+  opt.chunklets = opt.shards;
   opt.schedule = ShardSchedule::kSteal;
   const auto r = ShardedGpuSelfJoin(opt).run(d, 0.4);
   ASSERT_EQ(r.shard.shards, 4u);
@@ -377,11 +370,14 @@ TEST(ShardOptions, ShardKnobsSelectScheduleAndCount) {
   EXPECT_GT(r.stats.native_value("makespan_seconds"), 0.0);
   EXPECT_GT(r.stats.native_value("shard2_pairs"), 0.0);
 
-  // One spelling per knob: the retired "serial" schedule and "streams"
-  // key are rejected.
-  api::RunConfig serial;
-  serial.extra["schedule"] = "serial";
-  EXPECT_THROW(backend.run(d, 1.0, serial), std::invalid_argument);
+  // One spelling per knob: the retired "serial" and "static" schedules
+  // and the "streams" key are rejected.
+  for (const char* retired : {"serial", "static"}) {
+    api::RunConfig schedule;
+    schedule.extra["schedule"] = retired;
+    EXPECT_THROW(backend.run(d, 1.0, schedule), std::invalid_argument)
+        << retired;
+  }
   api::RunConfig streams;
   streams.extra["streams"] = "2";
   EXPECT_THROW(backend.run(d, 1.0, streams), std::invalid_argument);

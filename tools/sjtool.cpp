@@ -285,7 +285,6 @@ void print_shard_balance(const sj::api::BackendStats& stats) {
   }
   const char* schedule =
       stats.native_value("schedule_concurrent") != 0.0 ? "concurrent"
-      : stats.native_value("schedule_static") != 0.0   ? "static"
                                                        : "steal";
   std::cout << "shard balance (" << shards << " devices, "
             << stats.native_value("chunklets") << " chunklets, " << schedule
