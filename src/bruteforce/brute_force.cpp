@@ -70,6 +70,39 @@ BruteKnnResult knn_scan(const Dataset& queries, const Dataset& data, int k,
   return result;
 }
 
+/// Rows one task of the threaded pair scans resolves.
+constexpr std::size_t kRowsPerChunk = 64;
+
+/// Run `row(i, out, calcs)` for every row i in [0, rows) over `threads`
+/// OpenMP threads: the row appends its pairs to `out` and counts its
+/// distance calculations in `calcs`. Fixed chunks of kRowsPerChunk rows
+/// each fill their own buffer, and the buffers concatenate in chunk
+/// order, so the pairs are the one-thread output byte for byte for any
+/// thread count.
+template <typename Row>
+void scan_rows(std::size_t rows, [[maybe_unused]] int threads,
+               BruteResult& result, Row&& row) {
+  const std::size_t chunks = (rows + kRowsPerChunk - 1) / kRowsPerChunk;
+  std::vector<std::vector<Pair>> outs(chunks);
+  std::vector<std::uint64_t> calcs(chunks, 0);
+#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
+  for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
+    const auto uc = static_cast<std::size_t>(c);
+    const std::size_t end = std::min(rows, (uc + 1) * kRowsPerChunk);
+    std::uint64_t cc = 0;
+    for (std::size_t i = uc * kRowsPerChunk; i < end; ++i) {
+      row(i, outs[uc], cc);
+    }
+    calcs[uc] = cc;
+  }
+  std::size_t total = 0;
+  for (const auto& o : outs) total += o.size();
+  auto& pairs = result.pairs.pairs();
+  pairs.reserve(total);
+  for (const auto& o : outs) pairs.insert(pairs.end(), o.begin(), o.end());
+  for (std::uint64_t c : calcs) result.stats.distance_calcs += c;
+}
+
 }  // namespace
 
 BruteResult self_join(const Dataset& d, double eps, int threads) {
@@ -79,36 +112,22 @@ BruteResult self_join(const Dataset& d, double eps, int threads) {
   const std::size_t n = d.size();
   const int dim = d.dim();
   const double eps2 = eps * eps;
-  const int nt = threads > 0 ? threads : std::max(1, omp_get_max_threads());
 
   // Upper-triangle sweep; both ordered pairs are emitted per find so the
   // output convention matches the other algorithms.
-  std::vector<std::vector<Pair>> locals(static_cast<std::size_t>(nt));
-  std::vector<std::uint64_t> calcs(static_cast<std::size_t>(nt), 0);
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    auto& out = locals[static_cast<std::size_t>(omp_get_thread_num())];
-    auto& cc = calcs[static_cast<std::size_t>(omp_get_thread_num())];
-    const auto ui = static_cast<std::uint32_t>(i);
-    out.push_back({ui, ui});  // self pair
-    for (std::size_t k = static_cast<std::size_t>(i) + 1; k < n; ++k) {
-      ++cc;
-      if (sq_dist_early_exit(d.pt(static_cast<std::size_t>(i)), d.pt(k), dim,
-                             eps2) <= eps2) {
-        const auto uk = static_cast<std::uint32_t>(k);
-        out.push_back({ui, uk});
-        out.push_back({uk, ui});
-      }
-    }
-  }
-  std::size_t total = 0;
-  for (const auto& l : locals) total += l.size();
-  result.pairs.pairs().reserve(total);
-  for (auto& l : locals) {
-    auto& out = result.pairs.pairs();
-    out.insert(out.end(), l.begin(), l.end());
-  }
-  for (std::uint64_t c : calcs) result.stats.distance_calcs += c;
+  scan_rows(n, resolve_threads(threads), result,
+            [&](std::size_t i, std::vector<Pair>& out, std::uint64_t& cc) {
+              const auto ui = static_cast<std::uint32_t>(i);
+              out.push_back({ui, ui});  // self pair
+              for (std::size_t k = i + 1; k < n; ++k) {
+                ++cc;
+                if (sq_dist_early_exit(d.pt(i), d.pt(k), dim, eps2) <= eps2) {
+                  const auto uk = static_cast<std::uint32_t>(k);
+                  out.push_back({ui, uk});
+                  out.push_back({uk, ui});
+                }
+              }
+            });
   result.stats.seconds = t.seconds();
   return result;
 }
@@ -121,31 +140,18 @@ BruteResult join(const Dataset& queries, const Dataset& data, double eps,
   BruteResult result;
   Timer t;
   const double eps2 = eps * eps;
-  const int nt = resolve_threads(threads);
-  std::vector<std::vector<Pair>> locals(static_cast<std::size_t>(nt));
-  std::vector<std::uint64_t> calcs(static_cast<std::size_t>(nt), 0);
-#pragma omp parallel for schedule(dynamic, 64) num_threads(nt)
-  for (std::int64_t q = 0; q < static_cast<std::int64_t>(queries.size());
-       ++q) {
-    auto& out = locals[static_cast<std::size_t>(omp_get_thread_num())];
-    auto& cc = calcs[static_cast<std::size_t>(omp_get_thread_num())];
-    const double* qt = queries.pt(static_cast<std::size_t>(q));
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      ++cc;
-      if (sq_dist_early_exit(qt, data.pt(i), data.dim(), eps2) <= eps2) {
-        out.push_back({static_cast<std::uint32_t>(q),
-                       static_cast<std::uint32_t>(i)});
-      }
-    }
-  }
-  std::size_t total = 0;
-  for (const auto& l : locals) total += l.size();
-  result.pairs.pairs().reserve(total);
-  for (auto& l : locals) {
-    auto& out = result.pairs.pairs();
-    out.insert(out.end(), l.begin(), l.end());
-  }
-  for (std::uint64_t c : calcs) result.stats.distance_calcs += c;
+  scan_rows(queries.size(), resolve_threads(threads), result,
+            [&](std::size_t q, std::vector<Pair>& out, std::uint64_t& cc) {
+              const double* qt = queries.pt(q);
+              for (std::size_t i = 0; i < data.size(); ++i) {
+                ++cc;
+                if (sq_dist_early_exit(qt, data.pt(i), data.dim(), eps2) <=
+                    eps2) {
+                  out.push_back({static_cast<std::uint32_t>(q),
+                                 static_cast<std::uint32_t>(i)});
+                }
+              }
+            });
   result.stats.seconds = t.seconds();
   return result;
 }

@@ -29,11 +29,13 @@ struct BruteKnnResult {
 };
 
 /// Exact self-join by exhaustive comparison. `threads` = 0 uses all
-/// hardware threads; 1 gives the serial reference.
+/// hardware threads; 1 gives the serial reference. The pairs come out in
+/// the same order for every thread count.
 BruteResult self_join(const Dataset& d, double eps, int threads = 1);
 
 /// Exact query/data epsilon join: pairs (query index, data index) with
-/// dist <= eps, by exhaustive comparison.
+/// dist <= eps, by exhaustive comparison, in the same order for every
+/// thread count.
 BruteResult join(const Dataset& queries, const Dataset& data, double eps,
                  int threads = 1);
 

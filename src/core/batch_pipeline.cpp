@@ -216,6 +216,11 @@ BatchPipeline::BatchPipeline(gpu::GlobalMemoryArena& arena,
 PipelineOutput BatchPipeline::run(const ResultRequest& req,
                                   const GridDeviceView& grid, bool unicomp,
                                   AtomicWork* work, BatchRunStats* stats) {
+  if (grid.cell_major) {
+    throw std::invalid_argument(
+        "BatchPipeline::run: grid must use the legacy layout (a cell-major "
+        "grid runs through run_groups)");
+  }
   return run_impl(PointMode(grid, unicomp, config_.block_size), req, work,
                   stats);
 }

@@ -77,8 +77,8 @@ class BatchPipeline {
   BatchPipeline(gpu::GlobalMemoryArena& arena, const gpu::DeviceSpec& spec,
                 const PipelineConfig& config);
 
-  /// Point-centric self-join (or legacy-layout join, when the view
-  /// carries an external query set): the units are the query ids.
+  /// Point-centric self-join (or join, when the view carries an external
+  /// query set) over a legacy-layout grid: the units are the query ids.
   PipelineOutput run(const ResultRequest& req, const GridDeviceView& grid,
                      bool unicomp, AtomicWork* work, BatchRunStats* stats);
 

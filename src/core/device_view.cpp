@@ -20,29 +20,27 @@ void copy_bytes(void* dst, const void* src, std::size_t bytes) {
 
 DeviceGrid::DeviceGrid(gpu::GlobalMemoryArena& arena, const Dataset& d,
                        const GridIndex& index, GridLayout layout)
-    : points_(arena, d.raw().size()),
-      b_(arena, index.B().size()),
+    : b_(arena, index.B().size()),
       g_(arena, index.G().size()),
       a_(arena, index.A().size()) {
   const int dim = d.dim();
   if (layout == GridLayout::kCellMajor) {
-    // Reorder the dataset into cell-major order: slot k holds the
-    // coordinates of point A[k], so every cell's points are contiguous
-    // and A becomes the identity. a_ holds the slot -> original-id map.
-    // Alongside the AoS image (still consumed by the point-centric
-    // kernel and query_point) stage a per-dimension SoA twin: plane j is
-    // the contiguous stream coord[j][0..n) the vectorised scan reads.
+    // Reorder the dataset into cell-major order: slot k holds point A[k],
+    // so every cell's points are contiguous and A becomes the identity.
+    // Plane j is the contiguous stream coord[j][0..n) the vectorised scan
+    // reads; a_ holds the slot -> original-id map.
     coords_ = gpu::DeviceBuffer<double>(arena, d.raw().size());
     const std::size_t slots = index.A().size();
     for (std::size_t k = 0; k < slots; ++k) {
       const double* src = d.pt(index.A()[k]);
-      std::memcpy(points_.data() + k * dim, src, dim * sizeof(double));
       for (int j = 0; j < dim; ++j) coords_.data()[j * slots + k] = src[j];
     }
     for (int j = 0; j < dim; ++j) view_.coord[j] = coords_.data() + j * slots;
   } else {
+    points_ = gpu::DeviceBuffer<double>(arena, d.raw().size());
     copy_bytes(points_.data(), d.raw().data(),
                d.raw().size() * sizeof(double));
+    view_.points = points_.data();
   }
   copy_bytes(b_.data(), index.B().data(),
              index.B().size() * sizeof(std::uint64_t));
@@ -51,7 +49,6 @@ DeviceGrid::DeviceGrid(gpu::GlobalMemoryArena& arena, const Dataset& d,
   copy_bytes(a_.data(), index.A().data(),
              index.A().size() * sizeof(std::uint32_t));
 
-  view_.points = points_.data();
   view_.n = d.size();
   view_.dim = dim;
   view_.B = b_.data();

@@ -2,19 +2,20 @@
 // pointer view the kernels consume (the analogue of the D, A, G, B, M
 // kernel arguments of Algorithm 1).
 //
-// Two data layouts are supported:
+// Two data layouts are supported, each staging ONE image of the dataset:
 //
-//   kLegacy    — the paper's layout: `points` holds the dataset in its
-//                original order and every candidate coordinate is
+//   kLegacy    — the paper's layout: `points` holds the dataset's rows in
+//                their original order and every candidate coordinate is
 //                gathered through the A[] indirection (a random access
 //                per distance calculation).
 //   kCellMajor — the dataset is reordered at upload time so that each
-//                non-empty cell's points are CONTIGUOUS in `points`
-//                (A-order). A[] becomes the identity and is not stored;
-//                `orig` maps a point slot back to its original dataset
-//                id so emitted pairs still carry original ids. Candidate
-//                scans become contiguous range reads, which is what the
-//                grouped kernel exploits.
+//                non-empty cell's points occupy CONTIGUOUS slots (A-order),
+//                stored as one coordinate plane per dimension (`coord`);
+//                there are no rows. A[] becomes the identity and is not
+//                stored; `orig` maps a point slot back to its original
+//                dataset id so emitted pairs still carry original ids.
+//                Candidate scans become unit-stride plane reads, which is
+//                what the grouped kernel exploits.
 #pragma once
 
 #include <algorithm>
@@ -35,19 +36,27 @@ enum class GridLayout {
 
 /// Raw-pointer view passed to kernels.
 struct GridDeviceView {
-  const double* points = nullptr;  // row-major coordinates (indexed set)
+  /// Legacy layout: the indexed set's row-major coordinates in original
+  /// order. Null in the cell-major layout, whose only image is `coord`.
+  const double* points = nullptr;
   std::uint64_t n = 0;
   int dim = 0;
 
   /// Query set for the general epsilon join. For the self-join this stays
-  /// null and queries read from `points`; for an A-join-B the grid indexes
-  /// B and `qpoints`/`qn` describe A.
+  /// null and queries are the indexed set's own points; for an A-join-B
+  /// the grid indexes B and `qpoints`/`qn` describe A.
   const double* qpoints = nullptr;
   std::uint64_t qn = 0;
 
-  const double* query_point(std::uint64_t pid) const {
-    const double* base = qpoints != nullptr ? qpoints : points;
-    return base + static_cast<std::size_t>(pid) * dim;
+  /// Coordinates of query `pid`. Join queries and legacy rows are read in
+  /// place; a cell-major self-join query (a slot, which has no row) is
+  /// gathered from the planes into `buf`, which holds `dim` values.
+  const double* query_point(std::uint64_t pid, double* buf) const {
+    const auto row = static_cast<std::size_t>(pid) * dim;
+    if (qpoints != nullptr) return qpoints + row;
+    if (!cell_major) return points + row;
+    for (int j = 0; j < dim; ++j) buf[j] = coord[j][pid];
+    return buf;
   }
   std::uint64_t num_queries() const { return qpoints != nullptr ? qn : n; }
 
@@ -72,11 +81,10 @@ struct GridDeviceView {
                                   : kEmptyCell;
   }
 
-  /// Cell-major layout only: per-dimension coordinate planes, coord[j][k]
-  /// = j-th coordinate of the point in slot k (structure-of-arrays twin of
-  /// `points`). Contiguous per dimension so the blocked candidate scan
-  /// reads unit-stride streams the compiler can vectorise. Null in the
-  /// legacy layout.
+  /// Cell-major layout: the dataset as per-dimension coordinate planes,
+  /// coord[j][k] = j-th coordinate of the point in slot k. Contiguous per
+  /// dimension so the blocked candidate scan reads unit-stride streams the
+  /// compiler can vectorise. Null in the legacy layout.
   const double* coord[kMaxDims] = {};
 
   /// Legacy layout: slot -> point id (the paper's A). Null in cell-major
@@ -97,18 +105,14 @@ struct GridDeviceView {
   std::uint32_t cells_per_dim[kMaxDims] = {};
   std::uint64_t stride[kMaxDims] = {};
 
-  /// Coordinates of the candidate at slot k of the A-range (legacy
-  /// gathers through A, cell-major reads contiguously).
+  /// Legacy layout (the point-centric kernel): coordinates of the
+  /// candidate at slot k of the A-range, gathered through A.
   const double* candidate_point(std::uint64_t k) const {
-    const std::size_t idx =
-        A != nullptr ? A[k] : static_cast<std::size_t>(k);
-    return points + idx * dim;
+    return points + static_cast<std::size_t>(A[k]) * dim;
   }
 
-  /// Original dataset id of the candidate at slot k.
-  std::uint32_t candidate_id(std::uint64_t k) const {
-    return A != nullptr ? A[k] : orig[k];
-  }
+  /// Legacy layout: original dataset id of the candidate at slot k.
+  std::uint32_t candidate_id(std::uint64_t k) const { return A[k]; }
 
   /// Original dataset id of query `pid` (a point id in the legacy layout,
   /// a point slot in cell-major). External query sets always pass
@@ -144,7 +148,7 @@ class DeviceGrid {
   const GridDeviceView& view() const { return view_; }
 
  private:
-  gpu::DeviceBuffer<double> points_;
+  gpu::DeviceBuffer<double> points_;  // legacy only: n rows of dim
   gpu::DeviceBuffer<double> coords_;  // cell-major only: dim planes of n
   gpu::DeviceBuffer<std::uint64_t> b_;
   gpu::DeviceBuffer<GridIndex::CellRange> g_;

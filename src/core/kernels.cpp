@@ -410,7 +410,8 @@ void self_join_thread(const gpu::ThreadCtx& ctx,
   const std::uint64_t pid = p.first_query + gid;
 
   const GridDeviceView& g = p.grid;
-  const double* pt = g.query_point(pid);
+  double qbuf[kMaxDims];
+  const double* pt = g.query_point(pid, qbuf);
   const std::uint32_t key = g.query_id(pid);
 
   LocalWork w;
@@ -463,19 +464,28 @@ void grouped_scan_thread(const gpu::ThreadCtx& ctx,
   const std::uint64_t id_loads = p.query_order != nullptr ? 1 : 0;
 
   const double eps2 = g.eps * g.eps;
+  double qbuf[kMaxDims];
   for (std::uint32_t s = item.begin; s < item.end; ++s) {
     const std::uint64_t q = p.query_order != nullptr ? p.query_order[s] : s;
     SJ_INVARIANT(q < g.num_queries(),
                  "a group position must name a valid query");
-    const double* pt = g.query_point(q);
+    const double* pt = g.query_point(q, qbuf);
     em.begin_unit(s);
     w.global_loads += static_cast<std::uint64_t>(g.dim) + id_loads;
     w.global_load_bytes +=
         static_cast<std::uint64_t>(g.dim) * sizeof(double) +
         id_loads * sizeof(std::uint32_t);
     if (p.cache != nullptr) {
-      p.cache->access(reinterpret_cast<std::uint64_t>(pt),
-                      static_cast<unsigned>(g.dim) * sizeof(double));
+      if (g.qpoints != nullptr) {
+        p.cache->access(reinterpret_cast<std::uint64_t>(pt),
+                        static_cast<unsigned>(g.dim) * sizeof(double));
+      } else {
+        // A self-join query has no row: one load per plane.
+        for (int j = 0; j < g.dim; ++j) {
+          p.cache->access(reinterpret_cast<std::uint64_t>(g.coord[j] + q),
+                          sizeof(double));
+        }
+      }
     }
     const std::uint32_t key = g.query_id(q);
     for (std::size_t r = 0; r < num_ranges; ++r) {
@@ -510,9 +520,10 @@ QueryGroups sorted_query_groups(const GridDeviceView& grid) {
   // deterministic.
   std::vector<CellKey> keys(static_cast<std::size_t>(nq));
   std::uint32_t c[kMaxDims];
+  double qbuf[kMaxDims];
   std::uint64_t max_cell = 0;
   for (std::size_t q = 0; q < keys.size(); ++q) {
-    grid.home_cell(grid.query_point(q), c);
+    grid.home_cell(grid.query_point(q, qbuf), c);
     keys[q] = {grid.linearize(c), static_cast<std::uint32_t>(q)};
     max_cell = std::max(max_cell, keys[q].cell);
   }

@@ -8,8 +8,9 @@
 // evaluated in one direction, and for every dimension d whose cell
 // coordinate is odd, the neighbour cells that differ in d (free in
 // dimensions < d, pinned to the home coordinates in dimensions > d) are
-// evaluated emitting BOTH ordered pairs. It works on either data layout
-// (candidates are resolved through GridDeviceView's candidate helpers).
+// evaluated emitting BOTH ordered pairs. It runs on the legacy layout
+// (candidates are gathered through A by GridDeviceView's candidate
+// helpers).
 //
 // grouped_scan_thread() is the CELL-CENTRIC kernel over the cell-major
 // layout, shared by the self-join and the query/data join — "the
@@ -68,8 +69,7 @@ struct ResultBufferView {
 struct SelfJoinKernelParams {
   GridDeviceView grid;
   /// The launch processes query ids [first_query, first_query +
-  /// num_queries) — a batch's contiguous unit range. On a cell-major grid
-  /// these are point SLOTS, not original ids.
+  /// num_queries) — a batch's contiguous unit range.
   std::uint64_t first_query = 0;
   std::uint64_t num_queries = 0;
   ResultBufferView result;

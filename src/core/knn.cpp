@@ -127,7 +127,8 @@ void knn_thread(const gpu::ThreadCtx& ctx, const KnnKernelParams& p) {
   const GridDeviceView& g = p.grid;
   if (gid >= g.num_queries()) return;
   const auto pid = static_cast<std::uint32_t>(gid);
-  const double* pt = g.query_point(pid);
+  double qbuf[kMaxDims];
+  const double* pt = g.query_point(pid, qbuf);
 
   LocalWork w;
   BestK best(p.out->dists_row(pid), p.out->ids_row(pid), p.k);

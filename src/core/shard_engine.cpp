@@ -6,6 +6,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -60,65 +61,33 @@ void validate_shard_options(const ShardedSelfJoinOptions& opt,
   }
 }
 
-/// Host-resident cell-major image of the indexed dataset plus a kernel
-/// view over it. No device memory is charged: the planning pass and the
-/// metrics replay run here ONCE, and each device then uploads only its
-/// chunklets' slices of this staging into its own arena.
+/// The host stage: a cell-major DeviceGrid of the indexed dataset, staged
+/// into a host arena of unbounded capacity, so no device is charged (and,
+/// staged outside any DeviceScope, it arms no fault hook). The planning
+/// pass and the metrics replay run over its view ONCE, and each device
+/// then uploads only its chunklets' spans of it into its own arena.
 struct HostStage {
-  std::vector<double> points;
-  std::vector<double> coords;  ///< SoA planes, coords[j * n + slot]
-  std::vector<std::uint32_t> cell_table;  ///< empty when over budget
-  GridDeviceView view;
+  gpu::GlobalMemoryArena arena{std::numeric_limits<std::size_t>::max()};
+  DeviceGrid grid;
 
-  HostStage(const Dataset& d, const GridIndex& index) {
-    const int dim = d.dim();
-    const std::size_t slots = index.A().size();
-    points.resize(d.raw().size());
-    coords.resize(d.raw().size());
-    for (std::size_t k = 0; k < slots; ++k) {
-      const double* src = d.pt(index.A()[k]);
-      std::memcpy(points.data() + k * static_cast<std::size_t>(dim), src,
-                  static_cast<std::size_t>(dim) * sizeof(double));
-      for (int j = 0; j < dim; ++j) coords[j * slots + k] = src[j];
-    }
-    view.points = points.data();
-    for (int j = 0; j < dim; ++j) view.coord[j] = coords.data() + j * slots;
-    view.n = d.size();
-    view.dim = dim;
-    view.B = index.B().data();
-    view.b_size = index.B().size();
-    view.G = index.G().data();
-    view.orig = index.A().data();
-    view.cell_major = true;
-    cell_table = make_cell_table(index);
-    if (!cell_table.empty()) view.cell_table = cell_table.data();
-    view.width = index.cell_width();
-    view.eps = index.eps();
-    for (int j = 0; j < dim; ++j) {
-      view.M[j] = index.mask(j).data();
-      view.m_size[j] = index.mask(j).size();
-      view.gmin[j] = index.gmin(j);
-      view.cells_per_dim[j] = index.cells_in_dim(j);
-      view.stride[j] = index.stride(j);
-    }
-    if (contracts::active()) {
-      validate::device_grid(view, &d, "HostStage(stage)");
-    }
-  }
+  HostStage(const Dataset& d, const GridIndex& index)
+      : grid(arena, d, index, GridLayout::kCellMajor) {}
 };
 
 /// Copy a chunklet's owned slot span and halo intervals from the host
-/// staging into the chunklet-local point/orig buffers (owned slots first,
-/// halo intervals after, matching ShardSlice's local numbering).
+/// stage's planes and orig map into the chunklet's own (owned slots first,
+/// halo intervals after, matching ShardSlice's local numbering). Plane j
+/// of the chunklet starts at coords + j * slice.local_points().
 void upload_slice(const GridDeviceView& hv, const ShardSlice& slice,
-                  double* points, std::uint32_t* orig) {
-  const std::size_t dim = static_cast<std::size_t>(hv.dim);
+                  double* coords, std::uint32_t* orig) {
+  const std::size_t nlocal = slice.local_points();
   auto copy_span = [&](std::uint32_t gbegin, std::uint32_t gend,
                        std::uint32_t lbegin) {
     const std::size_t count = gend - gbegin;
-    std::memcpy(points + static_cast<std::size_t>(lbegin) * dim,
-                hv.points + static_cast<std::size_t>(gbegin) * dim,
-                count * dim * sizeof(double));
+    for (int j = 0; j < hv.dim; ++j) {
+      std::memcpy(coords + static_cast<std::size_t>(j) * nlocal + lbegin,
+                  hv.coord[j] + gbegin, count * sizeof(double));
+    }
     std::memcpy(orig + lbegin, hv.orig + gbegin,
                 count * sizeof(std::uint32_t));
   };
@@ -127,18 +96,6 @@ void upload_slice(const GridDeviceView& hv, const ShardSlice& slice,
   }
   for (const HaloInterval& h : slice.halo) {
     copy_span(h.begin, h.end, h.local_begin);
-  }
-}
-
-/// Transpose a chunklet's AoS point buffer into its per-dimension SoA
-/// planes (coords[j * n + k] = points[k * dim + j]).
-void fill_planes(const double* points, std::size_t n, int dim,
-                 double* coords) {
-  for (std::size_t k = 0; k < n; ++k) {
-    for (int j = 0; j < dim; ++j) {
-      coords[static_cast<std::size_t>(j) * n + k] =
-          points[k * static_cast<std::size_t>(dim) + j];
-    }
   }
 }
 
@@ -389,7 +346,7 @@ struct ChunkOutput {
 };
 
 /// Run groups [g0, g1) of `adj` as one chunklet on `ctx`'s device. The
-/// slice of the host staging `hv` it needs is what the groups' candidate
+/// slice of the host stage `hv` it needs is what the groups' candidate
 /// ranges reference, plus — in identity order (the self-join), whose
 /// positions are data slots — the slots the groups own; a sorted query
 /// order (the join) owns no data, so every referenced slot is halo. The
@@ -427,12 +384,10 @@ void run_chunklet(DeviceCtx& ctx, const GridDeviceView& hv,
     ctx.qbuf = gpu::DeviceBuffer<double>(arena, qvalues);
     std::memcpy(ctx.qbuf.data(), hv.qpoints, qvalues * sizeof(double));
   }
-  const std::size_t values = static_cast<std::size_t>(nlocal) * hv.dim;
-  gpu::DeviceBuffer<double> points(arena, values);
+  gpu::DeviceBuffer<double> coords(arena,
+                                   static_cast<std::size_t>(nlocal) * hv.dim);
   gpu::DeviceBuffer<std::uint32_t> orig(arena, nlocal);
-  upload_slice(hv, slice, points.data(), orig.data());
-  gpu::DeviceBuffer<double> coords(arena, values);
-  fill_planes(points.data(), nlocal, hv.dim, coords.data());
+  upload_slice(hv, slice, coords.data(), orig.data());
 
   GroupAdjacencyHost local;
   if (!identity) {
@@ -449,7 +404,6 @@ void run_chunklet(DeviceCtx& ctx, const GridDeviceView& hv,
       upload_group_adjacency(arena, std::move(local));
 
   GridDeviceView grid;
-  grid.points = points.data();
   grid.n = nlocal;
   grid.dim = hv.dim;
   for (int j = 0; j < hv.dim; ++j) {
@@ -584,6 +538,7 @@ void drive_chunklets(const ChunkletPlan& cplan,
   ResultRequest req;
   req.mode = opt.mode;
   req.histogram_keys = keys;
+  req.control = opt.control;
 
   std::vector<ChunkOutput> outs(m);
   std::vector<AtomicWork> works(m);
@@ -640,6 +595,9 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   if (eps < 0.0) {
     throw std::invalid_argument("ShardedGpuSelfJoin: eps must be >= 0");
   }
+  // Entry checkpoint: a query that arrives already expired or cancelled
+  // must not pay for the index build.
+  if (opt_.control != nullptr) opt_.control->check("sharded self-join entry");
   ShardedSelfJoinResult result;
   SelfJoinStats& st = result.stats;
   Timer total;
@@ -659,7 +617,7 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   phase.reset();
   const HostStage stage(d, index);
   st.upload_seconds = phase.seconds();
-  const GridDeviceView& hv = stage.view;
+  const GridDeviceView& hv = stage.grid.view();
   // Chunklet weights: the cheap population-window proxy (the exact
   // adjacency weights would cost a global enumeration — the very pass each
   // device resolves for ITS OWN cells below, in parallel).
@@ -700,6 +658,7 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   parse::non_negative("argument 'eps' of sharded_join", eps);
   parse::matching_dims("argument 'queries' of sharded_join", queries.dim(),
                        "argument 'data'", data.dim());
+  if (opt.control != nullptr) opt.control->check("sharded join entry");
   ShardedJoinResult result;
   GpuJoinStats& st = result.stats;
   Timer total;
@@ -716,7 +675,7 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   }
 
   const HostStage stage(data, index);
-  GridDeviceView hv = stage.view;
+  GridDeviceView hv = stage.grid.view();
   hv.qpoints = queries.raw().data();
   hv.qn = queries.size();
   const GroupAdjacencyHost adj =

@@ -147,36 +147,36 @@ void device_grid(const GridDeviceView& v, const Dataset* d, const char* ctx) {
     SJ_CHECK(named == v.b_size, ctx);
   }
 
+  // One image per layout: planes and the slot -> id map in cell-major,
+  // rows and A in legacy.
   if (v.cell_major) {
-    SJ_CHECK(v.A == nullptr, ctx);
+    SJ_CHECK(v.A == nullptr && v.points == nullptr, ctx);
     SJ_CHECK(v.orig != nullptr || v.n == 0, ctx);
-    if (v.n > 0) SJ_CHECK(is_permutation_of_iota(v.orig, v.n), ctx);
-    if (v.coord[0] != nullptr) {
-      // SoA planes are the exact twin of the reordered AoS coordinates.
-      for (int j = 0; j < v.dim; ++j) {
-        SJ_CHECK(v.coord[j] != nullptr, ctx);
-        for (std::uint64_t k = 0; k < v.n; ++k) {
-          SJ_CHECK(v.coord[j][k] ==
-                       v.points[static_cast<std::size_t>(k) * v.dim + j],
-                   ctx);
-        }
-      }
+    if (v.n > 0) {
+      SJ_CHECK(is_permutation_of_iota(v.orig, v.n), ctx);
+      for (int j = 0; j < v.dim; ++j) SJ_CHECK(v.coord[j] != nullptr, ctx);
     }
-  } else if (v.n > 0) {
-    SJ_CHECK(v.A != nullptr, ctx);
-    SJ_CHECK(is_permutation_of_iota(v.A, v.n), ctx);
+  } else {
+    SJ_CHECK(v.orig == nullptr && v.coord[0] == nullptr, ctx);
+    if (v.n > 0) {
+      SJ_CHECK(v.points != nullptr && v.A != nullptr, ctx);
+      SJ_CHECK(is_permutation_of_iota(v.A, v.n), ctx);
+    }
   }
 
   if (d != nullptr) {
     SJ_CHECK(v.n == d->size(), ctx);
     SJ_CHECK(v.dim == d->dim(), ctx);
-    // Slot k of the device copy holds the source point it claims to:
-    // orig[k] in cell-major (points were reordered), k itself in legacy.
+    // Slot k of the device image holds the source point it claims to:
+    // point orig[k] in the planes (cell-major reorders), row k in legacy.
     for (std::uint64_t k = 0; k < v.n; ++k) {
-      const std::size_t src = v.cell_major ? v.orig[k] : k;
-      const double* got = v.points + static_cast<std::size_t>(k) * v.dim;
-      const double* want = d->pt(src);
-      for (int j = 0; j < v.dim; ++j) SJ_CHECK(got[j] == want[j], ctx);
+      const double* want = d->pt(v.cell_major ? v.orig[k] : k);
+      for (int j = 0; j < v.dim; ++j) {
+        const double got =
+            v.cell_major ? v.coord[j][k]
+                         : v.points[static_cast<std::size_t>(k) * v.dim + j];
+        SJ_CHECK(got == want[j], ctx);
+      }
     }
   }
 }

@@ -33,10 +33,12 @@ void grid_index(const GridIndex& index, const Dataset& d, const char* context);
 
 /// GridDeviceView invariants (either layout):
 ///   - G ranges partition [0, n), B strictly increasing
-///   - cell-major: `orig` is a permutation of [0, n); when SoA planes are
-///     present, coord[j][k] mirrors points[k*dim + j] exactly
-///   - when `d` is non-null, the (reordered) AoS coordinates match the
-///     source dataset point-for-point
+///   - one image per layout: cell-major has coordinate planes and an
+///     `orig` that is a permutation of [0, n), and no rows; legacy has
+///     rows and an A that is a permutation of [0, n), and no planes
+///   - when `d` is non-null, every staged coordinate matches the source
+///     dataset: coord[j][k] is coordinate j of point orig[k] (cell-major),
+///     row k is point k (legacy)
 ///   - masks strictly increasing and within cells_per_dim
 ///   - when a cell table is staged: table[B[i]] == i for every i, and
 ///     exactly b_size entries are not kEmptyCell

@@ -2,7 +2,7 @@
 // registered backend asserting bit-identical sorted pair sets against the
 // brute-force reference, on the inputs that historically break spatial
 // join implementations — empty input, a single point, eps = 0, and
-// all-duplicate points.
+// all-duplicate points — and run-twice byte determinism per backend.
 //
 // This suite is also where the repo-wide pair convention is asserted
 // ONCE, instead of per-engine comments: results are ordered pairs
@@ -13,6 +13,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "bruteforce/brute_force.hpp"
@@ -118,6 +119,35 @@ TEST_P(BackendParity, SmallUniformSweep) {
   const auto d = datagen::uniform(250, 3, 0.0, 20.0, 19);
   for (double eps : {0.5, 2.0, 50.0}) {
     expect_parity(d, eps);
+  }
+}
+
+TEST_P(BackendParity, RunTwiceIsByteIdentical) {
+  // Raw outputs, not normalized: the same call must return the same bytes.
+  // The host-threaded engines also run on 4 threads, and brute's threaded
+  // output must equal its serial reference.
+  const auto d = datagen::ippp(2000, 2, 32.0, 31);
+  const auto q = datagen::uniform(500, 2, 0.0, 100.0, 37);
+  const double eps = 1.0;
+  const bool joins = backend().capabilities().supports(api::Operation::kJoin);
+  std::vector<int> thread_counts{0};
+  if (GetParam() == "brute" || GetParam() == "ego") thread_counts.push_back(4);
+  for (int threads : thread_counts) {
+    api::RunConfig config;
+    config.threads = threads;
+    const auto first = backend().run(d, eps, config).pairs;
+    EXPECT_EQ(first.pairs(), backend().run(d, eps, config).pairs.pairs())
+        << GetParam() << " self-join, threads=" << threads;
+    if (!joins) continue;
+    const auto join = backend().join(q, d, eps, config).pairs;
+    EXPECT_EQ(join.pairs(), backend().join(q, d, eps, config).pairs.pairs())
+        << GetParam() << " join, threads=" << threads;
+    if (GetParam() == "brute" && threads > 0) {
+      EXPECT_EQ(first.pairs(), backend().run(d, eps).pairs.pairs())
+          << "brute self-join: 4 threads vs 1";
+      EXPECT_EQ(join.pairs(), backend().join(q, d, eps).pairs.pairs())
+          << "brute join: 4 threads vs 1";
+    }
   }
 }
 

@@ -38,16 +38,6 @@ Dataset all_duplicates(int dim, std::size_t n, double value) {
   return d;
 }
 
-Dataset shifted(const Dataset& d, double offset) {
-  Dataset out(d.dim());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    double p[kMaxDims];
-    for (int j = 0; j < d.dim(); ++j) p[j] = d.coord(i, j) + offset;
-    out.push_back(p);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------- join parity
 
 class JoinParity : public ::testing::TestWithParam<std::string> {

@@ -34,7 +34,7 @@ std::vector<std::uint32_t> brute_range(const Dataset& d,
   std::vector<std::uint32_t> out;
   for (std::size_t i = 0; i < d.size(); ++i) {
     double s = 0.0;
-    for (std::size_t k = 0; k < d.dim(); ++k) {
+    for (int k = 0; k < d.dim(); ++k) {
       const double diff = d.pt(i)[k] - q[k];
       s += diff * diff;
     }

@@ -106,14 +106,14 @@ TEST(Contracts, GridIndexValidatorAcceptsRealIndex) {
   validate::grid_index(index, d, "well-formed index");
 }
 
-/// A minimal hand-built cell-major view: one non-empty cell owning all
-/// four slots of a 1-d layout.
+/// A minimal hand-built cell-major view of a 1-d layout: `points` is its
+/// one coordinate plane.
 GridDeviceView tiny_cell_major_view(const std::vector<double>& points,
                                     const std::vector<std::uint64_t>& B,
                                     const std::vector<GridIndex::CellRange>& G,
                                     const std::vector<std::uint32_t>& orig) {
   GridDeviceView v;
-  v.points = points.data();
+  v.coord[0] = points.data();
   v.n = points.size();
   v.dim = 1;
   v.B = B.data();
@@ -148,14 +148,16 @@ TEST(ContractsDeath, DeviceGridValidatorRejectsGapInCellRanges) {
 }
 
 TEST(ContractsDeath, DeviceGridValidatorRejectsSoaPlaneDrift) {
-  const std::vector<double> points{0.1, 0.2, 0.3, 0.4};
+  // Slot k holds point orig[k] of the dataset.
+  const Dataset d(1, {0.4, 0.3, 0.2, 0.1});
+  std::vector<double> plane{0.1, 0.2, 0.3, 0.4};
   const std::vector<std::uint64_t> B{5};
   const std::vector<GridIndex::CellRange> G{{0, 3}};
-  const std::vector<std::uint32_t> orig{0, 1, 2, 3};
-  GridDeviceView view = tiny_cell_major_view(points, B, G, orig);
-  std::vector<double> plane{0.1, 0.2, 0.35, 0.4};  // slot 2 disagrees
-  view.coord[0] = plane.data();
-  EXPECT_DEATH(validate::device_grid(view, nullptr, "soa plane drift"),
+  const std::vector<std::uint32_t> orig{3, 2, 1, 0};
+  const GridDeviceView view = tiny_cell_major_view(plane, B, G, orig);
+  validate::device_grid(view, &d, "intact plane");  // sanity: passes
+  plane[2] = 0.35;  // slot 2 no longer holds point orig[2]
+  EXPECT_DEATH(validate::device_grid(view, &d, "soa plane drift"),
                "SJ_CHECK violation.*soa plane drift");
 }
 

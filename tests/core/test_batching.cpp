@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -288,6 +289,21 @@ TEST(BatchPipelineDirect, FatalOverflowOnlyOnUnsplittableSinglePoint) {
   EXPECT_THROW(pipeline.run_groups(ResultRequest{}, dev.view(), adjacency,
                                    &work, nullptr),
                gpu::DeviceOutOfMemory);
+}
+
+TEST(BatchPipelineDirect, PointCentricRunRejectsCellMajorGrid) {
+  // The point-centric kernel reads legacy rows; a cell-major grid has
+  // only coordinate planes and runs through run_groups.
+  const auto d = isolated_points(8);
+  GridIndex index(d, 1.0);
+  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
+  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
+  BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(),
+                         PipelineConfig{});
+  AtomicWork work;
+  EXPECT_THROW(pipeline.run(ResultRequest{}, dev.view(), /*unicomp=*/false,
+                            &work, nullptr),
+               std::invalid_argument);
 }
 
 TEST(Batching, EachQuerysPairsAreContiguousInScanOrder) {

@@ -37,17 +37,17 @@ TEST(CellMajorLayout, ReorderMatchesIndexAndKeepsOriginalIds) {
 
   EXPECT_TRUE(v.cell_major);
   EXPECT_EQ(v.A, nullptr);  // identity — the indirection is gone
+  EXPECT_EQ(v.points, nullptr);  // the planes are the only image
   ASSERT_NE(v.orig, nullptr);
 
-  // Slot k holds the coordinates of original point A[k], and orig maps
-  // the slot back to that id.
+  // Slot k of every plane holds a coordinate of original point A[k], and
+  // orig maps the slot back to that id.
   ASSERT_EQ(v.n, d.size());
   for (std::size_t k = 0; k < d.size(); ++k) {
     EXPECT_EQ(v.orig[k], index.A()[k]);
-    EXPECT_EQ(std::memcmp(v.points + k * v.dim, d.pt(index.A()[k]),
-                          v.dim * sizeof(double)),
-              0)
-        << "slot " << k;
+    for (int j = 0; j < v.dim; ++j) {
+      EXPECT_EQ(v.coord[j][k], d.coord(index.A()[k], j)) << "slot " << k;
+    }
   }
 
   // Every original id appears exactly once.
@@ -59,11 +59,12 @@ TEST(CellMajorLayout, ReorderMatchesIndexAndKeepsOriginalIds) {
   }
 
   // Within each cell the slots are exactly the G range, contiguous.
+  double buf[kMaxDims];
   for (std::size_t cell = 0; cell < index.num_nonempty_cells(); ++cell) {
     const auto range = index.G()[cell];
     for (std::uint32_t k = range.min; k <= range.max; ++k) {
       std::uint32_t coords[kMaxDims];
-      index.cell_coords(v.points + k * v.dim, coords);
+      index.cell_coords(v.query_point(k, buf), coords);
       EXPECT_EQ(index.linearize(coords), index.B()[cell]);
     }
   }

@@ -47,6 +47,8 @@ TEST(DeviceGrid, ArenaChargedAndReleased) {
   const auto d = datagen::uniform(1000, 2, 0.0, 100.0, 7);
   GridIndex index(d, 2.0);
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
+  // One image of the dataset in either layout: legacy rows or cell-major
+  // planes, never both.
   const std::size_t expected =
       d.raw().size() * sizeof(double) +
       index.B().size() * sizeof(std::uint64_t) +
@@ -54,11 +56,13 @@ TEST(DeviceGrid, ArenaChargedAndReleased) {
       index.A().size() * sizeof(std::uint32_t) +
       index.mask(0).size() * sizeof(std::uint32_t) +
       index.mask(1).size() * sizeof(std::uint32_t);
-  {
-    DeviceGrid dev(arena, d, index);
-    EXPECT_EQ(arena.used(), expected);
+  for (GridLayout layout : {GridLayout::kLegacy, GridLayout::kCellMajor}) {
+    {
+      DeviceGrid dev(arena, d, index, layout);
+      EXPECT_EQ(arena.used(), expected);
+    }
+    EXPECT_EQ(arena.used(), 0u);
   }
-  EXPECT_EQ(arena.used(), 0u);
 }
 
 TEST(DeviceGrid, LinearizeMatchesHost) {
@@ -75,19 +79,30 @@ TEST(DeviceGrid, LinearizeMatchesHost) {
 
 TEST(DeviceGrid, QueryPointDefaultsToIndexedSet) {
   const auto d = datagen::uniform(100, 2, 0.0, 10.0, 11);
+  const auto q = datagen::uniform(10, 2, 0.0, 10.0, 12);
   GridIndex index(d, 1.0);
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
-  DeviceGrid dev(arena, d, index);
-  GridDeviceView v = dev.view();
-  EXPECT_EQ(v.num_queries(), d.size());
-  EXPECT_EQ(v.query_point(7), v.points + 7 * 2);
+  double buf[kMaxDims] = {};
+  for (GridLayout layout : {GridLayout::kLegacy, GridLayout::kCellMajor}) {
+    DeviceGrid dev(arena, d, index, layout);
+    GridDeviceView v = dev.view();
+    EXPECT_EQ(v.num_queries(), d.size());
+    if (layout == GridLayout::kLegacy) {
+      // A legacy query is its row, read in place.
+      EXPECT_EQ(v.query_point(7, buf), v.points + 7 * 2);
+    } else {
+      // A cell-major query is slot 7, gathered from the planes.
+      EXPECT_EQ(v.query_point(7, buf), buf);
+      EXPECT_EQ(buf[0], d.coord(v.orig[7], 0));
+      EXPECT_EQ(buf[1], d.coord(v.orig[7], 1));
+    }
 
-  // With a distinct query set the accessors switch over.
-  const auto q = datagen::uniform(10, 2, 0.0, 10.0, 12);
-  v.qpoints = q.raw().data();
-  v.qn = q.size();
-  EXPECT_EQ(v.num_queries(), q.size());
-  EXPECT_EQ(v.query_point(3), q.raw().data() + 3 * 2);
+    // With a distinct query set the accessors switch over.
+    v.qpoints = q.raw().data();
+    v.qn = q.size();
+    EXPECT_EQ(v.num_queries(), q.size());
+    EXPECT_EQ(v.query_point(3, buf), q.raw().data() + 3 * 2);
+  }
 }
 
 TEST(DeviceGrid, HomeCellClampsFarAndNanCoordinates) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "common/cancel.hpp"
 #include "common/datagen.hpp"
 #include "core/self_join.hpp"
 #include "core/shard_engine.hpp"
@@ -315,6 +316,32 @@ TEST(ShardEngine, AdjacencyTimeIsReportedForBothFacets) {
   // sum.
   EXPECT_GT(ShardedGpuSelfJoin(opt).run(d, 1.0).stats.adjacency_seconds, 0.0);
   EXPECT_GT(sharded_join(d, d, 1.0, opt).stats.adjacency_seconds, 0.0);
+}
+
+TEST(ShardEngine, ControlStopsBothFacetsTyped) {
+  const auto d = datagen::uniform(500, 2, 0.0, 20.0, 957);
+  exec::CancelToken token;
+  token.cancel();
+  exec::ExecControl cancelled;
+  cancelled.cancel = &token;
+  exec::ExecControl expired;
+  expired.deadline = exec::Deadline::after_ms(-1.0);
+  ShardedSelfJoinOptions opt;
+  opt.shards = 2;
+  opt.control = &cancelled;
+  EXPECT_THROW(ShardedGpuSelfJoin(opt).run(d, 1.0), exec::Cancelled);
+  EXPECT_THROW(sharded_join(d, d, 1.0, opt), exec::Cancelled);
+  opt.control = &expired;
+  EXPECT_THROW(ShardedGpuSelfJoin(opt).run(d, 1.0), exec::DeadlineExceeded);
+  EXPECT_THROW(sharded_join(d, d, 1.0, opt), exec::DeadlineExceeded);
+
+  // A deadline that passes during the run stops it at a chunklet
+  // pipeline's checkpoint: the index build alone outlasts 1 ms.
+  const auto big = datagen::uniform(100000, 2, 0.0, 100.0, 959);
+  exec::ExecControl soon;
+  soon.deadline = exec::Deadline::after_ms(1.0);
+  opt.control = &soon;
+  EXPECT_THROW(ShardedGpuSelfJoin(opt).run(big, 0.8), exec::DeadlineExceeded);
 }
 
 // ------------------------------------------------------------- options
