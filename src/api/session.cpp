@@ -75,13 +75,13 @@ QuerySession::QuerySession(Dataset data, double eps, SessionOptions opt)
                    "dataset or eps; rebuilding the index cold\n",
                    opt_.snapshot.c_str());
     } else {
-      prepared_ = std::make_unique<PreparedJoin>(
-          data_, std::move(restored->index), opt_.device);
+      prepared_ = std::make_unique<PreparedJoin>(data_,
+                                                 std::move(restored->index));
       restored_ = true;
     }
   }
   if (prepared_ == nullptr) {
-    prepared_ = std::make_unique<PreparedJoin>(data_, eps, opt_.device);
+    prepared_ = std::make_unique<PreparedJoin>(data_, eps);
     if (!opt_.snapshot.empty()) {
       try {
         snapshot::save(opt_.snapshot, data_, prepared_->index());
@@ -297,11 +297,6 @@ void QuerySession::execute(std::vector<std::shared_ptr<Request>> batch) {
     switch (req.kind) {
       case Request::Kind::kJoin: {
         GpuJoinOptions o;
-        o.block_size = opt_.block_size;
-        o.num_streams = opt_.num_streams;
-        o.min_batches = opt_.min_batches;
-        o.max_buffer_pairs = opt_.max_buffer_pairs;
-        o.retry = opt_.retry;
         o.control = &ctl;
         GpuJoinResult r = prepared_->run(req.queries, o);
         record_latency(req);
@@ -310,12 +305,6 @@ void QuerySession::execute(std::vector<std::shared_ptr<Request>> batch) {
       }
       case Request::Kind::kSelfJoin: {
         GpuSelfJoinOptions o;
-        o.unicomp = opt_.unicomp;
-        o.block_size = opt_.block_size;
-        o.num_streams = opt_.num_streams;
-        o.min_batches = opt_.min_batches;
-        o.max_buffer_pairs = opt_.max_buffer_pairs;
-        o.retry = opt_.retry;
         o.control = &ctl;
         SelfJoinResult r = prepared_->self_join(o);
         record_latency(req);
@@ -325,8 +314,6 @@ void QuerySession::execute(std::vector<std::shared_ptr<Request>> batch) {
       case Request::Kind::kKnn: {
         KnnOptions o;
         o.k = req.k;
-        o.block_size = opt_.block_size;
-        o.device = opt_.device;
         o.control = &ctl;
         KnnResult r = gpu_knn(req.queries, data_, o);
         record_latency(req);
@@ -377,11 +364,6 @@ void QuerySession::run_range_batch(
   for (const auto& sp : batch) queries.push_back(sp->point.data());
 
   GpuJoinOptions o;
-  o.block_size = opt_.block_size;
-  o.num_streams = opt_.num_streams;
-  o.min_batches = opt_.min_batches;
-  o.max_buffer_pairs = opt_.max_buffer_pairs;
-  o.retry = opt_.retry;
   o.mode = count_only ? ResultMode::kHistogram : ResultMode::kPairs;
   o.control = &batch_ctl;
 

@@ -24,9 +24,9 @@
 //     a worker picked it up) is shed with a typed exec::Overloaded; it
 //     never reaches the device.
 //   - Fault composition: device faults injected under SJ_FAULTS keep
-//     their PR-8 semantics inside the session — transient errors are
-//     retried per RetryPolicy, terminal ones fail only the query that
-//     hit them.
+//     the pipeline's semantics inside the session — transient errors are
+//     retried per the engines' default RetryPolicy, terminal ones fail
+//     only the query that hit them.
 //   - Crash-safe warm start: construct with SessionOptions::snapshot to
 //     restore the index from a checksummed snapshot (core/snapshot.hpp)
 //     in O(read) instead of rebuilding; a missing, truncated or corrupt
@@ -70,7 +70,9 @@ struct QueryOptions {
   bool count_only = false;
 };
 
-/// Session-wide configuration.
+/// Session-wide configuration: concurrency, admission control and the
+/// warm-start snapshot. Every query runs its engine's default options
+/// (core/join.hpp, core/self_join.hpp, core/knn.hpp).
 struct SessionOptions {
   /// Worker threads draining the admission queue — the concurrency cap.
   /// Each in-flight query (or coalesced batch) occupies one worker.
@@ -88,18 +90,6 @@ struct SessionOptions {
   /// Upper bound on how many single-point range queries one worker may
   /// coalesce into a single grouped-join launch.
   std::size_t coalesce_limit = 64;
-
-  /// UNICOMP for self-join queries (range/join queries never use it —
-  /// its parity argument needs query cells == data cells).
-  bool unicomp = true;
-
-  /// Engine knobs shared by every query the session runs.
-  int block_size = 256;
-  int num_streams = 3;
-  std::size_t min_batches = 3;
-  std::uint64_t max_buffer_pairs = 1ULL << 24;
-  RetryPolicy retry;
-  gpu::DeviceSpec device = gpu::DeviceSpec::titan_x_pascal();
 
   /// Snapshot path for warm starts; empty disables snapshotting. See the
   /// class comment for the restore-or-rebuild semantics.

@@ -1,26 +1,26 @@
-// Device-resident copy of the dataset and grid index, plus the plain-
-// pointer view the kernels consume (the analogue of the D, A, G, B, M
-// kernel arguments of Algorithm 1).
-//
-// Two data layouts are supported, each staging ONE image of the dataset:
+// Device-resident image of the dataset, plus the plain-pointer view the
+// kernels consume (the analogue of the D, A, G, B, M kernel arguments of
+// Algorithm 1). Each layout stages only what its kernel reads:
 //
 //   kLegacy    — the paper's layout: `points` holds the dataset's rows in
-//                their original order and every candidate coordinate is
-//                gathered through the A[] indirection (a random access
-//                per distance calculation).
+//                their original order, next to copies of A, B, G and the
+//                masks. The point-centric kernel (and kNN) searches B on
+//                the device for every candidate cell of every point and
+//                gathers each candidate through A (a random access per
+//                distance calculation).
 //   kCellMajor — the dataset is reordered at upload time so that each
 //                non-empty cell's points occupy CONTIGUOUS slots (A-order),
-//                stored as one coordinate plane per dimension (`coord`);
-//                there are no rows. A[] becomes the identity and is not
-//                stored; `orig` maps a point slot back to its original
-//                dataset id so emitted pairs still carry original ids.
-//                Candidate scans become unit-stride plane reads, which is
-//                what the grouped kernel exploits.
+//                stored as one coordinate plane per dimension (`coord`),
+//                and `orig` maps a slot back to its original dataset id so
+//                emitted pairs still carry original ids. Nothing else is
+//                staged: the grouped kernel scans candidate slot ranges
+//                the host resolved once per group from the GridIndex
+//                (build_group_adjacency), so it never searches B, G or the
+//                masks. Candidate scans are unit-stride plane reads.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "common/dataset.hpp"
 #include "core/grid_index.hpp"
@@ -60,21 +60,16 @@ struct GridDeviceView {
   }
   std::uint64_t num_queries() const { return qpoints != nullptr ? qn : n; }
 
+  /// Legacy layout: the non-empty cells' linear ids and slot ranges.
+  /// Null in the cell-major layout.
   const std::uint64_t* B = nullptr;
   std::uint64_t b_size = 0;
   const GridIndex::CellRange* G = nullptr;
 
-  /// Cell-major layout, when the grid fits the O(|D|) budget: the direct-
-  /// address cell table (make_cell_table), linear cell id -> B index or
-  /// kEmptyCell. Host memory: only the host-side adjacency builder reads
-  /// it. Null means find_cell binary-searches B.
-  const std::uint32_t* cell_table = nullptr;
-
-  /// B index of the cell with linear id `id`, or kEmptyCell when the cell
-  /// is empty: one load from the staged cell table, else a binary search
-  /// of B (Section IV-D).
+  /// Legacy layout: B index of the cell with linear id `id`, or kEmptyCell
+  /// when the cell is empty — the paper's binary search of B (Section
+  /// IV-D).
   std::uint32_t find_cell(std::uint64_t id) const {
-    if (cell_table != nullptr) return cell_table[id];
     const std::uint64_t* end = B + b_size;
     const std::uint64_t* it = std::lower_bound(B, end, id);
     return it != end && *it == id ? static_cast<std::uint32_t>(it - B)
@@ -96,6 +91,7 @@ struct GridDeviceView {
   const std::uint32_t* orig = nullptr;
   bool cell_major = false;
 
+  /// Legacy layout: the masking arrays M_j. Null in the cell-major layout.
   const std::uint32_t* M[kMaxDims] = {};
   std::uint64_t m_size[kMaxDims] = {};
 
@@ -139,7 +135,9 @@ struct GridDeviceView {
 };
 
 /// Owns the device buffers (charged against the arena, like cudaMalloc +
-/// cudaMemcpy of the host-built index) and exposes the kernel view.
+/// cudaMemcpy of the host-built index) and exposes the kernel view. A
+/// cell-major image charges n·dim·8 + n·4 bytes (planes and `orig`); a
+/// legacy image adds B, G and the masks to its rows and A.
 class DeviceGrid {
  public:
   DeviceGrid(gpu::GlobalMemoryArena& arena, const Dataset& d,
@@ -148,13 +146,12 @@ class DeviceGrid {
   const GridDeviceView& view() const { return view_; }
 
  private:
-  gpu::DeviceBuffer<double> points_;  // legacy only: n rows of dim
-  gpu::DeviceBuffer<double> coords_;  // cell-major only: dim planes of n
-  gpu::DeviceBuffer<std::uint64_t> b_;
-  gpu::DeviceBuffer<GridIndex::CellRange> g_;
+  gpu::DeviceBuffer<double> points_;  // legacy: n rows of dim
+  gpu::DeviceBuffer<double> coords_;  // cell-major: dim planes of n
   gpu::DeviceBuffer<std::uint32_t> a_;  // legacy: A; cell-major: orig map
-  gpu::DeviceBuffer<std::uint32_t> m_[kMaxDims];
-  std::vector<std::uint32_t> cell_table_;  // host memory, cell-major only
+  gpu::DeviceBuffer<std::uint64_t> b_;             // legacy only
+  gpu::DeviceBuffer<GridIndex::CellRange> g_;      // legacy only
+  gpu::DeviceBuffer<std::uint32_t> m_[kMaxDims];   // legacy only
   GridDeviceView view_;
 };
 

@@ -151,6 +151,7 @@ api::JoinOutcome make_gpu_outcome(Result r) {
         {"grid_total_cells", static_cast<double>(s.grid_total_cells)},
         {"cache_hit_rate", s.metrics.cache_hit_rate()},
         {"cache_bw_gbs", s.metrics.cache_bw_gbs},
+        {"metrics_seconds", s.metrics_seconds},
         {"occupancy", s.occupancy},
         {"regs_per_thread", static_cast<double>(s.regs_per_thread)},
     });

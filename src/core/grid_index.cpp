@@ -99,18 +99,36 @@ GridIndex::GridIndex(const Dataset& d, double eps) {
   }
 
   // Masking arrays: the non-empty coordinates per dimension.
-  for (int j = 0; j < dim_; ++j) {
-    std::vector<std::uint32_t>& m = M_[j];
-    m.reserve(B_.size());
-    for (std::uint64_t cell : B_) {
-      m.push_back(static_cast<std::uint32_t>((cell / stride_[j]) %
-                                             cells_per_dim_[j]));
-    }
-    std::sort(m.begin(), m.end());
-    m.erase(std::unique(m.begin(), m.end()), m.end());
-  }
+  for (int j = 0; j < dim_; ++j) M_[j] = mask_from_cells(j);
+  build_cell_table();
 
   if (contracts::active()) validate::grid_index(*this, d, "GridIndex(build)");
+}
+
+std::vector<std::uint32_t> GridIndex::mask_from_cells(int j) const {
+  std::vector<std::uint32_t> m;
+  m.reserve(B_.size());
+  for (const std::uint64_t cell : B_) {
+    m.push_back(
+        static_cast<std::uint32_t>((cell / stride_[j]) % cells_per_dim_[j]));
+  }
+  std::sort(m.begin(), m.end());
+  m.erase(std::unique(m.begin(), m.end()), m.end());
+  return m;
+}
+
+void GridIndex::build_cell_table() {
+  const std::uint64_t n = A_.size();
+  const std::uint64_t cells = total_cells();
+  table_.clear();
+  if (n == 0 ||
+      cells > std::max(kCellTableMinEntries, kCellTableEntriesPerPoint * n)) {
+    return;
+  }
+  table_.assign(static_cast<std::size_t>(cells), kEmptyCell);
+  for (std::size_t i = 0; i < B_.size(); ++i) {
+    table_[static_cast<std::size_t>(B_[i])] = static_cast<std::uint32_t>(i);
+  }
 }
 
 void sort_cell_keys(std::vector<CellKey>& keys, std::uint64_t max_cell) {
@@ -122,22 +140,6 @@ void sort_cell_keys(std::vector<CellKey>& keys, std::uint64_t max_cell) {
     for (const CellKey& k : keys) tmp[count[(k.cell >> shift) & 0xFF]++] = k;
     keys.swap(tmp);
   }
-}
-
-std::vector<std::uint32_t> make_cell_table(const GridIndex& index) {
-  const std::uint64_t n = index.num_points();
-  const std::uint64_t cells = index.total_cells();
-  std::vector<std::uint32_t> table;
-  if (n == 0 ||
-      cells > std::max(kCellTableMinEntries, kCellTableEntriesPerPoint * n)) {
-    return table;
-  }
-  table.assign(static_cast<std::size_t>(cells), kEmptyCell);
-  const std::vector<std::uint64_t>& B = index.B();
-  for (std::size_t i = 0; i < B.size(); ++i) {
-    table[static_cast<std::size_t>(B[i])] = static_cast<std::uint32_t>(i);
-  }
-  return table;
 }
 
 GridIndex::Parts GridIndex::to_parts() const {
@@ -246,16 +248,9 @@ GridIndex GridIndex::from_parts(Parts parts, const Dataset& d) {
     }
   }
   for (int j = 0; j < g.dim_; ++j) {
-    std::vector<std::uint32_t> m;
-    m.reserve(g.B_.size());
-    for (const std::uint64_t cell : g.B_) {
-      m.push_back(static_cast<std::uint32_t>((cell / g.stride_[j]) %
-                                             g.cells_per_dim_[j]));
-    }
-    std::sort(m.begin(), m.end());
-    m.erase(std::unique(m.begin(), m.end()), m.end());
-    if (m != g.M_[j]) reject("mask arrays do not match B");
+    if (g.mask_from_cells(j) != g.M_[j]) reject("mask arrays do not match B");
   }
+  g.build_cell_table();
 
   if (contracts::active()) {
     validate::grid_index(g, d, "GridIndex::from_parts(snapshot restore)");
@@ -272,78 +267,6 @@ std::uint64_t GridIndex::total_cells() const {
     }
   }
   return static_cast<std::uint64_t>(total);
-}
-
-void GridIndex::cell_coords(const double* pt, std::uint32_t* out) const {
-  for (int j = 0; j < dim_; ++j) {
-    out[j] = clamp_cell_coord((pt[j] - gmin_[j]) / width_, cells_per_dim_[j]);
-  }
-}
-
-std::uint64_t GridIndex::linearize(const std::uint32_t* coords) const {
-  return linearize_cell(coords, stride_, dim_);
-}
-
-std::int64_t GridIndex::find_cell(std::uint64_t linear_id) const {
-  const auto it = std::lower_bound(B_.begin(), B_.end(), linear_id);
-  if (it == B_.end() || *it != linear_id) return -1;
-  return it - B_.begin();
-}
-
-void GridIndex::range_query(const Dataset& d, const double* center,
-                            double eps,
-                            std::vector<std::uint32_t>& out) const {
-  if (eps > width_) {
-    throw std::invalid_argument(
-        "GridIndex::range_query: eps exceeds the cell width this index "
-        "was built for");
-  }
-  if (A_.empty()) return;
-  std::uint32_t c[kMaxDims];
-  cell_coords(center, c);
-  std::uint32_t adj[kMaxDims][3];
-  int adjn[kMaxDims];
-  for (int j = 0; j < dim_; ++j) {
-    adjn[j] = filtered_adjacent(j, c[j], adj[j]);
-    if (adjn[j] == 0) return;
-  }
-  const double eps2 = eps * eps;
-  int idx[kMaxDims] = {};
-  std::uint32_t cc[kMaxDims];
-  for (;;) {
-    for (int j = 0; j < dim_; ++j) cc[j] = adj[j][idx[j]];
-    const std::int64_t cell = find_cell(linearize(cc));
-    if (cell >= 0) {
-      const CellRange range = G_[static_cast<std::size_t>(cell)];
-      for (std::uint32_t k = range.min; k <= range.max; ++k) {
-        const std::uint32_t q = A_[k];
-        if (sq_dist(center, d.pt(q), dim_) <= eps2) out.push_back(q);
-      }
-    }
-    int j = 0;
-    while (j < dim_) {
-      if (++idx[j] < adjn[j]) break;
-      idx[j] = 0;
-      ++j;
-    }
-    if (j == dim_) break;
-  }
-}
-
-int GridIndex::filtered_adjacent(int j, std::uint32_t cj,
-                                 std::uint32_t out[3]) const {
-  const std::vector<std::uint32_t>& m = M_[j];
-  int count = 0;
-  const std::int64_t lo = static_cast<std::int64_t>(cj) - 1;
-  const std::int64_t hi = static_cast<std::int64_t>(cj) + 1;
-  // The candidates are at most {cj-1, cj, cj+1}; one lower_bound finds the
-  // first in range, then we scan forward (m is sorted and unique).
-  auto it = std::lower_bound(m.begin(), m.end(),
-                             static_cast<std::uint32_t>(std::max<std::int64_t>(lo, 0)));
-  for (; it != m.end() && static_cast<std::int64_t>(*it) <= hi; ++it) {
-    out[count++] = *it;
-  }
-  return count;
 }
 
 }  // namespace sj

@@ -7,17 +7,22 @@
 //
 //   B — sorted array of the linearised ids of the non-empty cells; cell
 //       existence is decided by binary search (Section IV-D). Where the
-//       grid's TOTAL cell count is itself O(|D|), the host-side adjacency
-//       builder instead reads a direct-address cell table staged beside B
-//       (make_cell_table): one load per lookup.
+//       grid's TOTAL cell count is itself O(|D|), the index also keeps a
+//       direct-address cell table beside B and find_cell() is one load.
 //   G — for each non-empty cell C_h, the inclusive range
 //       [Amin_h, Amax_h] of its points inside A.
 //   A — lookup array mapping those ranges to point ids; |A| = |D|.
 //   M_j — per-dimension masking arrays holding the cell coordinates that
 //       are non-empty in dimension j, used to filter the adjacent-cell
 //       ranges O_j before any binary search of B.
+//
+// The index is the host's only grid structure: the group adjacency
+// builder, the query groupings, the shard planner and the Table II replay
+// all read it. Only the paper's point-centric kernel (and kNN) search a
+// device copy of B, G and M (core/device_view.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -63,6 +68,39 @@ struct CellKey {
 /// instead of O(n log n). The index build bins its points with it and the
 /// join groups its queries with it.
 void sort_cell_keys(std::vector<CellKey>& keys, std::uint64_t max_cell);
+
+/// Result of a cell lookup (and cell-table entry) for an empty cell.
+inline constexpr std::uint32_t kEmptyCell =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// The paper stores only the non-empty cells so that the index stays
+/// O(|D|) in space whatever the grid's hypervolume (Section IV-B). A
+/// direct-address table over ALL cells keeps that bound only while the
+/// total cell count is itself O(|D|): at most this many entries per
+/// point, and never less than kCellTableMinEntries (a 256 KiB table) so
+/// that small datasets on small grids still get one.
+inline constexpr std::uint64_t kCellTableEntriesPerPoint = 8;
+inline constexpr std::uint64_t kCellTableMinEntries = std::uint64_t{1} << 16;
+
+/// The mask-filtered adjacent coordinates of cell coordinate `cj` in one
+/// dimension (Algorithm 1, line 7; the paper's O_j intersect M_j): the
+/// elements of {cj-1, cj, cj+1} present in the sorted, unique mask
+/// m[0..size). Writes at most 3 values to `out`; returns how many. The
+/// single implementation shared by the host index and the point-centric
+/// kernel's device masks.
+inline int filter_adjacent(const std::uint32_t* m, std::size_t size,
+                           std::uint32_t cj, std::uint32_t out[3]) {
+  const std::uint32_t* end = m + size;
+  const std::uint32_t lo = cj == 0 ? 0 : cj - 1;
+  const std::int64_t hi = static_cast<std::int64_t>(cj) + 1;
+  int count = 0;
+  // One lower_bound finds the first candidate, then a forward scan.
+  for (const std::uint32_t* it = std::lower_bound(m, end, lo);
+       it != end && static_cast<std::int64_t>(*it) <= hi; ++it) {
+    out[count++] = *it;
+  }
+  return count;
+}
 
 class GridIndex {
  public:
@@ -127,30 +165,47 @@ class GridIndex {
   const std::vector<std::uint32_t>& A() const { return A_; }
   const std::vector<std::uint32_t>& mask(int j) const { return M_[j]; }
 
+  /// Direct-address cell table: entry c holds the B index of the cell
+  /// with linear id c, or kEmptyCell. Built with the index when the grid's
+  /// total cell count fits the O(|D|) budget above; empty otherwise.
+  /// Derived from B, so snapshots do not persist it.
+  const std::vector<std::uint32_t>& cell_table() const { return table_; }
+
   /// Grid coordinates of a point (clamped into the grid).
-  void cell_coords(const double* pt, std::uint32_t* out) const;
+  void cell_coords(const double* pt, std::uint32_t* out) const {
+    for (int j = 0; j < dim_; ++j) {
+      out[j] = clamp_cell_coord((pt[j] - gmin_[j]) / width_, cells_per_dim_[j]);
+    }
+  }
 
   /// Row-major linearisation of n-dimensional cell coordinates.
-  std::uint64_t linearize(const std::uint32_t* coords) const;
+  std::uint64_t linearize(const std::uint32_t* coords) const {
+    return linearize_cell(coords, stride_, dim_);
+  }
 
-  /// Index into G()/B() of the cell with this linear id, or -1 when the
-  /// cell is empty (binary search of B, Section IV-D).
-  std::int64_t find_cell(std::uint64_t linear_id) const;
+  /// Index into G()/B() of the cell with this linear id (which must name
+  /// a cell of the grid), or kEmptyCell when the cell is empty: one load
+  /// from the cell table, else a binary search of B (Section IV-D).
+  std::uint32_t find_cell(std::uint64_t linear_id) const {
+    if (!table_.empty()) return table_[static_cast<std::size_t>(linear_id)];
+    const auto it = std::lower_bound(B_.begin(), B_.end(), linear_id);
+    return it != B_.end() && *it == linear_id
+               ? static_cast<std::uint32_t>(it - B_.begin())
+               : kEmptyCell;
+  }
 
-  /// The filtered adjacent coordinates in dimension j of a cell at
-  /// coordinate cj: the elements of {cj-1, cj, cj+1} that are present in
-  /// the masking array M_j (the paper's O_j intersect M_j). Writes at most
-  /// 3 values to `out`; returns how many.
-  int filtered_adjacent(int j, std::uint32_t cj, std::uint32_t out[3]) const;
-
-  /// Host-side range query: ids of all points of `d` (the dataset this
-  /// index was built over) within `eps` of `center`. Requires
-  /// eps <= cell_width() — the adjacent-cell search bound. Appends to
-  /// `out`.
-  void range_query(const Dataset& d, const double* center, double eps,
-                   std::vector<std::uint32_t>& out) const;
+  /// filter_adjacent over the masking array M_j.
+  int filtered_adjacent(int j, std::uint32_t cj, std::uint32_t out[3]) const {
+    return filter_adjacent(M_[j].data(), M_[j].size(), cj, out);
+  }
 
  private:
+  /// M_j rebuilt from B: the sorted, unique coordinates of the non-empty
+  /// cells in dimension j.
+  std::vector<std::uint32_t> mask_from_cells(int j) const;
+  /// Fill table_ under the O(|D|) budget (left empty over it).
+  void build_cell_table();
+
   int dim_ = 0;
   double eps_ = 0.0;
   double width_ = 0.0;
@@ -162,25 +217,7 @@ class GridIndex {
   std::vector<CellRange> G_;
   std::vector<std::uint32_t> A_;
   std::vector<std::uint32_t> M_[kMaxDims];
+  std::vector<std::uint32_t> table_;
 };
-
-/// Cell-table entry of an empty cell.
-inline constexpr std::uint32_t kEmptyCell =
-    std::numeric_limits<std::uint32_t>::max();
-
-/// The paper stores only the non-empty cells so that the index stays
-/// O(|D|) in space whatever the grid's hypervolume (Section IV-B). A
-/// direct-address table over ALL cells keeps that bound only while the
-/// total cell count is itself O(|D|): at most this many entries per
-/// point, and never less than kCellTableMinEntries (a 256 KiB table) so
-/// that small datasets on small grids still get one.
-inline constexpr std::uint64_t kCellTableEntriesPerPoint = 8;
-inline constexpr std::uint64_t kCellTableMinEntries = std::uint64_t{1} << 16;
-
-/// Direct-address cell table of `index`: entry c holds the B index of the
-/// cell with linear id c, or kEmptyCell. Empty — no table, lookups binary-
-/// search B — when the grid's total cell count exceeds the O(|D|) budget
-/// above.
-std::vector<std::uint32_t> make_cell_table(const GridIndex& index);
 
 }  // namespace sj

@@ -108,24 +108,6 @@ struct Emitter {
   }
 };
 
-/// Mask-filtered adjacent coordinates per dimension (Algorithm 1,
-/// line 7): the elements of {c_j - 1, c_j, c_j + 1} present in M_j.
-inline void filter_adjacent(const GridDeviceView& g, const std::uint32_t* c,
-                            std::uint32_t adj[][3], int* adjn) {
-  for (int j = 0; j < g.dim; ++j) {
-    const std::uint32_t* m = g.M[j];
-    const std::uint32_t* mend = m + g.m_size[j];
-    const std::uint32_t lo = c[j] == 0 ? 0 : c[j] - 1;
-    const std::int64_t hi = static_cast<std::int64_t>(c[j]) + 1;
-    int count = 0;
-    const std::uint32_t* it = std::lower_bound(m, mend, lo);
-    for (; it != mend && static_cast<std::int64_t>(*it) <= hi; ++it) {
-      adj[j][count++] = *it;
-    }
-    adjn[j] = count;
-  }
-}
-
 /// The neighbourhood enumeration shared by the point-centric kernel and
 /// the group adjacency builder: visit(cc, both_orders) is called for
 /// every candidate cell of a home cell at coordinates `c`.
@@ -213,12 +195,11 @@ void enumerate_neighborhood(int dim, const std::uint32_t* c,
   }
 }
 
-/// Evaluate one candidate cell of a point-centric query: binary-search B
-/// for existence (the legacy layout stages no cell table, so find_cell is
-/// the paper's search), then compute distances to every point it contains
-/// (Algorithm 1, lines 10-17). `both_orders` implements UNICOMP's "add
-/// both (p, q) and (q, p)" rule for neighbour cells. `key` is the
-/// ORIGINAL dataset id emitted for the query point.
+/// Evaluate one candidate cell of a point-centric query: binary-search the
+/// staged B for existence (Section IV-D), then compute distances to every
+/// point it contains (Algorithm 1, lines 10-17). `both_orders` implements
+/// UNICOMP's "add both (p, q) and (q, p)" rule for neighbour cells. `key`
+/// is the ORIGINAL dataset id emitted for the query point.
 inline void eval_cell(const SelfJoinKernelParams& p, LocalWork& w,
                       Emitter& em, std::uint32_t key, const double* pt,
                       const std::uint32_t* cc, bool both_orders) {
@@ -256,27 +237,31 @@ inline void eval_cell(const SelfJoinKernelParams& p, LocalWork& w,
 /// Build the candidate slot-range list of the cell at coordinates `c` —
 /// mask-filtering the adjacency, enumerating the neighbourhood (full or
 /// UNICOMP) and looking each candidate cell up ONCE PER GROUP instead of
-/// once per point (GridDeviceView::find_cell: the staged cell table, else
-/// a binary search of B). Contiguous ranges with the same orientation are
-/// merged: adjacent non-empty cells occupy adjacent slot ranges in the
-/// cell-major layout, so the 3^n candidate cells frequently collapse into
-/// a few long scans. `c` need not name a non-empty cell itself (a join
-/// query group's home cell may hold no data points).
-void collect_ranges_at(const GridDeviceView& g, const std::uint32_t* c,
+/// once per point (GridIndex::find_cell: the cell table, else a binary
+/// search of B). Contiguous ranges with the same orientation are merged:
+/// adjacent non-empty cells occupy adjacent slot ranges in the cell-major
+/// layout, so the 3^n candidate cells frequently collapse into a few long
+/// scans. `c` need not name a non-empty cell itself (a join query group's
+/// home cell may hold no data points).
+void collect_ranges_at(const GridIndex& index, const std::uint32_t* c,
                        bool unicomp, LocalWork& w,
                        std::vector<CandidateRange>& out) {
   const std::size_t first = out.size();
+  const int dim = index.dim();
   std::uint32_t adj[kMaxDims][3];
   int adjn[kMaxDims];
-  filter_adjacent(g, c, adj, adjn);
+  for (int j = 0; j < dim; ++j) {
+    adjn[j] = index.filtered_adjacent(j, c[j], adj[j]);
+  }
+  const GridIndex::CellRange* G = index.G().data();
   enumerate_neighborhood(
-      g.dim, c, adj, adjn, unicomp,
+      dim, c, adj, adjn, unicomp,
       [&](const std::uint32_t* cc, bool both) {
         ++w.cells_examined;
-        const std::uint32_t cell = g.find_cell(g.linearize(cc));
+        const std::uint32_t cell = index.find_cell(index.linearize(cc));
         if (cell == kEmptyCell) return;
         ++w.cells_nonempty;
-        const GridIndex::CellRange r = g.G[cell];
+        const GridIndex::CellRange r = G[cell];
         const std::uint32_t flag = both ? 1 : 0;
         if (out.size() > first && out.back().end == r.min &&
             out.back().both == flag) {
@@ -431,7 +416,9 @@ void self_join_thread(const gpu::ThreadCtx& ctx,
 
   std::uint32_t adj[kMaxDims][3];
   int adjn[kMaxDims];
-  filter_adjacent(g, c, adj, adjn);
+  for (int j = 0; j < g.dim; ++j) {
+    adjn[j] = filter_adjacent(g.M[j], g.m_size[j], c[j], adj[j]);
+  }
 
   enumerate_neighborhood(g.dim, c, adj, adjn, p.unicomp,
                          [&](const std::uint32_t* cc, bool both) {
@@ -497,40 +484,42 @@ void grouped_scan_thread(const gpu::ThreadCtx& ctx,
   if (p.work != nullptr) p.work->flush(w);
 }
 
-QueryGroups cell_groups(const GridDeviceView& grid, std::uint32_t cell_begin,
+QueryGroups cell_groups(const GridIndex& index, std::uint32_t cell_begin,
                         std::uint32_t cell_end) {
   QueryGroups groups;
   if (cell_begin == cell_end) return groups;
-  groups.home_cells.assign(grid.B + cell_begin, grid.B + cell_end);
+  const std::vector<GridIndex::CellRange>& G = index.G();
+  groups.home_cells.assign(index.B().begin() + cell_begin,
+                           index.B().begin() + cell_end);
   groups.group_offsets.reserve(cell_end - cell_begin + 1);
   for (std::uint32_t cell = cell_begin; cell < cell_end; ++cell) {
-    groups.group_offsets.push_back(grid.G[cell].min);
+    groups.group_offsets.push_back(G[cell].min);
   }
-  groups.group_offsets.push_back(grid.G[cell_end - 1].max + 1);
+  groups.group_offsets.push_back(G[cell_end - 1].max + 1);
   return groups;
 }
 
-QueryGroups sorted_query_groups(const GridDeviceView& grid) {
+QueryGroups sorted_query_groups(const GridIndex& index,
+                                const Dataset& queries) {
   const Timer timer;
   QueryGroups groups;
-  const std::uint64_t nq = grid.qn;
+  const std::size_t nq = queries.size();
 
   // Sort the queries by (home data-grid cell, id): groups become
   // contiguous position ranges and the within-group order is
   // deterministic.
-  std::vector<CellKey> keys(static_cast<std::size_t>(nq));
+  std::vector<CellKey> keys(nq);
   std::uint32_t c[kMaxDims];
-  double qbuf[kMaxDims];
   std::uint64_t max_cell = 0;
-  for (std::size_t q = 0; q < keys.size(); ++q) {
-    grid.home_cell(grid.query_point(q, qbuf), c);
-    keys[q] = {grid.linearize(c), static_cast<std::uint32_t>(q)};
+  for (std::size_t q = 0; q < nq; ++q) {
+    index.cell_coords(queries.pt(q), c);
+    keys[q] = {index.linearize(c), static_cast<std::uint32_t>(q)};
     max_cell = std::max(max_cell, keys[q].cell);
   }
   sort_cell_keys(keys, max_cell);
 
-  groups.query_order.resize(keys.size());
-  for (std::size_t pos = 0; pos < keys.size(); ++pos) {
+  groups.query_order.resize(nq);
+  for (std::size_t pos = 0; pos < nq; ++pos) {
     groups.query_order[pos] = keys[pos].id;
     if (pos == 0 || keys[pos].cell != keys[pos - 1].cell) {
       groups.group_offsets.push_back(static_cast<std::uint32_t>(pos));
@@ -542,7 +531,7 @@ QueryGroups sorted_query_groups(const GridDeviceView& grid) {
   return groups;
 }
 
-GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
+GroupAdjacencyHost build_group_adjacency(const GridIndex& index,
                                          QueryGroups groups, bool unicomp) {
   const Timer timer;
   GroupAdjacencyHost adj;
@@ -564,6 +553,7 @@ GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
       (num_groups + kGroupsPerChunk - 1) / kGroupsPerChunk;
   std::vector<std::vector<CandidateRange>> chunk_ranges(num_chunks);
   std::vector<LocalWork> chunk_work(num_chunks);
+  const int dim = index.dim();
   auto resolve = [&](std::size_t k) {
     std::vector<CandidateRange> ranges;
     LocalWork w;  // planning work, not flushed into join counters
@@ -571,12 +561,12 @@ GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
     const std::size_t g_end = std::min(num_groups, (k + 1) * kGroupsPerChunk);
     for (std::size_t g = k * kGroupsPerChunk; g < g_end; ++g) {
       const std::uint64_t home = groups.home_cells[g];
-      for (int j = 0; j < grid.dim; ++j) {
-        c[j] = static_cast<std::uint32_t>((home / grid.stride[j]) %
-                                          grid.cells_per_dim[j]);
+      for (int j = 0; j < dim; ++j) {
+        c[j] = static_cast<std::uint32_t>((home / index.stride(j)) %
+                                          index.cells_in_dim(j));
       }
       const std::size_t first = ranges.size();
-      collect_ranges_at(grid, c, unicomp, w, ranges);
+      collect_ranges_at(index, c, unicomp, w, ranges);
       std::uint64_t candidates = 0;
       for (std::size_t r = first; r < ranges.size(); ++r) {
         candidates += static_cast<std::uint64_t>(ranges[r].end -
@@ -617,9 +607,9 @@ GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
     // first group's home cell.
     const GridIndex::CellRange* cells =
         adj.query_order.empty() && num_groups > 0
-            ? grid.G + grid.find_cell(groups.home_cells[0])
+            ? index.G().data() + index.find_cell(groups.home_cells[0])
             : nullptr;
-    validate::group_adjacency(adj, cells, grid.qn, grid.n,
+    validate::group_adjacency(adj, cells, index.num_points(),
                               "build_group_adjacency");
   }
   return adj;

@@ -18,11 +18,11 @@
 // groups are the grid's own non-empty cells. One work unit is a (group,
 // position-subrange) item; the group's candidate slot ranges — including
 // the UNICOMP odd/even pattern, which each range carries in its `both`
-// flag — are resolved ONCE per join (build_group_adjacency), and all of
-// the item's points then scan those contiguous slot ranges with a
-// blocked, vectorisable inner loop. This amortises the per-point binary
-// searches of Algorithm 1 across the group and removes the A[] gather
-// from the distance loop.
+// flag — are resolved ONCE per join on the host, from the GridIndex
+// (build_group_adjacency), and all of the item's points then scan those
+// contiguous slot ranges with a blocked, vectorisable inner loop. This
+// amortises the per-point binary searches of Algorithm 1 across the
+// group and removes the A[] gather from the distance loop.
 //
 // brute_force_thread() is the GPU brute-force nested-loop kernel used as
 // the paper's index-free baseline (Section VI-B).
@@ -32,8 +32,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/dataset.hpp"
 #include "common/result.hpp"
 #include "core/device_view.hpp"
+#include "core/grid_index.hpp"
 #include "core/work_counters.hpp"
 #include "gpusim/atomic.hpp"
 #include "gpusim/cachesim.hpp"
@@ -113,17 +115,19 @@ struct QueryGroups {
   double seconds = 0.0;
 };
 
-/// The self-join's groups: non-empty cells [cell_begin, cell_end) of a
-/// cell-major grid in identity order — group g is cell cell_begin + g, its
-/// positions are the cell's slots and its keys come from orig[].
-QueryGroups cell_groups(const GridDeviceView& grid, std::uint32_t cell_begin,
+/// The self-join's groups: non-empty cells [cell_begin, cell_end) of the
+/// index in identity order — group g is cell cell_begin + g, its
+/// positions are the cell's slots (of the cell-major image) and its keys
+/// come from orig[].
+QueryGroups cell_groups(const GridIndex& index, std::uint32_t cell_begin,
                         std::uint32_t cell_end);
 
-/// The join's groups: the external query set (grid.qpoints) radix-sorted
-/// by (data-grid home cell, id), one group per distinct home cell. The home
-/// cell need not be non-empty in the data grid: groups are keyed by
-/// coordinates, not by B entries.
-QueryGroups sorted_query_groups(const GridDeviceView& grid);
+/// The join's groups: `queries` radix-sorted by (home cell in the index's
+/// grid, id), one group per distinct home cell. The home cell need not be
+/// non-empty in the data grid: groups are keyed by coordinates, not by B
+/// entries.
+QueryGroups sorted_query_groups(const GridIndex& index,
+                                const Dataset& queries);
 
 /// The group adjacency on the host, resolved ONCE per join: group g's
 /// units are positions [group_offsets[g], group_offsets[g+1]) of
@@ -151,14 +155,15 @@ struct GroupAdjacencyHost {
   }
 };
 
-/// Resolve every group's candidate slot ranges on a cell-major grid with
-/// one enumeration pass per group (odometer or, with `unicomp`, the
-/// UNICOMP pattern) and one GridDeviceView::find_cell per candidate cell:
-/// a load from the staged cell table, or a binary search of B when none
-/// is staged. Fixed-size chunks of groups resolve across the OpenMP team;
-/// the result is byte-identical for any thread count. Candidate ranges
-/// are in the grid's slot coordinates.
-GroupAdjacencyHost build_group_adjacency(const GridDeviceView& grid,
+/// Resolve every group's candidate slot ranges from the index with one
+/// enumeration pass per group (odometer or, with `unicomp`, the UNICOMP
+/// pattern) over the mask-filtered neighbourhood, and one
+/// GridIndex::find_cell per candidate cell: a load from the index's cell
+/// table, or a binary search of B when it keeps none. Fixed-size chunks
+/// of groups resolve across the OpenMP team; the result is byte-identical
+/// for any thread count. Candidate ranges are in the slot coordinates of
+/// the index's cell-major image (A-order).
+GroupAdjacencyHost build_group_adjacency(const GridIndex& index,
                                          QueryGroups groups, bool unicomp);
 
 /// The device-resident group adjacency the grouped kernel reads. The

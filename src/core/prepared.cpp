@@ -106,7 +106,8 @@ GpuJoinResult PreparedJoin::run(const Dataset& queries,
     // group's candidate ranges ONCE; the build carries the index-search
     // work (once per query group rather than once per query).
     const GroupAdjacency adjacency = upload_group_adjacency(
-        arena_, build_group_adjacency(grid, sorted_query_groups(grid),
+        arena_, build_group_adjacency(index_,
+                                      sorted_query_groups(index_, queries),
                                       /*unicomp=*/false));
     st.query_groups = adjacency.num_groups();
     st.adjacency_seconds = adjacency.build_seconds;
@@ -146,8 +147,10 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
       cached = std::make_unique<GroupAdjacency>(upload_group_adjacency(
           arena_,
           build_group_adjacency(
-              grid,
-              cell_groups(grid, 0, static_cast<std::uint32_t>(grid.b_size)),
+              index_,
+              cell_groups(index_, 0,
+                          static_cast<std::uint32_t>(
+                              index_.num_nonempty_cells())),
               opt.unicomp)));
       st.adjacency_seconds = cached->build_seconds;
     }
@@ -172,8 +175,8 @@ SelfJoinResult PreparedJoin::self_join(const GpuSelfJoinOptions& opt) const {
   }
   st.join_seconds = phase.seconds();
   take_output(std::move(out), work, result);
-  collect_gpu_stats(grid, opt, st);
   st.total_seconds = total.seconds();
+  collect_gpu_stats(index_, grid, opt, st);
   return result;
 }
 

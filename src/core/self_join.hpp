@@ -50,7 +50,9 @@ struct GpuSelfJoinOptions {
   std::uint64_t max_buffer_pairs = 1ULL << 24;
 
   /// Collect Table II-style metrics (occupancy, unified-cache model).
-  /// Runs one extra serial metrics pass — results are unaffected.
+  /// Runs one extra serial metrics pass after the join — results are
+  /// unaffected, and its time is reported apart (metrics_seconds), not in
+  /// total_seconds.
   bool collect_metrics = false;
 
   /// What to materialise (common/result.hpp). Non-pairs modes skip the
@@ -81,6 +83,9 @@ struct SelfJoinStats {
   /// Adjacency build (cell-major): 0 when a prepared self-join reused the
   /// cached adjacency; summed over the chunklets on gpu_shard.
   double adjacency_seconds = 0.0;
+  /// The serial Table II replay (collect_metrics), outside total_seconds;
+  /// 0 when the replay is off.
+  double metrics_seconds = 0.0;
 
   BatchRunStats batch;
 
@@ -119,10 +124,13 @@ class GpuSelfJoin {
   GpuSelfJoinOptions opt_;
 };
 
-/// Shared tail of the GPU self-joins: the occupancy model plus the
-/// optional serial metrics pass. Used by PreparedJoin::self_join and the
-/// shard engine.
-void collect_gpu_stats(const GridDeviceView& grid,
+/// Shared tail of the GPU self-joins, run after their total_seconds is
+/// taken: the occupancy model plus the optional serial metrics pass over
+/// `grid`, the staged image of `index` (on the cell-major layout the
+/// replay rebuilds the cells' adjacency from the index). The pass's wall
+/// time goes to st.metrics_seconds. Used by PreparedJoin::self_join and
+/// the shard engine.
+void collect_gpu_stats(const GridIndex& index, const GridDeviceView& grid,
                        const GpuSelfJoinOptions& opt, SelfJoinStats& st);
 
 }  // namespace sj

@@ -61,11 +61,12 @@ void validate_shard_options(const ShardedSelfJoinOptions& opt,
   }
 }
 
-/// The host stage: a cell-major DeviceGrid of the indexed dataset, staged
-/// into a host arena of unbounded capacity, so no device is charged (and,
-/// staged outside any DeviceScope, it arms no fault hook). The planning
-/// pass and the metrics replay run over its view ONCE, and each device
-/// then uploads only its chunklets' spans of it into its own arena.
+/// The host stage: a cell-major DeviceGrid of the indexed dataset (its
+/// coordinate planes and slot -> id map), staged into a host arena of
+/// unbounded capacity, so no device is charged (and, staged outside any
+/// DeviceScope, it arms no fault hook). Each device uploads only its
+/// chunklets' spans of it into its own arena; the planner and the
+/// adjacency builds read the GridIndex itself.
 struct HostStage {
   gpu::GlobalMemoryArena arena{std::numeric_limits<std::size_t>::max()};
   DeviceGrid grid;
@@ -621,7 +622,7 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   // Chunklet weights: the cheap population-window proxy (the exact
   // adjacency weights would cost a global enumeration — the very pass each
   // device resolves for ITS OWN cells below, in parallel).
-  const ChunkletPlan cplan = plan_units(proxy_cell_weights(hv), opt_,
+  const ChunkletPlan cplan = plan_units(proxy_cell_weights(index), opt_,
                                         "ShardedGpuSelfJoin(plan)");
   result.shard.common_seconds = total.seconds();
 
@@ -632,7 +633,7 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
   [&](DeviceCtx& ctx, std::uint32_t c, const ResultRequest& req,
       ChunkOutput& out, AtomicWork& work) {
     const GroupAdjacencyHost adj = build_group_adjacency(
-        hv, cell_groups(hv, cplan.bounds[c], cplan.bounds[c + 1]),
+        index, cell_groups(index, cplan.bounds[c], cplan.bounds[c + 1]),
         opt_.unicomp);
     // The adjacency build carries the chunklet's index-search work
     // (resolved once per owned cell).
@@ -645,9 +646,8 @@ ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
                  req, out, work);
   });
   st.join_seconds = phase.seconds();
-
-  collect_gpu_stats(hv, opt_, st);
   st.total_seconds = total.seconds();
+  collect_gpu_stats(index, hv, opt_, st);
   return result;
 }
 
@@ -678,8 +678,8 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   GridDeviceView hv = stage.grid.view();
   hv.qpoints = queries.raw().data();
   hv.qn = queries.size();
-  const GroupAdjacencyHost adj =
-      build_group_adjacency(hv, sorted_query_groups(hv), /*unicomp=*/false);
+  const GroupAdjacencyHost adj = build_group_adjacency(
+      index, sorted_query_groups(index, queries), /*unicomp=*/false);
   st.query_groups = adj.num_groups();
   st.adjacency_seconds = adj.build_seconds;
 

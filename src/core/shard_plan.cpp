@@ -25,12 +25,12 @@ std::uint32_t ShardSlice::to_local(std::uint32_t global_slot) const {
   return (it - 1)->local_begin + (global_slot - (it - 1)->begin);
 }
 
-std::vector<std::uint64_t> proxy_cell_weights(const GridDeviceView& grid) {
-  const std::size_t num_cells = static_cast<std::size_t>(grid.b_size);
+std::vector<std::uint64_t> proxy_cell_weights(const GridIndex& index) {
+  const std::vector<GridIndex::CellRange>& G = index.G();
+  const std::size_t num_cells = G.size();
   std::vector<std::uint64_t> weights(num_cells, 0);
   auto pop = [&](std::size_t cell) -> std::uint64_t {
-    return static_cast<std::uint64_t>(grid.G[cell].max) - grid.G[cell].min +
-           1;
+    return static_cast<std::uint64_t>(G[cell].max) - G[cell].min + 1;
   };
   for (std::size_t cell = 0; cell < num_cells; ++cell) {
     std::uint64_t window = pop(cell);

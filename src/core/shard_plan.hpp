@@ -74,7 +74,7 @@ struct ShardSlice {
 /// Each device resolves its own cells' adjacency, and its batches are cut
 /// from exact counts, but the boundary pass must not cost an unsharded
 /// global enumeration, or it becomes the scale-out serial tail.
-std::vector<std::uint64_t> proxy_cell_weights(const GridDeviceView& grid);
+std::vector<std::uint64_t> proxy_cell_weights(const GridIndex& index);
 
 /// Place `parts` contiguous boundaries over `weights` so each part takes
 /// at least one entry and carries an approximately equal share of the

@@ -89,6 +89,19 @@ void check_masks(const std::uint32_t* const* masks, const std::uint64_t* sizes,
   }
 }
 
+/// The table inverts B exactly: every non-empty cell maps to its own B
+/// index, and no other entry names a cell.
+void check_cell_table(const std::vector<std::uint32_t>& table,
+                      const std::vector<std::uint64_t>& B, const char* ctx) {
+  for (std::size_t i = 0; i < B.size(); ++i) {
+    SJ_CHECK(B[i] < table.size() && table[B[i]] == i, ctx);
+  }
+  const auto named = static_cast<std::size_t>(
+      std::count_if(table.begin(), table.end(),
+                    [](std::uint32_t e) { return e != kEmptyCell; }));
+  SJ_CHECK(named == B.size(), ctx);
+}
+
 }  // namespace
 
 void grid_index(const GridIndex& index, const Dataset& d, const char* ctx) {
@@ -124,33 +137,31 @@ void grid_index(const GridIndex& index, const Dataset& d, const char* ctx) {
       SJ_CHECK(index.linearize(coords) == B[cell], ctx);
     }
   }
+
+  if (!index.cell_table().empty()) {
+    SJ_CHECK(index.cell_table().size() == index.total_cells(), ctx);
+    check_cell_table(index.cell_table(), B, ctx);
+  }
+}
+
+void cell_table(const std::vector<std::uint32_t>& table,
+                const std::vector<std::uint64_t>& B, const char* ctx) {
+  contracts::ScopedTimer timer;
+  check_cell_table(table, B, ctx);
 }
 
 void device_grid(const GridDeviceView& v, const Dataset* d, const char* ctx) {
   contracts::ScopedTimer timer;
   SJ_CHECK((v.dim >= 1 || v.n == 0) && v.dim <= kMaxDims, ctx);
-  check_strictly_increasing_u64(v.B, v.b_size, ctx);
-  check_cell_ranges_partition(v.G, v.b_size, v.n, ctx);
-  check_masks(v.M, v.m_size, v.cells_per_dim, v.dim, ctx);
-
-  if (v.cell_table != nullptr) {
-    // The table inverts B exactly: every non-empty cell maps to its own B
-    // index, and no other entry names a cell.
-    std::uint64_t cells = 1;
-    for (int j = 0; j < v.dim; ++j) cells *= v.cells_per_dim[j];
-    for (std::uint64_t i = 0; i < v.b_size; ++i) {
-      SJ_CHECK(v.B[i] < cells && v.cell_table[v.B[i]] == i, ctx);
-    }
-    const auto named = static_cast<std::uint64_t>(std::count_if(
-        v.cell_table, v.cell_table + cells,
-        [](std::uint32_t e) { return e != kEmptyCell; }));
-    SJ_CHECK(named == v.b_size, ctx);
-  }
 
   // One image per layout: planes and the slot -> id map in cell-major,
-  // rows and A in legacy.
+  // rows, A and the searchable index (B, G, masks) in legacy.
   if (v.cell_major) {
     SJ_CHECK(v.A == nullptr && v.points == nullptr, ctx);
+    SJ_CHECK(v.B == nullptr && v.b_size == 0 && v.G == nullptr, ctx);
+    for (int j = 0; j < v.dim; ++j) {
+      SJ_CHECK(v.M[j] == nullptr && v.m_size[j] == 0, ctx);
+    }
     SJ_CHECK(v.orig != nullptr || v.n == 0, ctx);
     if (v.n > 0) {
       SJ_CHECK(is_permutation_of_iota(v.orig, v.n), ctx);
@@ -158,6 +169,9 @@ void device_grid(const GridDeviceView& v, const Dataset* d, const char* ctx) {
     }
   } else {
     SJ_CHECK(v.orig == nullptr && v.coord[0] == nullptr, ctx);
+    check_strictly_increasing_u64(v.B, v.b_size, ctx);
+    check_cell_ranges_partition(v.G, v.b_size, v.n, ctx);
+    check_masks(v.M, v.m_size, v.cells_per_dim, v.dim, ctx);
     if (v.n > 0) {
       SJ_CHECK(v.points != nullptr && v.A != nullptr, ctx);
       SJ_CHECK(is_permutation_of_iota(v.A, v.n), ctx);
@@ -182,8 +196,8 @@ void device_grid(const GridDeviceView& v, const Dataset* d, const char* ctx) {
 }
 
 void group_adjacency(const GroupAdjacencyHost& adj,
-                     const GridIndex::CellRange* cells, std::uint64_t queries,
-                     std::uint64_t n_slots, const char* ctx) {
+                     const GridIndex::CellRange* cells, std::uint64_t n_slots,
+                     const char* ctx) {
   contracts::ScopedTimer timer;
   const std::size_t groups = adj.num_groups();
   const std::vector<std::uint32_t>& go = adj.group_offsets;
@@ -200,7 +214,7 @@ void group_adjacency(const GroupAdjacencyHost& adj,
                ctx);
     }
   } else {
-    SJ_CHECK(adj.query_order.size() == queries, ctx);
+    const std::uint64_t queries = adj.query_order.size();
     SJ_CHECK(is_permutation_of_iota(adj.query_order.data(), queries), ctx);
     SJ_CHECK(!go.empty() && go.front() == 0 && go.back() == queries, ctx);
   }

@@ -29,19 +29,26 @@ namespace sj::validate {
 ///   - A is a permutation of [0, n)
 ///   - every point's home cell linearises to the B entry owning its slot
 ///   - per-dimension masks strictly increasing and within cells_in_dim
+///   - the cell table, when the index keeps one, covers every cell of the
+///     grid and passes cell_table()
 void grid_index(const GridIndex& index, const Dataset& d, const char* context);
 
-/// GridDeviceView invariants (either layout):
-///   - G ranges partition [0, n), B strictly increasing
-///   - one image per layout: cell-major has coordinate planes and an
-///     `orig` that is a permutation of [0, n), and no rows; legacy has
-///     rows and an A that is a permutation of [0, n), and no planes
+/// Direct-address cell table invariants against the B it inverts:
+/// table[B[i]] == i for every i, and exactly B.size() entries are not
+/// kEmptyCell (no empty cell claims a B entry).
+void cell_table(const std::vector<std::uint32_t>& table,
+                const std::vector<std::uint64_t>& B, const char* context);
+
+/// GridDeviceView invariants, one image per layout:
+///   - cell-major: coordinate planes and an `orig` that is a permutation
+///     of [0, n); no rows, no A, and no B, G or masks (the host index
+///     resolves the grouped kernel's candidates)
+///   - legacy: rows and an A that is a permutation of [0, n); G ranges
+///     partition [0, n), B strictly increasing, masks strictly increasing
+///     and within cells_per_dim; no planes and no `orig`
 ///   - when `d` is non-null, every staged coordinate matches the source
 ///     dataset: coord[j][k] is coordinate j of point orig[k] (cell-major),
 ///     row k is point k (legacy)
-///   - masks strictly increasing and within cells_per_dim
-///   - when a cell table is staged: table[B[i]] == i for every i, and
-///     exactly b_size entries are not kEmptyCell
 void device_grid(const GridDeviceView& view, const Dataset* d,
                  const char* context);
 
@@ -50,16 +57,16 @@ void device_grid(const GridDeviceView& view, const Dataset* d,
 ///     cells in order, and group g's positions are cell g's slots
 ///     (group_offsets[g] == cells[g].min, the last offset one past the
 ///     last cell's max)
-///   - sorted order: query_order is a permutation of [0, queries), and
-///     group_offsets run from 0 to queries (`cells` is unused)
+///   - sorted order: query_order is a permutation of [0, q) for its
+///     length q, and group_offsets run from 0 to q (`cells` is unused)
 ///   - group_offsets strictly increasing (no empty groups)
 ///   - offsets a well-formed CSR over num_groups() ending at ranges.size()
 ///   - weights has num_groups() entries
 ///   - every range non-empty, in [0, n_slots), both flag in {0, 1}
 ///   - each group's merged ranges pairwise non-overlapping
 void group_adjacency(const GroupAdjacencyHost& adj,
-                     const GridIndex::CellRange* cells, std::uint64_t queries,
-                     std::uint64_t n_slots, const char* context);
+                     const GridIndex::CellRange* cells, std::uint64_t n_slots,
+                     const char* context);
 
 /// Shard boundary invariants: boundaries[0] == 0, strictly increasing,
 /// ending at num_units — the shards are disjoint, non-empty, and cover

@@ -107,18 +107,13 @@ TEST(Contracts, GridIndexValidatorAcceptsRealIndex) {
 }
 
 /// A minimal hand-built cell-major view of a 1-d layout: `points` is its
-/// one coordinate plane.
+/// one coordinate plane, and the view carries nothing else.
 GridDeviceView tiny_cell_major_view(const std::vector<double>& points,
-                                    const std::vector<std::uint64_t>& B,
-                                    const std::vector<GridIndex::CellRange>& G,
                                     const std::vector<std::uint32_t>& orig) {
   GridDeviceView v;
   v.coord[0] = points.data();
   v.n = points.size();
   v.dim = 1;
-  v.B = B.data();
-  v.b_size = B.size();
-  v.G = G.data();
   v.orig = orig.data();
   v.cell_major = true;
   return v;
@@ -126,10 +121,8 @@ GridDeviceView tiny_cell_major_view(const std::vector<double>& points,
 
 TEST(ContractsDeath, DeviceGridValidatorRejectsBrokenOrigPermutation) {
   const std::vector<double> points{0.1, 0.2, 0.3, 0.4};
-  const std::vector<std::uint64_t> B{5};
-  const std::vector<GridIndex::CellRange> G{{0, 3}};
   std::vector<std::uint32_t> orig{0, 1, 2, 3};
-  GridDeviceView view = tiny_cell_major_view(points, B, G, orig);
+  GridDeviceView view = tiny_cell_major_view(points, orig);
   validate::device_grid(view, nullptr, "intact view");  // sanity: passes
   orig[3] = 2;  // slot 3 duplicates original id 2: no longer a bijection
   EXPECT_DEATH(validate::device_grid(view, nullptr, "corrupted orig map"),
@@ -137,12 +130,22 @@ TEST(ContractsDeath, DeviceGridValidatorRejectsBrokenOrigPermutation) {
 }
 
 TEST(ContractsDeath, DeviceGridValidatorRejectsGapInCellRanges) {
-  const std::vector<double> points{0.1, 0.2, 0.3, 0.4};
+  // Legacy layout: the image that stages B and G.
+  const std::vector<double> rows{0.1, 0.2, 0.3, 0.4};
+  const std::vector<std::uint32_t> A{0, 1, 2, 3};
   const std::vector<std::uint64_t> B{5, 9};
   // Cell ranges must tile [0, 4); {0,1} then {3,3} leaves slot 2 orphaned.
-  const std::vector<GridIndex::CellRange> G{{0, 1}, {3, 3}};
-  const std::vector<std::uint32_t> orig{0, 1, 2, 3};
-  const GridDeviceView view = tiny_cell_major_view(points, B, G, orig);
+  std::vector<GridIndex::CellRange> G{{0, 1}, {2, 3}};
+  GridDeviceView view;
+  view.points = rows.data();
+  view.n = rows.size();
+  view.dim = 1;
+  view.A = A.data();
+  view.B = B.data();
+  view.b_size = B.size();
+  view.G = G.data();
+  validate::device_grid(view, nullptr, "intact ranges");  // sanity: passes
+  G[1].min = 3;
   EXPECT_DEATH(validate::device_grid(view, nullptr, "cell range gap"),
                "SJ_CHECK violation.*cell range gap");
 }
@@ -151,34 +154,46 @@ TEST(ContractsDeath, DeviceGridValidatorRejectsSoaPlaneDrift) {
   // Slot k holds point orig[k] of the dataset.
   const Dataset d(1, {0.4, 0.3, 0.2, 0.1});
   std::vector<double> plane{0.1, 0.2, 0.3, 0.4};
-  const std::vector<std::uint64_t> B{5};
-  const std::vector<GridIndex::CellRange> G{{0, 3}};
   const std::vector<std::uint32_t> orig{3, 2, 1, 0};
-  const GridDeviceView view = tiny_cell_major_view(plane, B, G, orig);
+  const GridDeviceView view = tiny_cell_major_view(plane, orig);
   validate::device_grid(view, &d, "intact plane");  // sanity: passes
   plane[2] = 0.35;  // slot 2 no longer holds point orig[2]
   EXPECT_DEATH(validate::device_grid(view, &d, "soa plane drift"),
                "SJ_CHECK violation.*soa plane drift");
 }
 
-TEST(ContractsDeath, DeviceGridValidatorRejectsCorruptCellTable) {
+TEST(ContractsDeath, DeviceGridValidatorRejectsIndexOnCellMajorImage) {
+  // A cell-major image stages planes and orig only; B, G or masks beside
+  // them are a staging bug (the grouped kernel never reads them).
   const std::vector<double> points{0.1, 0.2, 0.3, 0.4};
+  const std::vector<std::uint32_t> orig{0, 1, 2, 3};
   const std::vector<std::uint64_t> B{5};
   const std::vector<GridIndex::CellRange> G{{0, 3}};
-  const std::vector<std::uint32_t> orig{0, 1, 2, 3};
-  GridDeviceView view = tiny_cell_major_view(points, B, G, orig);
-  view.cells_per_dim[0] = 10;
-  std::vector<std::uint32_t> table(10, kEmptyCell);
-  table[5] = 0;
-  view.cell_table = table.data();
-  validate::device_grid(view, nullptr, "intact table");  // sanity: passes
-  table[5] = 1;  // cell 5 no longer maps back to B[0]
-  EXPECT_DEATH(validate::device_grid(view, nullptr, "corrupt cell table"),
+  GridDeviceView view = tiny_cell_major_view(points, orig);
+  view.B = B.data();
+  view.b_size = B.size();
+  view.G = G.data();
+  EXPECT_DEATH(validate::device_grid(view, nullptr, "index on cell-major"),
+               "SJ_CHECK violation.*index on cell-major");
+}
+
+TEST(ContractsDeath, CellTableValidatorRejectsCorruptTable) {
+  const Dataset d = datagen::uniform(200, 2, 0.0, 10.0, /*seed=*/5);
+  const GridIndex index(d, 1.0);
+  ASSERT_FALSE(index.cell_table().empty());
+  ASSERT_GE(index.num_nonempty_cells(), 2u);
+  validate::cell_table(index.cell_table(), index.B(), "intact table");
+  std::vector<std::uint32_t> table = index.cell_table();
+  table[index.B()[0]] = 1;  // B[0]'s cell no longer maps back to index 0
+  EXPECT_DEATH(validate::cell_table(table, index.B(), "corrupt cell table"),
                "SJ_CHECK violation.*corrupt cell table");
-  table[5] = 0;
-  table[2] = 0;  // an empty cell claims B[0] as well
-  EXPECT_DEATH(validate::device_grid(view, nullptr, "stray cell table entry"),
-               "SJ_CHECK violation.*stray cell table entry");
+  table = index.cell_table();
+  std::uint64_t empty = 0;
+  while (table[empty] != kEmptyCell) ++empty;
+  table[empty] = 0;  // an empty cell claims B[0] as well
+  EXPECT_DEATH(
+      validate::cell_table(table, index.B(), "stray cell table entry"),
+      "SJ_CHECK violation.*stray cell table entry");
 }
 
 // -------------------------------------------------- adjacency validator
@@ -192,7 +207,7 @@ TEST(Contracts, CellAdjacencyValidatorAcceptsWellFormedCsr) {
   adj.ranges = {{0, 2, 0}, {2, 4, 1}};
   adj.offsets = {0, 2};
   adj.weights = {8};
-  validate::group_adjacency(adj, cells.data(), 0, 4,
+  validate::group_adjacency(adj, cells.data(), 4,
                             "well-formed cell adjacency");
 }
 
@@ -203,7 +218,7 @@ TEST(ContractsDeath, CellAdjacencyValidatorRejectsOutOfBoundsRange) {
   adj.ranges = {{0, 5, 0}};  // slot space has only 4 slots
   adj.offsets = {0, 1};
   adj.weights = {5};
-  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 4,
                                          "range past the slot space"),
                "SJ_CHECK violation.*range past the slot space");
 }
@@ -215,7 +230,7 @@ TEST(ContractsDeath, CellAdjacencyValidatorRejectsOverlappingRanges) {
   adj.ranges = {{0, 3, 0}, {2, 4, 0}};  // [0,3) and [2,4) overlap
   adj.offsets = {0, 2};
   adj.weights = {7};
-  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 4,
                                          "overlapping candidate ranges"),
                "SJ_CHECK violation.*overlapping candidate ranges");
 }
@@ -227,7 +242,7 @@ TEST(ContractsDeath, CellAdjacencyValidatorRejectsNonMonotoneOffsets) {
   adj.ranges = {{0, 2, 0}};
   adj.offsets = {0, 1, 0};  // CSR must be non-decreasing and end at size
   adj.weights = {2, 0};
-  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 4,
                                          "broken csr offsets"),
                "SJ_CHECK violation.*broken csr offsets");
 }
@@ -239,9 +254,9 @@ TEST(ContractsDeath, CellAdjacencyValidatorRejectsOffsetDriftedFromCell) {
   adj.ranges = {{0, 4, 0}, {0, 4, 0}};
   adj.offsets = {0, 1, 2};
   adj.weights = {8, 8};
-  validate::group_adjacency(adj, cells.data(), 0, 4, "intact cell groups");
+  validate::group_adjacency(adj, cells.data(), 4, "intact cell groups");
   adj.group_offsets[1] = 3;  // group 1 no longer starts at cell 1's slots
-  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 0, 4,
+  EXPECT_DEATH(validate::group_adjacency(adj, cells.data(), 4,
                                          "group offset drifted from cell"),
                "SJ_CHECK violation.*group offset drifted from cell");
 }
@@ -254,7 +269,7 @@ TEST(ContractsDeath, JoinAdjacencyValidatorRejectsDuplicateQueryOrder) {
   adj.ranges = {{0, 2, 0}};
   adj.offsets = {0, 1};
   adj.weights = {4};
-  EXPECT_DEATH(validate::group_adjacency(adj, nullptr, 2, 4,
+  EXPECT_DEATH(validate::group_adjacency(adj, nullptr, 4,
                                          "query order not a permutation"),
                "SJ_CHECK violation.*query order not a permutation");
 }
@@ -267,7 +282,7 @@ TEST(ContractsDeath, JoinAdjacencyValidatorRejectsEmptyGroup) {
   adj.offsets = {0, 1, 2};
   adj.weights = {4, 1};
   EXPECT_DEATH(
-      validate::group_adjacency(adj, nullptr, 2, 4, "empty query group"),
+      validate::group_adjacency(adj, nullptr, 4, "empty query group"),
       "SJ_CHECK violation.*empty query group");
 }
 

@@ -240,9 +240,10 @@ TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
   DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
   const GroupAdjacency adjacency = upload_group_adjacency(
       arena, build_group_adjacency(
-                 dev.view(),
-                 cell_groups(dev.view(), 0,
-                             static_cast<std::uint32_t>(dev.view().b_size)),
+                 index,
+                 cell_groups(index, 0,
+                             static_cast<std::uint32_t>(
+                                 index.num_nonempty_cells())),
                  /*unicomp=*/false));
 
   PipelineConfig config;
@@ -276,9 +277,10 @@ TEST(BatchPipelineDirect, FatalOverflowOnlyOnUnsplittableSinglePoint) {
   DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
   const GroupAdjacency adjacency = upload_group_adjacency(
       arena, build_group_adjacency(
-                 dev.view(),
-                 cell_groups(dev.view(), 0,
-                             static_cast<std::uint32_t>(dev.view().b_size)),
+                 index,
+                 cell_groups(index, 0,
+                             static_cast<std::uint32_t>(
+                                 index.num_nonempty_cells())),
                  /*unicomp=*/false));
 
   PipelineConfig config;

@@ -38,6 +38,9 @@ TEST(CellMajorLayout, ReorderMatchesIndexAndKeepsOriginalIds) {
   EXPECT_TRUE(v.cell_major);
   EXPECT_EQ(v.A, nullptr);  // identity — the indirection is gone
   EXPECT_EQ(v.points, nullptr);  // the planes are the only image
+  EXPECT_EQ(v.B, nullptr);  // the host index resolves the candidates
+  EXPECT_EQ(v.G, nullptr);
+  EXPECT_EQ(v.M[0], nullptr);
   ASSERT_NE(v.orig, nullptr);
 
   // Slot k of every plane holds a coordinate of original point A[k], and
@@ -159,14 +162,12 @@ TEST(CellBatchPlanner, WeightsTrackSkewAndPartitionBalances) {
   const auto d = datagen::ippp(2000, 2, 48.0, 91);
   const double eps = 1.0;
   GridIndex index(d, eps);
-  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
-  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
 
   const auto weights =
       build_group_adjacency(
-          dev.view(),
-          cell_groups(dev.view(), 0,
-                      static_cast<std::uint32_t>(dev.view().b_size)),
+          index,
+          cell_groups(index, 0,
+                      static_cast<std::uint32_t>(index.num_nonempty_cells())),
           false)
           .weights;
   ASSERT_EQ(weights.size(), index.num_nonempty_cells());
@@ -225,13 +226,13 @@ TEST(CellBatchPlanner, SkewedIpppJoinStaysExactWithManyBatches) {
 TEST(CellAdjacencyBuild, RangesCoverExactlyTheKernelCandidates) {
   const auto d = datagen::uniform(400, 2, 0.0, 20.0, 37);
   GridIndex index(d, 1.0);
-  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
-  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
-  const GridDeviceView& v = dev.view();
 
   for (bool unicomp : {false, true}) {
     const GroupAdjacencyHost adj = build_group_adjacency(
-        v, cell_groups(v, 0, static_cast<std::uint32_t>(v.b_size)), unicomp);
+        index,
+        cell_groups(index, 0,
+                    static_cast<std::uint32_t>(index.num_nonempty_cells())),
+        unicomp);
     ASSERT_EQ(adj.weights.size(), index.num_nonempty_cells());
     EXPECT_GT(adj.cells_examined, 0u);
     // offsets is a valid monotone CSR over ranges.

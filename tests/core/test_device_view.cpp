@@ -47,19 +47,22 @@ TEST(DeviceGrid, ArenaChargedAndReleased) {
   const auto d = datagen::uniform(1000, 2, 0.0, 100.0, 7);
   GridIndex index(d, 2.0);
   gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
-  // One image of the dataset in either layout: legacy rows or cell-major
-  // planes, never both.
-  const std::size_t expected =
-      d.raw().size() * sizeof(double) +
-      index.B().size() * sizeof(std::uint64_t) +
+  // Each layout stages what its kernel reads. Cell-major: the planes and
+  // the slot -> id map, n·dim·8 + n·4 bytes. Legacy: the rows and A, plus
+  // B, G and the masks the point-centric kernel searches.
+  const std::size_t image = d.raw().size() * sizeof(double) +
+                            index.A().size() * sizeof(std::uint32_t);
+  ASSERT_EQ(image, d.size() * (2 * 8 + 4));
+  const std::size_t legacy =
+      image + index.B().size() * sizeof(std::uint64_t) +
       index.G().size() * sizeof(GridIndex::CellRange) +
-      index.A().size() * sizeof(std::uint32_t) +
       index.mask(0).size() * sizeof(std::uint32_t) +
       index.mask(1).size() * sizeof(std::uint32_t);
   for (GridLayout layout : {GridLayout::kLegacy, GridLayout::kCellMajor}) {
     {
       DeviceGrid dev(arena, d, index, layout);
-      EXPECT_EQ(arena.used(), expected);
+      EXPECT_EQ(arena.used(),
+                layout == GridLayout::kLegacy ? legacy : image);
     }
     EXPECT_EQ(arena.used(), 0u);
   }

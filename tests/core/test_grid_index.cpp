@@ -81,9 +81,9 @@ TEST(GridIndex, EveryPointMapsIntoItsCell) {
     g.cell_coords(d.pt(i), coords);
     const auto lin = g.linearize(coords);
     const auto cell = g.find_cell(lin);
-    ASSERT_GE(cell, 0) << "point's own cell must be non-empty";
+    ASSERT_NE(cell, kEmptyCell) << "point's own cell must be non-empty";
     // The point id must appear within the cell's A-range.
-    const auto range = g.G()[static_cast<std::size_t>(cell)];
+    const auto range = g.G()[cell];
     bool found = false;
     for (std::uint32_t k = range.min; k <= range.max; ++k) {
       if (g.A()[k] == i) found = true;
@@ -121,12 +121,24 @@ TEST(GridIndex, PaddedRangeAvoidsBoundaryCells) {
   }
 }
 
-TEST(GridIndex, FindCellReturnsMinusOneForEmpty) {
-  GridIndex g(small2d(), 1.0);
-  // A linear id not in B.
-  std::uint64_t absent = 0;
-  while (g.find_cell(absent) >= 0) ++absent;
-  EXPECT_EQ(g.find_cell(absent), -1);
+TEST(GridIndex, FindCellReturnsEmptyCellForAbsentId) {
+  // small2d's grid fits the cell-table budget; two clusters 1000 units
+  // apart at eps 0.5 (~4e6 cells for 4 points) do not, so find_cell
+  // binary-searches B there.
+  const Dataset far(2, {0.0, 0.0, 0.2, 0.2, 1000.0, 1000.0, 1000.2, 1000.2});
+  const GridIndex table(small2d(), 1.0);
+  const GridIndex searched(far, 0.5);
+  ASSERT_FALSE(table.cell_table().empty());
+  ASSERT_TRUE(searched.cell_table().empty());
+  for (const GridIndex* g : {&table, &searched}) {
+    // The first linear id not in B, and every id of B.
+    std::uint64_t absent = 0;
+    while (std::binary_search(g->B().begin(), g->B().end(), absent)) ++absent;
+    EXPECT_EQ(g->find_cell(absent), kEmptyCell);
+    for (std::size_t i = 0; i < g->B().size(); ++i) {
+      EXPECT_EQ(g->find_cell(g->B()[i]), i);
+    }
+  }
 }
 
 TEST(GridIndex, FilteredAdjacentSubsetOfWindow) {

@@ -60,7 +60,7 @@ TEST_P(GridSweep, EveryPointResolvableThroughIndex) {
   std::uint32_t coords[kMaxDims];
   for (std::size_t i = 0; i < d.size(); i += 7) {
     g.cell_coords(d.pt(i), coords);
-    EXPECT_GE(g.find_cell(g.linearize(coords)), 0);
+    EXPECT_NE(g.find_cell(g.linearize(coords)), kEmptyCell);
   }
 }
 

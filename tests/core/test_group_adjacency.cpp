@@ -1,10 +1,10 @@
 // The group adjacency builder gives the same bytes however a cell is
 // looked up, however the groups are split and however many threads
-// resolve them: the staged cell table against the binary search of B, the
-// whole build against a chunklet split, one thread against the default
-// team, and the radix grouping of join queries against a comparison sort.
-// A grid over the cell-table budget stages no table and still matches the
-// brute-force oracle.
+// resolve them: the index's cell table against the binary search of B,
+// the whole build against a chunklet split, one thread against the
+// default team, and the radix grouping of join queries against a
+// comparison sort. A grid over the cell-table budget keeps no table and
+// still matches the brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +15,10 @@
 
 #include "bruteforce/brute_force.hpp"
 #include "common/datagen.hpp"
-#include "core/device_view.hpp"
 #include "core/grid_index.hpp"
 #include "core/join.hpp"
 #include "core/kernels.hpp"
 #include "core/self_join.hpp"
-#include "gpusim/arena.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -44,9 +42,9 @@ void expect_identical(const GroupAdjacencyHost& a, const GroupAdjacencyHost& b,
   EXPECT_EQ(a.cells_nonempty, b.cells_nonempty) << what;
 }
 
-/// One input of the sweep: a staged cell-major grid over `data` and a
-/// query set reaching past the data bounds (those queries land in the
-/// empty padding cells at the grid's edges).
+/// One input of the sweep: an index over `data` and a query set reaching
+/// past the data bounds (those queries land in the empty padding cells at
+/// the grid's edges).
 struct Case {
   std::string name;
   Dataset data;
@@ -74,66 +72,44 @@ std::vector<Case> sweep() {
   return cases;
 }
 
-/// A case's data indexed and staged cell-major, as the engines stage it.
-struct Staged {
-  explicit Staged(const Case& c)
-      : index(c.data, c.eps),
-        dev(arena, c.data, index, GridLayout::kCellMajor) {}
-  GridIndex index;
-  gpu::GlobalMemoryArena arena{gpu::DeviceSpec::titan_x_pascal()};
-  DeviceGrid dev;
-};
-
-QueryGroups self_groups(const GridDeviceView& v) {
-  return cell_groups(v, 0, static_cast<std::uint32_t>(v.b_size));
-}
-
-/// `v` over an external query set.
-GridDeviceView with_queries(GridDeviceView v, const Dataset& queries) {
-  v.qpoints = queries.raw().data();
-  v.qn = queries.size();
-  return v;
+QueryGroups self_groups(const GridIndex& index) {
+  return cell_groups(
+      index, 0, static_cast<std::uint32_t>(index.num_nonempty_cells()));
 }
 
 TEST(AdjacencyParity, CellTableMatchesBinarySearch) {
+  // The builder's only cell lookup is GridIndex::find_cell, so the table
+  // and the search agree on every adjacency when they agree on every cell
+  // of the grid.
   for (const Case& c : sweep()) {
-    const Staged s(c);
-    const GridDeviceView& table = s.dev.view();
-    ASSERT_NE(table.cell_table, nullptr) << c.name;
+    const GridIndex index(c.data, c.eps);
+    const std::vector<std::uint32_t>& table = index.cell_table();
+    ASSERT_EQ(table.size(), index.total_cells()) << c.name;
     // More groups than two build chunks of 64.
-    ASSERT_GT(table.b_size, 128u) << c.name;
-    GridDeviceView searched = table;
-    searched.cell_table = nullptr;
-    const GridDeviceView jtable = with_queries(table, c.queries);
-    const GridDeviceView jsearched = with_queries(searched, c.queries);
-    for (bool unicomp : {false, true}) {
-      const std::string what = c.name + (unicomp ? " unicomp" : " full");
-      expect_identical(
-          build_group_adjacency(table, self_groups(table), unicomp),
-          build_group_adjacency(searched, self_groups(searched), unicomp),
-          what + " self groups");
-      expect_identical(
-          build_group_adjacency(jtable, sorted_query_groups(jtable), unicomp),
-          build_group_adjacency(jsearched, sorted_query_groups(jsearched),
-                                unicomp),
-          what + " join groups");
+    ASSERT_GT(index.num_nonempty_cells(), 128u) << c.name;
+    const std::vector<std::uint64_t>& B = index.B();
+    for (std::uint64_t id = 0; id < table.size(); ++id) {
+      const auto it = std::lower_bound(B.begin(), B.end(), id);
+      const std::uint32_t searched =
+          it != B.end() && *it == id ? static_cast<std::uint32_t>(it - B.begin())
+                                     : kEmptyCell;
+      ASSERT_EQ(index.find_cell(id), searched) << c.name << " cell " << id;
     }
   }
 }
 
 TEST(AdjacencyParity, ChunkletSplitMatchesWholeBuild) {
   for (const Case& c : sweep()) {
-    const Staged s(c);
-    const GridDeviceView& v = s.dev.view();
-    const auto b = static_cast<std::uint32_t>(v.b_size);
+    const GridIndex index(c.data, c.eps);
+    const auto b = static_cast<std::uint32_t>(index.num_nonempty_cells());
     const std::uint32_t k = b / 3 + 5;  // not on a chunk boundary
     for (bool unicomp : {false, true}) {
       const GroupAdjacencyHost whole =
-          build_group_adjacency(v, cell_groups(v, 0, b), unicomp);
+          build_group_adjacency(index, cell_groups(index, 0, b), unicomp);
       const GroupAdjacencyHost head =
-          build_group_adjacency(v, cell_groups(v, 0, k), unicomp);
+          build_group_adjacency(index, cell_groups(index, 0, k), unicomp);
       const GroupAdjacencyHost tail =
-          build_group_adjacency(v, cell_groups(v, k, b), unicomp);
+          build_group_adjacency(index, cell_groups(index, k, b), unicomp);
 
       // Concatenate: group offsets are slots already; range offsets are
       // rebased past the head's ranges.
@@ -158,22 +134,20 @@ TEST(AdjacencyParity, ChunkletSplitMatchesWholeBuild) {
 
 TEST(AdjacencyParity, OneThreadMatchesDefaultTeam) {
   for (const Case& c : sweep()) {
-    const Staged s(c);
-    const GridDeviceView& v = s.dev.view();
-    const GridDeviceView jv = with_queries(v, c.queries);
+    const GridIndex index(c.data, c.eps);
     for (bool unicomp : {false, true}) {
       const GroupAdjacencyHost self_team =
-          build_group_adjacency(v, self_groups(v), unicomp);
-      const GroupAdjacencyHost join_team =
-          build_group_adjacency(jv, sorted_query_groups(jv), unicomp);
+          build_group_adjacency(index, self_groups(index), unicomp);
+      const GroupAdjacencyHost join_team = build_group_adjacency(
+          index, sorted_query_groups(index, c.queries), unicomp);
 #ifdef _OPENMP
       const int team = omp_get_max_threads();
       omp_set_num_threads(1);
 #endif
       const GroupAdjacencyHost self_one =
-          build_group_adjacency(v, self_groups(v), unicomp);
-      const GroupAdjacencyHost join_one =
-          build_group_adjacency(jv, sorted_query_groups(jv), unicomp);
+          build_group_adjacency(index, self_groups(index), unicomp);
+      const GroupAdjacencyHost join_one = build_group_adjacency(
+          index, sorted_query_groups(index, c.queries), unicomp);
 #ifdef _OPENMP
       omp_set_num_threads(team);
 #endif
@@ -186,15 +160,14 @@ TEST(AdjacencyParity, OneThreadMatchesDefaultTeam) {
 
 TEST(AdjacencyParity, RadixGroupingMatchesComparisonSort) {
   for (const Case& c : sweep()) {
-    const Staged s(c);
-    const GridDeviceView v = with_queries(s.dev.view(), c.queries);
-    const QueryGroups got = sorted_query_groups(v);
+    const GridIndex index(c.data, c.eps);
+    const QueryGroups got = sorted_query_groups(index, c.queries);
 
     std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
     std::uint32_t coords[kMaxDims];
     for (std::size_t q = 0; q < c.queries.size(); ++q) {
-      s.index.cell_coords(c.queries.pt(q), coords);
-      keys.emplace_back(s.index.linearize(coords),
+      index.cell_coords(c.queries.pt(q), coords);
+      keys.emplace_back(index.linearize(coords),
                         static_cast<std::uint32_t>(q));
     }
     std::sort(keys.begin(), keys.end());
@@ -230,10 +203,7 @@ TEST(AdjacencyParity, OverBudgetGridStagesNoTableAndMatchesBrute) {
   ASSERT_GT(index.total_cells(),
             std::max(kCellTableMinEntries,
                      kCellTableEntriesPerPoint * index.num_points()));
-  EXPECT_TRUE(make_cell_table(index).empty());
-  gpu::GlobalMemoryArena arena(gpu::DeviceSpec::titan_x_pascal());
-  DeviceGrid dev(arena, d, index, GridLayout::kCellMajor);
-  EXPECT_EQ(dev.view().cell_table, nullptr);
+  EXPECT_TRUE(index.cell_table().empty());
 
   GpuSelfJoinOptions opt;
   opt.unicomp = true;

@@ -10,7 +10,6 @@
 
 #include "common/datagen.hpp"
 #include "common/distance.hpp"
-#include "core/grid_index.hpp"
 
 namespace sj {
 namespace {
@@ -185,45 +184,6 @@ TEST(Knn, GridPruningBeatsExhaustiveSearch) {
       static_cast<double>(r.stats.metrics.distance_calcs) /
       static_cast<double>(d.size());
   EXPECT_LT(per_query, 500.0);  // vs 20000 for brute force
-}
-
-TEST(GridRangeQuery, MatchesBruteForce) {
-  const auto d = datagen::uniform(3000, 3, 0.0, 100.0, 23);
-  GridIndex g(d, 4.0);
-  for (std::size_t q = 0; q < d.size(); q += 211) {
-    std::vector<std::uint32_t> got;
-    g.range_query(d, d.pt(q), 4.0, got);
-    std::vector<std::uint32_t> want;
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      if (sq_dist(d.pt(q), d.pt(i), 3) <= 16.0) {
-        want.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(GridRangeQuery, SmallerEpsThanWidthAllowed) {
-  const auto d = datagen::uniform(1000, 2, 0.0, 100.0, 25);
-  GridIndex g(d, 5.0);
-  std::vector<std::uint32_t> got;
-  g.range_query(d, d.pt(0), 2.0, got);  // eps < width: still correct
-  std::vector<std::uint32_t> want;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (sq_dist(d.pt(0), d.pt(i), 2) <= 4.0) {
-      want.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, want);
-}
-
-TEST(GridRangeQuery, EpsBeyondWidthThrows) {
-  const auto d = datagen::uniform(100, 2, 0.0, 100.0, 27);
-  GridIndex g(d, 1.0);
-  std::vector<std::uint32_t> out;
-  EXPECT_THROW(g.range_query(d, d.pt(0), 2.0, out), std::invalid_argument);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "bruteforce/brute_force.hpp"
 #include "common/datagen.hpp"
+#include "common/timer.hpp"
 
 namespace sj {
 namespace {
@@ -149,6 +150,24 @@ TEST(GpuSelfJoin, StatsArePopulated) {
   EXPECT_GT(r.stats.metrics.cells_examined, 0u);
   EXPECT_GT(r.stats.occupancy, 0.0);
   EXPECT_EQ(r.stats.metrics.results, r.pairs.size());
+}
+
+TEST(GpuSelfJoin, MetricsReplayIsTimedApart) {
+  // The Table II replay runs after the join: its wall time is reported as
+  // metrics_seconds and never inside total_seconds.
+  const auto d = datagen::uniform(3000, 2, 0.0, 100.0, 97);
+  for (GridLayout layout : {GridLayout::kCellMajor, GridLayout::kLegacy}) {
+    GpuSelfJoinOptions opt;
+    opt.layout = layout;
+    opt.collect_metrics = true;
+    const Timer wall;
+    const auto r = GpuSelfJoin(opt).run(d, 3.0);
+    const double wall_seconds = wall.seconds();
+    EXPECT_GT(r.stats.metrics_seconds, 0.0);
+    EXPECT_GE(wall_seconds, r.stats.total_seconds + r.stats.metrics_seconds);
+    opt.collect_metrics = false;
+    EXPECT_EQ(GpuSelfJoin(opt).run(d, 3.0).stats.metrics_seconds, 0.0);
+  }
 }
 
 TEST(GpuSelfJoin, RejectsBadOptions) {

@@ -26,6 +26,7 @@
 #include "api/registry.hpp"
 #include "common/cancel.hpp"
 #include "common/datagen.hpp"
+#include "common/timer.hpp"
 #include "core/self_join.hpp"
 #include "core/shard_engine.hpp"
 #include "core/shard_plan.hpp"
@@ -316,6 +317,20 @@ TEST(ShardEngine, AdjacencyTimeIsReportedForBothFacets) {
   // sum.
   EXPECT_GT(ShardedGpuSelfJoin(opt).run(d, 1.0).stats.adjacency_seconds, 0.0);
   EXPECT_GT(sharded_join(d, d, 1.0, opt).stats.adjacency_seconds, 0.0);
+}
+
+TEST(ShardEngine, MetricsReplayIsTimedApart) {
+  const auto d = datagen::uniform(1500, 2, 0.0, 40.0, 953);
+  ShardedSelfJoinOptions opt;
+  opt.shards = 2;
+  opt.collect_metrics = true;
+  const Timer wall;
+  const ShardedSelfJoinResult r = ShardedGpuSelfJoin(opt).run(d, 1.0);
+  const double wall_seconds = wall.seconds();
+  EXPECT_GT(r.stats.metrics_seconds, 0.0);
+  EXPECT_GE(wall_seconds, r.stats.total_seconds + r.stats.metrics_seconds);
+  opt.collect_metrics = false;
+  EXPECT_EQ(ShardedGpuSelfJoin(opt).run(d, 1.0).stats.metrics_seconds, 0.0);
 }
 
 TEST(ShardEngine, ControlStopsBothFacetsTyped) {
