@@ -10,7 +10,9 @@
 // Output: CSV under SJ_RESULTS_DIR plus BENCH_kernel.json (path
 // overridable via SJ_BENCH_JSON) — the perf-trajectory artefact CI
 // uploads. The process exits 1 when the two modes disagree on a pair
-// count.
+// count, or on a distance count: the pairs mode's fills read the count
+// pass's match masks, so both modes compute every candidate distance
+// once.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -38,12 +40,14 @@ struct Row {
 };
 
 double run_kernel(const sj::Dataset& d, double eps, const std::string& algo,
-                  sj::ResultMode mode, std::uint64_t& pairs_out) {
+                  sj::ResultMode mode, std::uint64_t& pairs_out,
+                  std::uint64_t& distance_calcs_out) {
   sj::api::RunConfig config;
   config.mode = mode;
   const auto r =
       sj::api::BackendRegistry::instance().at(algo).run(d, eps, config);
   pairs_out = r.total_pairs;
+  distance_calcs_out = r.stats.distance_calcs;
   return r.stats.seconds;
 }
 
@@ -89,14 +93,24 @@ int main(int argc, char** argv) {
         row.eps = w.eps;
         row.algo = algo;
         std::uint64_t count_pairs = 0;
-        row.pairs_seconds =
-            run_kernel(w.data, w.eps, algo, ResultMode::kPairs, row.pairs);
-        row.count_seconds = run_kernel(w.data, w.eps, algo,
-                                       ResultMode::kCountOnly, count_pairs);
+        std::uint64_t pairs_calcs = 0;
+        std::uint64_t count_calcs = 0;
+        row.pairs_seconds = run_kernel(w.data, w.eps, algo, ResultMode::kPairs,
+                                       row.pairs, pairs_calcs);
+        row.count_seconds =
+            run_kernel(w.data, w.eps, algo, ResultMode::kCountOnly,
+                       count_pairs, count_calcs);
         if (row.pairs != count_pairs) {
           std::cerr << "FATAL: pair counts disagree on " << w.name << "/"
                     << algo << ": pairs=" << row.pairs
                     << " count_only=" << count_pairs << "\n";
+          std::exit(1);
+        }
+        if (pairs_calcs != count_calcs) {
+          std::cerr << "FATAL: distance counts disagree on " << w.name << "/"
+                    << algo << ": pairs=" << pairs_calcs
+                    << " count_only=" << count_calcs
+                    << " (the fills must not compute distances again)\n";
           std::exit(1);
         }
         row.count_speedup = row.count_seconds > 0.0
@@ -115,8 +129,9 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n== ablation: pairs vs count-only ==\n";
     t.print(std::cout);
-    std::cout << "(both modes return the same exact pair count; asserted "
-                 "above and by tests/api/test_operation_parity.cpp)\n";
+    std::cout << "(both modes return the same exact pair count and compute "
+                 "the same distances; asserted above and by "
+                 "tests/api/test_operation_parity.cpp)\n";
     out.write(Collector::results_dir() + "/ablation_kernel.csv");
   });
   if (rc != 0) return rc;

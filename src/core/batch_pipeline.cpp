@@ -37,6 +37,13 @@ class PointMode {
   }
   const char* unit_name() const { return "queries"; }
 
+  /// No match masks: the point-centric kernel enumerates a query's
+  /// candidates as it scans them.
+  std::vector<MaskSpan> mask_spans(std::uint64_t& words) const {
+    words = 0;
+    return {};
+  }
+
   gpu::KernelStats launch(gpu::GlobalMemoryArena& /*arena*/,
                           std::uint32_t u0, std::uint32_t u1,
                           const ResultBufferView& result,
@@ -78,6 +85,26 @@ class GroupedMode {
   }
   const char* unit_name() const {
     return adjacency_.query_order.empty() ? "slots" : "query positions";
+  }
+
+  /// The match-mask layout (MaskSpan): group by group, each unit of a
+  /// group owning one word per block of the group's ranges. Sets `words`
+  /// to the total.
+  std::vector<MaskSpan> mask_spans(std::uint64_t& words) const {
+    const std::vector<std::uint32_t>& go = adjacency_.group_offsets;
+    const CandidateRange* ranges = adjacency_.ranges.data();
+    const std::uint64_t* offsets = adjacency_.offsets.data();
+    std::vector<MaskSpan> spans(adjacency_.num_groups());
+    words = 0;
+    for (std::size_t g = 0; g < spans.size(); ++g) {
+      std::uint32_t blocks = 0;
+      for (std::uint64_t r = offsets[g]; r < offsets[g + 1]; ++r) {
+        blocks += mask_words(ranges[r]);
+      }
+      spans[g] = MaskSpan{words, go[g], blocks};
+      words += std::uint64_t{blocks} * (go[g + 1] - go[g]);
+    }
+    return spans;
   }
 
   gpu::KernelStats launch(gpu::GlobalMemoryArena& arena, std::uint32_t u0,
@@ -383,12 +410,38 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
   Timer count_timer;
   gpu::DeviceBuffer<std::uint64_t> offsets(arena_,
                                            std::size_t{units} + 1);
+  // Room for the largest per-batch work-item upload.
+  const std::uint64_t reserve =
+      std::uint64_t{units} * sizeof(GroupWorkItem) + (16u << 10);
+
+  // Match masks (grouped kernel): the count pass stores which candidates
+  // matched, so the fills write their pairs without computing a distance
+  // again. They are placed only where the arena still holds `streams`
+  // buffers of max_buffer_pairs and the reserve beside them, so they never
+  // change the batch plan; where they do not fit, the fills scan again.
+  std::uint64_t words = 0;
+  const std::vector<MaskSpan> layout = mode.mask_spans(words);
+  gpu::DeviceBuffer<MaskSpan> spans;
+  gpu::DeviceBuffer<std::uint16_t> masks;
+  const unsigned __int128 room =
+      static_cast<unsigned __int128>(config_.streams) *
+          config_.max_buffer_pairs * sizeof(Pair) +
+      reserve + static_cast<unsigned __int128>(words) * sizeof(std::uint16_t) +
+      layout.size() * sizeof(MaskSpan);
+  if (words > 0 && room <= arena_.free_bytes()) {
+    spans = gpu::DeviceBuffer<MaskSpan>(arena_, layout.size());
+    std::copy(layout.begin(), layout.end(), spans.data());
+    masks = gpu::DeviceBuffer<std::uint16_t>(arena_, words);
+  }
+
   AtomicWork count_work;
   for_each_range({0, units}, "count pass", mode.unit_name(), acc,
                  [&](std::uint32_t u0, std::uint32_t u1) {
                    if (ctl != nullptr) ctl->check("pre-launch");
                    ResultBufferView result;
                    result.unit_counts = offsets.data();
+                   result.masks = masks.data();
+                   result.mask_spans = spans.data();
                    acc.kernel_seconds +=
                        mode.launch(arena_, u0, u1, result, &count_work)
                            .seconds;
@@ -406,9 +459,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
   const std::uint64_t total = offsets[units];
 
   // Buffers: `streams` rotating result buffers within the free device
-  // memory, after room for the largest per-batch work-item upload.
-  const std::uint64_t reserve =
-      std::uint64_t{units} * sizeof(GroupWorkItem) + (16u << 10);
+  // memory, after the reserve.
   const std::uint64_t free_bytes =
       arena_.free_bytes() > reserve ? arena_.free_bytes() - reserve : 0;
   const std::uint64_t buffer_cap = std::min<std::uint64_t>(
@@ -460,6 +511,8 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
         result.out = slot.buffer.data();
         result.offsets = offsets.data();
         result.base = offsets[u0];
+        result.masks = masks.data();
+        result.mask_spans = spans.data();
         acc.kernel_seconds += mode.launch(arena_, u0, u1, result, work).seconds;
         if (ctl != nullptr) ctl->check("pre-transfer");
         const std::uint64_t count = offsets[u1] - offsets[u0];

@@ -1,20 +1,27 @@
 // Batch pipeline — the Section V-A batching scheme as exact two-pass
 // output (see batcher.hpp for the scheme itself).
 //
-//   count launch (per-unit pair counts) -> exclusive prefix sum (offsets)
-//   -> batches cut from the exact counts -> per batch, in ascending order:
-//      fill launch into one of `streams` rotating device result buffers,
-//      then one async copy that lands the batch at its final offset of
-//      the output (pairs mode) or in a host staging buffer handed to the
-//      sink (sink mode).
+//   count launch (per-unit pair counts, and for the grouped kernel the
+//   match masks) -> exclusive prefix sum (offsets) -> batches cut from
+//   the exact counts -> per batch, in ascending order: fill launch into
+//   one of `streams` rotating device result buffers, then one async copy
+//   that lands the batch at its final offset of the output (pairs mode)
+//   or in a host staging buffer handed to the sink (sink mode).
+//
+// The match masks (ResultBufferView::masks, one bit per candidate) let
+// the grouped fills write their pairs without computing a distance. They
+// are allocated once per run, like the offsets, and only when the arena
+// still holds `streams` buffers of max_buffer_pairs and the work-item
+// reserve beside them, so they never change the batch plan; otherwise
+// the fills scan their candidates again.
 //
 // Fill launches run one at a time, in batch order — each gpu::launch
 // already spans every host core — while earlier batches' copies drain on
 // the transfer stream; a buffer is refilled only once its previous copy
-// landed. Every unit's offset is fixed before any fill runs, so a range
-// re-run after a transient fault, or halved after resource exhaustion,
-// writes exactly the bytes the first attempt would have: the output is
-// deterministic by construction.
+// landed. Every unit's offset (and mask) is fixed before any fill runs,
+// so a range re-run after a transient fault, or halved after resource
+// exhaustion, writes exactly the bytes the first attempt would have: the
+// output is deterministic by construction.
 //
 // Count-only and histogram runs need no offsets: they skip the count
 // pass and the buffers and run min_batches equal unit ranges.

@@ -14,7 +14,11 @@
 //   3. batches are contiguous unit ranges cut from those exact counts
 //      (plan_batches below);
 //   4. each batch's fill launch writes every unit's pairs at the unit's
-//      own offset, in scan order.
+//      own offset, in scan order. The grouped kernel's fills read the
+//      match masks the count pass stored (one bit per candidate), so
+//      each candidate distance is computed once; where the masks do not
+//      fit the device, and in the point-centric kernel, the fills scan
+//      again.
 //
 // No buffer can overflow and no batch needs a sort: the output — each
 // unit's pairs contiguous in scan order, units in ascending order — is the

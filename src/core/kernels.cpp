@@ -1,6 +1,7 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -79,6 +80,16 @@ struct Emitter {
       bump(a, 1);
       bump(b, 1);
     }
+  }
+
+  /// Whether finds need their candidate's id: a fill writes it and a
+  /// histogram bumps its counter; the count pass and count-only runs only
+  /// count.
+  bool needs_ids() const { return r.out != nullptr || r.counts != nullptr; }
+
+  /// One scan block's finds, counted without their ids (see needs_ids).
+  void count_block(int count, bool both) {
+    w.results += static_cast<std::uint64_t>(count) * (both ? 2 : 1);
   }
 
   /// Blocked emission for the grouped kernel: all of one scan
@@ -250,15 +261,23 @@ void collect_ranges_at(const GridIndex& index, const std::uint32_t* c,
   const int dim = index.dim();
   std::uint32_t adj[kMaxDims][3];
   int adjn[kMaxDims];
+  // The index's fields in locals: the writes to `out` may alias them, so
+  // read through `index` they would be reloaded for every candidate cell.
+  std::uint64_t stride[kMaxDims];
   for (int j = 0; j < dim; ++j) {
     adjn[j] = index.filtered_adjacent(j, c[j], adj[j]);
+    stride[j] = index.stride(j);
   }
   const GridIndex::CellRange* G = index.G().data();
+  const std::uint32_t* table =
+      index.cell_table().empty() ? nullptr : index.cell_table().data();
   enumerate_neighborhood(
       dim, c, adj, adjn, unicomp,
       [&](const std::uint32_t* cc, bool both) {
         ++w.cells_examined;
-        const std::uint32_t cell = index.find_cell(index.linearize(cc));
+        const std::uint64_t id = linearize_cell(cc, stride, dim);
+        const std::uint32_t cell =
+            table != nullptr ? table[id] : index.find_cell(id);
         if (cell == kEmptyCell) return;
         ++w.cells_nonempty;
         const GridIndex::CellRange r = G[cell];
@@ -290,27 +309,31 @@ void for_each_task(std::size_t tasks, F&& task) {
   for (std::int64_t k = 0; k < n; ++k) task(static_cast<std::size_t>(k));
 }
 
-/// SoA block width: wide enough that a full AVX2/AVX-512 register set
-/// covers the lane loop, small enough that a block of partial sums stays
-/// in registers.
-constexpr int kSoaScanBlock = 16;
-
 /// Scan one contiguous candidate range for one query point over the SoA
-/// coordinate planes: for each block of kSoaScanBlock candidates the
+/// coordinate planes: for each block of kSoaScanBlock candidates (wide
+/// enough that a full AVX2/AVX-512 register set covers the lane loop,
+/// small enough that a block of partial sums stays in registers) the
 /// per-dimension lane loop reads coord[j][k0..k0+bw) — a unit-stride
 /// stream with no index arithmetic or gather — and accumulates squared
 /// differences branch-free, so the compiler turns it into packed FMAs.
 /// The dimension loop still bails out at BLOCK granularity once every
 /// lane's partial sum exceeds eps^2.
+///
+/// A fill or histogram compacts each block's matching ids; the count pass
+/// and count-only runs count by popcount without loading orig[]. With
+/// `masks` set (the count pass of a masked run), block b's match mask
+/// goes to masks[b].
 inline void scan_range(const GridDeviceView& g, LocalWork& w, Emitter& em,
                        std::uint32_t key, const double* pt,
                        const CandidateRange& r, double eps2,
-                       gpu::CacheSim* cache) {
+                       std::uint16_t* masks, gpu::CacheSim* cache) {
   SJ_EXPECT(r.begin < r.end && r.end <= g.n,
             "candidate range must stay inside the slot space");
   const int dim = g.dim;
+  const bool ids = em.needs_ids();
   double acc[kSoaScanBlock];
-  for (std::uint32_t k0 = r.begin; k0 < r.end; k0 += kSoaScanBlock) {
+  for (std::uint32_t k0 = r.begin, b = 0; k0 < r.end;
+       k0 += kSoaScanBlock, ++b) {
     const int bw = static_cast<int>(
         std::min<std::uint32_t>(kSoaScanBlock, r.end - k0));
     w.distance_calcs += static_cast<std::uint64_t>(bw);
@@ -371,7 +394,17 @@ inline void scan_range(const GridDeviceView& g, LocalWork& w, Emitter& em,
           }
         }
       }
-      if (block_pruned) continue;
+      if (block_pruned) {
+        if (masks != nullptr) masks[b] = 0;
+        continue;
+      }
+    }
+    if (!ids) {
+      unsigned bits = 0;
+      for (int v = 0; v < bw; ++v) bits |= (acc[v] <= eps2 ? 1u : 0u) << v;
+      if (masks != nullptr) masks[b] = static_cast<std::uint16_t>(bits);
+      em.count_block(std::popcount(bits), r.both != 0);
+      continue;
     }
     // Branchless compaction: dense blocks match ~half their lanes, so a
     // data-dependent branch here mispredicts constantly; the unconditional
@@ -383,6 +416,30 @@ inline void scan_range(const GridDeviceView& g, LocalWork& w, Emitter& em,
       m += acc[v] <= eps2 ? 1 : 0;
     }
     if (m > 0) em.emit_block(key, match, m, r.both);
+  }
+}
+
+/// Fill one unit's pairs from its count-pass match masks (`words`: one
+/// per block of each range, in scan order). No coordinate is loaded and
+/// no distance computed: each set bit is a find, taken in lane order —
+/// the order scan_range emits them, so the bytes are the scan's.
+inline void fill_from_masks(const GridDeviceView& g, Emitter& em,
+                            std::uint32_t key, const CandidateRange* ranges,
+                            std::size_t num_ranges,
+                            const std::uint16_t* words) {
+  for (std::size_t r = 0; r < num_ranges; ++r) {
+    const CandidateRange& cr = ranges[r];
+    for (std::uint32_t k0 = cr.begin; k0 < cr.end; k0 += kSoaScanBlock) {
+      unsigned bits = *words++;
+      if (bits == 0) continue;
+      std::uint32_t match[kSoaScanBlock];
+      int m = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const auto v = static_cast<std::uint32_t>(std::countr_zero(bits));
+        match[m++] = g.orig[k0 + v];
+      }
+      em.emit_block(key, match, m, cr.both);
+    }
   }
 }
 
@@ -449,6 +506,12 @@ void grouped_scan_thread(const gpu::ThreadCtx& ctx,
   // A join unit loads its query id from the sorted order; a self-join
   // unit's position is its slot.
   const std::uint64_t id_loads = p.query_order != nullptr ? 1 : 0;
+  // The group's match masks: the count pass writes them, a fill reads
+  // them in place of the scan.
+  const MaskSpan* span = p.result.masks != nullptr
+                             ? p.result.mask_spans + item.group
+                             : nullptr;
+  const bool from_masks = span != nullptr && p.result.out != nullptr;
 
   const double eps2 = g.eps * g.eps;
   double qbuf[kMaxDims];
@@ -456,8 +519,18 @@ void grouped_scan_thread(const gpu::ThreadCtx& ctx,
     const std::uint64_t q = p.query_order != nullptr ? p.query_order[s] : s;
     SJ_INVARIANT(q < g.num_queries(),
                  "a group position must name a valid query");
-    const double* pt = g.query_point(q, qbuf);
+    std::uint16_t* words =
+        span != nullptr
+            ? p.result.masks + span->base +
+                  std::uint64_t{s - span->first} * span->blocks
+            : nullptr;
     em.begin_unit(s);
+    if (from_masks) {
+      fill_from_masks(g, em, g.query_id(q), ranges, num_ranges, words);
+      em.end_unit(s);
+      continue;
+    }
+    const double* pt = g.query_point(q, qbuf);
     w.global_loads += static_cast<std::uint64_t>(g.dim) + id_loads;
     w.global_load_bytes +=
         static_cast<std::uint64_t>(g.dim) * sizeof(double) +
@@ -476,7 +549,8 @@ void grouped_scan_thread(const gpu::ThreadCtx& ctx,
     }
     const std::uint32_t key = g.query_id(q);
     for (std::size_t r = 0; r < num_ranges; ++r) {
-      scan_range(g, w, em, key, pt, ranges[r], eps2, p.cache);
+      scan_range(g, w, em, key, pt, ranges[r], eps2, words, p.cache);
+      if (words != nullptr) words += mask_words(ranges[r]);
     }
     em.end_unit(s);
   }

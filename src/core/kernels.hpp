@@ -22,7 +22,9 @@
 // (build_group_adjacency), and all of the item's points then scan those
 // contiguous slot ranges with a blocked, vectorisable inner loop. This
 // amortises the per-point binary searches of Algorithm 1 across the
-// group and removes the A[] gather from the distance loop.
+// group and removes the A[] gather from the distance loop. Its count pass
+// can store each block's match mask, and a fill given those masks
+// writes its pairs without computing a distance (ResultBufferView).
 //
 // brute_force_thread() is the GPU brute-force nested-loop kernel used as
 // the paper's index-free baseline (Section VI-B).
@@ -43,6 +45,34 @@
 
 namespace sj {
 
+/// One contiguous slot range of cell-major candidates; `both` (0/1) marks
+/// UNICOMP neighbour ranges whose finds emit both ordered pairs.
+struct CandidateRange {
+  std::uint32_t begin;
+  std::uint32_t end;  // one past the last slot
+  std::uint32_t both;
+};
+
+/// Candidates per block of the grouped kernel's distance loop, and bits
+/// per match-mask word.
+inline constexpr int kSoaScanBlock = 16;
+
+/// One query group's share of the match masks: unit s of the group owns
+/// the `blocks` words from base + (s - first) · blocks, one per
+/// kSoaScanBlock-candidate block of each of the group's candidate ranges,
+/// in scan order. Every unit of a group scans the same ranges, so the
+/// layout follows from the adjacency before any distance is computed.
+struct MaskSpan {
+  std::uint64_t base;
+  std::uint32_t first;   ///< the group's first position
+  std::uint32_t blocks;  ///< words per unit
+};
+
+/// Match-mask words one unit fills scanning `r`: one per block.
+inline std::uint32_t mask_words(const CandidateRange& r) {
+  return (r.end - r.begin + kSoaScanBlock - 1) / kSoaScanBlock;
+}
+
 /// Where results go. Every kernel walks EMITTING UNITS — a query id
 /// (point-centric kernel) or a group position (grouped kernel: a point
 /// slot in a self-join, a sorted query position in a join) — and one
@@ -50,12 +80,16 @@ namespace sj {
 ///
 ///   count pass — `unit_counts` set: each unit's pair count is recorded
 ///                at its unit index (the exact-sizing pass of the
-///                two-pass output; nothing else is written).
+///                two-pass output). With `masks` set (grouped kernel
+///                only), the pass also stores each block's match mask.
 ///   fill pass  — `out` + `offsets` set: unit u's pairs are written in
 ///                scan order to out[offsets[u] - base ..), where
 ///                `offsets` is the exclusive prefix sum of the count pass
 ///                and `base` the first offset `out` holds. No atomics, no
-///                overflow: every unit's slice is sized exactly.
+///                overflow: every unit's slice is sized exactly. With
+///                `masks` set, the fill reads the count pass's masks and
+///                orig[] instead of scanning: no coordinate load, no
+///                distance. Without, it scans again.
 ///   count_only — `cursor` set: each unit adds its count to the cursor.
 ///   histogram  — `counts` set (per-ORIGINAL-id neighbour counters,
 ///                incremented with relaxed atomics): no buffer traffic.
@@ -66,6 +100,11 @@ struct ResultBufferView {
   std::uint64_t* unit_counts = nullptr;
   gpu::DeviceCounter* cursor = nullptr;
   std::uint32_t* counts = nullptr;
+  /// Match masks, one word per (unit, candidate block): bit v set when
+  /// lane v lies within eps. A block the prune skips, and the lanes past
+  /// a ragged block end, stay 0. Laid out by `mask_spans` (one per group).
+  std::uint16_t* masks = nullptr;
+  const MaskSpan* mask_spans = nullptr;
 };
 
 struct SelfJoinKernelParams {
@@ -90,14 +129,6 @@ struct GroupWorkItem {
   std::uint32_t group;
   std::uint32_t begin;
   std::uint32_t end;
-};
-
-/// One contiguous slot range of cell-major candidates; `both` (0/1) marks
-/// UNICOMP neighbour ranges whose finds emit both ordered pairs.
-struct CandidateRange {
-  std::uint32_t begin;
-  std::uint32_t end;  // one past the last slot
-  std::uint32_t both;
 };
 
 /// The builder's input: which emitting units form each query group, and
@@ -202,7 +233,8 @@ struct GroupedScanParams {
 /// The grouped kernel: one work unit is a query-group subrange; each of
 /// its units reads its point and key through GridDeviceView::query_point /
 /// query_id and scans the group's precomputed contiguous candidate ranges
-/// with the blocked distance loop.
+/// with the blocked distance loop — or, in a fill given the count pass's
+/// match masks, reads only its key, its masks and orig[].
 void grouped_scan_thread(const gpu::ThreadCtx& ctx,
                          const GroupedScanParams& p);
 

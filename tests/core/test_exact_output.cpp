@@ -2,10 +2,12 @@
 // vector is a function of the data alone — the same bytes for any buffer
 // size, batch count or stream count, and between every engine that runs
 // the same pipeline mode — while buffers only decide how many batches
-// the fill takes.
+// the fill takes. A fill that reads the count pass's match masks writes
+// the bytes of one that scans its candidates again.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bruteforce/brute_force.hpp"
@@ -13,6 +15,7 @@
 #include "core/join.hpp"
 #include "core/prepared.hpp"
 #include "core/self_join.hpp"
+#include "gpusim/device.hpp"
 
 namespace sj {
 namespace {
@@ -46,6 +49,127 @@ TEST(ExactOutput, RawPairsIdenticalAcrossBufferBatchAndStreamSettings) {
       const auto want = brute::self_join(d, eps);
       EXPECT_TRUE(ResultSet::equal_normalized(reference.pairs, want.pairs));
     }
+  }
+}
+
+/// A device smaller than three full result buffers: the match masks never
+/// fit, so the fills scan their candidates again.
+gpu::DeviceSpec maskless_device() {
+  return gpu::DeviceSpec::tiny(std::size_t{64} << 20);
+}
+
+/// `dim`-D points that stress the mask fill: uniform points (in 4-6-D
+/// most candidate blocks are pruned to a zero mask), duplicates, the
+/// origin (the data minimum, so on a cell face) and a point exactly
+/// eps = 1 from it, and a 37-point cell (a ragged last block).
+Dataset mask_case(int dim, std::uint64_t seed) {
+  Dataset d = datagen::uniform(500, dim, 0.0, 8.0, seed);
+  for (std::size_t i = 0; i < 5; ++i) d.push_back(d.pt(i));
+  double p[kMaxDims] = {};
+  d.push_back(p);
+  p[0] = 1.0;
+  d.push_back(p);
+  const Dataset clump = datagen::uniform(37, dim, 5.1, 5.9, seed + 1);
+  for (std::size_t i = 0; i < clump.size(); ++i) d.push_back(clump.pt(i));
+  return d;
+}
+
+/// The mask run's and the scanning run's raw bytes, and their distance
+/// counts against a count-only run's: one pass with masks, two without.
+/// (Under injected faults a fill re-run after its landing copy failed
+/// scans again, so only a scanning run without retries computes exactly
+/// two passes.)
+template <typename Run>
+void expect_masked_equals_scanned(Run run, const std::string& label) {
+  const gpu::DeviceSpec device = gpu::DeviceSpec::titan_x_pascal();
+  const auto masked = run(device, ResultMode::kPairs);
+  const auto scanned = run(maskless_device(), ResultMode::kPairs);
+  const auto counted = run(device, ResultMode::kCountOnly);
+  EXPECT_EQ(masked.pairs.pairs(), scanned.pairs.pairs()) << label;
+  EXPECT_EQ(masked.total_pairs, counted.total_pairs) << label;
+  EXPECT_EQ(masked.stats.metrics.distance_calcs,
+            counted.stats.metrics.distance_calcs)
+      << label;
+  if (scanned.stats.batch.retries == 0) {
+    EXPECT_EQ(scanned.stats.metrics.distance_calcs,
+              2 * counted.stats.metrics.distance_calcs)
+        << label;
+  } else {
+    EXPECT_GE(scanned.stats.metrics.distance_calcs,
+              2 * counted.stats.metrics.distance_calcs)
+        << label;
+  }
+}
+
+TEST(ExactOutput, MaskedFillMatchesRecomputingFill) {
+  const double eps = 1.0;
+  std::vector<std::pair<std::string, Dataset>> inputs;
+  for (int dim = 1; dim <= 6; ++dim) {
+    inputs.emplace_back(std::to_string(dim) + "-D",
+                        mask_case(dim, 900 + static_cast<std::uint64_t>(dim)));
+  }
+  inputs.emplace_back("IPPP 2-D", datagen::ippp(1500, 2, 32.0, 921));
+  for (const auto& [name, d] : inputs) {
+    for (const bool unicomp : {false, true}) {
+      const std::string label = name + (unicomp ? " gpu_unicomp" : " gpu");
+      expect_masked_equals_scanned(
+          [&](const gpu::DeviceSpec& device, ResultMode mode) {
+            GpuSelfJoinOptions opt;
+            opt.unicomp = unicomp;
+            opt.device = device;
+            opt.mode = mode;
+            return GpuSelfJoin(opt).run(d, eps);
+          },
+          label);
+      GpuSelfJoinOptions opt;
+      opt.unicomp = unicomp;
+      const auto got = GpuSelfJoin(opt).run(d, eps);
+      EXPECT_TRUE(ResultSet::equal_normalized(got.pairs,
+                                              brute::self_join(d, eps).pairs))
+          << label;
+    }
+    // A join whose queries repeat some data points.
+    Dataset queries = datagen::uniform(300, d.dim(), 0.0, 8.0, 931);
+    for (std::size_t i = 0; i < 20; ++i) queries.push_back(d.pt(i));
+    expect_masked_equals_scanned(
+        [&](const gpu::DeviceSpec& device, ResultMode mode) {
+          GpuJoinOptions opt;
+          opt.device = device;
+          opt.mode = mode;
+          return gpu_join(queries, d, eps, opt);
+        },
+        name + " gpu_join");
+    EXPECT_TRUE(ResultSet::equal_normalized(
+        gpu_join(queries, d, eps).pairs, brute::join(queries, d, eps).pairs))
+        << name;
+  }
+}
+
+TEST(ExactOutput, MaskedFillOfAnEmptyResult) {
+  // Queries one cell beside a 37-point cell but more than eps from each
+  // of its points: every block is scanned and every mask is zero.
+  const double eps = 1.0;
+  for (int dim = 1; dim <= 6; ++dim) {
+    const Dataset data = datagen::uniform(37, dim, 5.1, 5.9, 941);
+    Dataset queries(dim);
+    for (int i = 0; i < 50; ++i) {
+      double p[kMaxDims];
+      for (int j = 0; j < dim; ++j) p[j] = 5.5;
+      p[0] = 6.95 + 0.001 * i;
+      queries.push_back(p);
+    }
+    const std::string label = std::to_string(dim) + "-D";
+    expect_masked_equals_scanned(
+        [&](const gpu::DeviceSpec& device, ResultMode mode) {
+          GpuJoinOptions opt;
+          opt.device = device;
+          opt.mode = mode;
+          return gpu_join(queries, data, eps, opt);
+        },
+        label);
+    const auto got = gpu_join(queries, data, eps);
+    EXPECT_EQ(got.total_pairs, 0u) << label;
+    EXPECT_EQ(got.stats.metrics.distance_calcs, 50u * 37u) << label;
   }
 }
 

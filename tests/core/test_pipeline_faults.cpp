@@ -20,6 +20,7 @@
 
 #include "common/datagen.hpp"
 #include "common/fault.hpp"
+#include "core/join.hpp"
 #include "core/self_join.hpp"
 #include "gpusim/arena.hpp"
 
@@ -200,6 +201,41 @@ TEST(ChaosPipeline, CountAndHistogramModesRecoverToo) {
   EXPECT_EQ(GpuSelfJoin(opt).run(d, 0.5).total_pairs, want_count);
   opt.mode = ResultMode::kHistogram;
   EXPECT_EQ(GpuSelfJoin(opt).run(d, 0.5).histogram, want_hist);
+}
+
+TEST(ChaosPipeline, MaskedFillsReplayExactly) {
+  SJ_REQUIRE_CHAOS_BUILD();
+  FaultGuard guard;
+  // A retried or halved fill re-reads the count pass's match masks: the
+  // raw bytes are the fault-free run's, and so is the distance count —
+  // count-pass faults fire before any kernel thread runs, and a fill
+  // re-run after a faulted landing copy computes no distance.
+  const auto d = datagen::ippp(800, 2, 10.0, 511);
+  const auto queries = datagen::uniform(500, 2, 0.0, 10.0, 513);
+  GpuSelfJoinOptions opt;
+  opt.unicomp = true;
+  opt.min_batches = 8;
+  opt.retry.retries = 20;
+  opt.retry.backoff_ms = 0.0;
+  GpuJoinOptions jopt;
+  jopt.min_batches = 8;
+  jopt.retry = opt.retry;
+  const auto want = GpuSelfJoin(opt).run(d, 0.5);
+  const auto want_join = gpu_join(queries, d, 0.5, jopt);
+
+  fault::configure_from_text("alloc:0.2,stream:0.2,sync:0.1,seed:7");
+  const auto got = GpuSelfJoin(opt).run(d, 0.5);
+  const auto got_join = gpu_join(queries, d, 0.5, jopt);
+  EXPECT_EQ(got.pairs.pairs(), want.pairs.pairs());
+  EXPECT_EQ(got.stats.metrics.distance_calcs,
+            want.stats.metrics.distance_calcs);
+  EXPECT_GT(got.stats.batch.retries, 0u);
+  EXPECT_GT(got.stats.batch.batches_split_on_oom, 0u);
+  EXPECT_EQ(got_join.pairs.pairs(), want_join.pairs.pairs());
+  EXPECT_EQ(got_join.stats.metrics.distance_calcs,
+            want_join.stats.metrics.distance_calcs);
+  EXPECT_GT(got_join.stats.batch.retries, 0u);
+  EXPECT_GT(got_join.stats.batch.batches_split_on_oom, 0u);
 }
 
 }  // namespace
