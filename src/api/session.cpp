@@ -25,8 +25,9 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-/// One admitted query. The four promises mirror the four result types;
-/// exactly one (selected by `kind`) is ever touched.
+/// One admitted query. The three promises mirror the three result types
+/// (a join and a self-join share one); exactly one, selected by `kind`, is
+/// ever touched.
 struct QuerySession::Request {
   enum class Kind { kRange, kJoin, kSelfJoin, kKnn };
 
@@ -41,8 +42,7 @@ struct QuerySession::Request {
   std::chrono::steady_clock::time_point enqueued{};
 
   std::promise<RangeResult> range_promise;
-  std::promise<GpuJoinResult> join_promise;
-  std::promise<SelfJoinResult> self_promise;
+  std::promise<GpuJoinResult> join_promise;  // kJoin / kSelfJoin
   std::promise<KnnResult> knn_promise;
 
   exec::ExecControl control() const { return {deadline, cancel}; }
@@ -50,8 +50,8 @@ struct QuerySession::Request {
   void set_exception(std::exception_ptr e) {
     switch (kind) {
       case Kind::kRange: range_promise.set_exception(std::move(e)); return;
-      case Kind::kJoin: join_promise.set_exception(std::move(e)); return;
-      case Kind::kSelfJoin: self_promise.set_exception(std::move(e)); return;
+      case Kind::kJoin:
+      case Kind::kSelfJoin: join_promise.set_exception(std::move(e)); return;
       case Kind::kKnn: knn_promise.set_exception(std::move(e)); return;
     }
   }
@@ -170,12 +170,12 @@ std::future<GpuJoinResult> QuerySession::join(Dataset queries,
   return fut;
 }
 
-std::future<SelfJoinResult> QuerySession::self_join(QueryOptions q) {
+std::future<GpuJoinResult> QuerySession::self_join(QueryOptions q) {
   auto req = std::make_shared<Request>();
   req->kind = Request::Kind::kSelfJoin;
   if (q.deadline_ms > 0.0) req->deadline = exec::Deadline::after_ms(q.deadline_ms);
   req->cancel = q.cancel;
-  auto fut = req->self_promise.get_future();
+  auto fut = req->join_promise.get_future();
   submit(std::move(req));
   return fut;
 }
@@ -295,20 +295,17 @@ void QuerySession::execute(std::vector<std::shared_ptr<Request>> batch) {
   const exec::ExecControl ctl = req.control();
   try {
     switch (req.kind) {
-      case Request::Kind::kJoin: {
-        GpuJoinOptions o;
-        o.control = &ctl;
-        GpuJoinResult r = prepared_->run(req.queries, o);
-        record_latency(req);
-        req.join_promise.set_value(std::move(r));
-        return;
-      }
+      case Request::Kind::kJoin:
       case Request::Kind::kSelfJoin: {
+        // The engines' default options; a join reads only the
+        // GpuJoinOptions part.
         GpuSelfJoinOptions o;
         o.control = &ctl;
-        SelfJoinResult r = prepared_->self_join(o);
+        GpuJoinResult r = req.kind == Request::Kind::kJoin
+                              ? prepared_->run(req.queries, o)
+                              : prepared_->self_join(o);
         record_latency(req);
-        req.self_promise.set_value(std::move(r));
+        req.join_promise.set_value(std::move(r));
         return;
       }
       case Request::Kind::kKnn: {

@@ -46,10 +46,8 @@
 
 #include "common/cancel.hpp"
 #include "common/dataset.hpp"
-#include "core/join.hpp"
 #include "core/knn.hpp"
 #include "core/prepared.hpp"
-#include "core/self_join.hpp"
 
 namespace sj::api {
 
@@ -151,7 +149,7 @@ class QuerySession {
   std::future<GpuJoinResult> join(Dataset queries, QueryOptions q = {});
 
   /// Full self-join of the prepared dataset at the session eps.
-  std::future<SelfJoinResult> self_join(QueryOptions q = {});
+  std::future<GpuJoinResult> self_join(QueryOptions q = {});
 
   /// k nearest data neighbours for every query point. kNN builds its
   /// own width-adapted grid per call (the eps grid is usually too fine),

@@ -39,10 +39,7 @@ class PointMode {
 
   /// No match masks: the point-centric kernel enumerates a query's
   /// candidates as it scans them.
-  std::vector<MaskSpan> mask_spans(std::uint64_t& words) const {
-    words = 0;
-    return {};
-  }
+  std::uint64_t num_mask_words() const { return 0; }
 
   gpu::KernelStats launch(gpu::GlobalMemoryArena& /*arena*/,
                           std::uint32_t u0, std::uint32_t u1,
@@ -87,25 +84,8 @@ class GroupedMode {
     return adjacency_.query_order.empty() ? "slots" : "query positions";
   }
 
-  /// The match-mask layout (MaskSpan): group by group, each unit of a
-  /// group owning one word per block of the group's ranges. Sets `words`
-  /// to the total.
-  std::vector<MaskSpan> mask_spans(std::uint64_t& words) const {
-    const std::vector<std::uint32_t>& go = adjacency_.group_offsets;
-    const CandidateRange* ranges = adjacency_.ranges.data();
-    const std::uint64_t* offsets = adjacency_.offsets.data();
-    std::vector<MaskSpan> spans(adjacency_.num_groups());
-    words = 0;
-    for (std::size_t g = 0; g < spans.size(); ++g) {
-      std::uint32_t blocks = 0;
-      for (std::uint64_t r = offsets[g]; r < offsets[g + 1]; ++r) {
-        blocks += mask_words(ranges[r]);
-      }
-      spans[g] = MaskSpan{words, go[g], blocks};
-      words += std::uint64_t{blocks} * (go[g + 1] - go[g]);
-    }
-    return spans;
-  }
+  /// The match-mask words of the adjacency's layout (its MaskSpans).
+  std::uint64_t num_mask_words() const { return adjacency_.num_mask_words; }
 
   gpu::KernelStats launch(gpu::GlobalMemoryArena& arena, std::uint32_t u0,
                           std::uint32_t u1, const ResultBufferView& result,
@@ -133,6 +113,8 @@ class GroupedMode {
     p.ranges = adjacency_.ranges.data();
     p.range_offsets = adjacency_.offsets.data();
     p.result = result;
+    // The kernel reads the layout only where the run placed masks.
+    p.result.mask_spans = adjacency_.mask_spans.data();
     p.work = work;
     // A grouped "thread" covers a whole group, so launches hold far fewer
     // work items than point launches hold points; smaller blocks keep
@@ -157,18 +139,6 @@ void first_touch(void* p, std::size_t bytes) {
   const auto pages = static_cast<std::int64_t>((bytes + 4095) / 4096);
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < pages; ++i) base[i * 4096] = 0;
-}
-
-/// `parts` contiguous ranges of near-equal unit counts over [0, units).
-std::vector<std::uint32_t> equal_ranges(std::uint32_t units,
-                                        std::size_t parts) {
-  parts = std::clamp<std::size_t>(parts, 1, units);
-  std::vector<std::uint32_t> bounds;
-  for (std::size_t p = 0; p <= parts; ++p) {
-    bounds.push_back(static_cast<std::uint32_t>(std::uint64_t{units} * p /
-                                                parts));
-  }
-  return bounds;
 }
 
 }  // namespace
@@ -215,29 +185,9 @@ std::exception_ptr annotate_exception(std::exception_ptr e,
 
 BatchPipeline::BatchPipeline(gpu::GlobalMemoryArena& arena,
                              const gpu::DeviceSpec& spec,
-                             const PipelineConfig& config)
-    : arena_(arena), spec_(spec), config_(config) {
-  if (config_.streams <= 0) {
-    throw std::invalid_argument("BatchPipeline: streams must be positive");
-  }
-  if (config_.block_size <= 0) {
-    throw std::invalid_argument("BatchPipeline: block_size must be positive");
-  }
-  if (config_.min_batches == 0) {
-    throw std::invalid_argument("BatchPipeline: min_batches must be positive");
-  }
-  if (config_.max_buffer_pairs == 0) {
-    throw std::invalid_argument(
-        "BatchPipeline: max_buffer_pairs must be positive");
-  }
-  if (config_.retry.retries < 0) {
-    throw std::invalid_argument(
-        "BatchPipeline: retry.retries must be non-negative");
-  }
-  if (config_.retry.backoff_ms < 0.0) {
-    throw std::invalid_argument(
-        "BatchPipeline: retry.backoff_ms must be non-negative");
-  }
+                             const PipelineConfig& config, int device_id)
+    : arena_(arena), spec_(spec), config_(config), device_id_(device_id) {
+  check_pipeline_config(config_, "BatchPipeline");
 }
 
 PipelineOutput BatchPipeline::run(const ResultRequest& req,
@@ -298,9 +248,7 @@ void BatchPipeline::for_each_range(const std::vector<std::uint32_t>& bounds,
     if (bounds.size() > 2) d += " " + std::to_string(r.index);
     d += " (" + std::string(unit_name) + " [" + std::to_string(r.begin) +
          ".." + std::to_string(r.end) + "))";
-    if (config_.device_id >= 0) {
-      d += " on device " + std::to_string(config_.device_id);
-    }
+    if (device_id_ >= 0) d += " on device " + std::to_string(device_id_);
     return d;
   };
   auto fail = [&](const Range& r, const char* note) {
@@ -320,8 +268,8 @@ void BatchPipeline::for_each_range(const std::vector<std::uint32_t>& bounds,
   while (!todo.empty()) {
     Range& r = todo.back();
     try {
-      fault::DeviceScope fault_scope(config_.device_id);
-      SJ_FAULT_BATCH(config_.device_id, ++batch_ordinal_);
+      fault::DeviceScope fault_scope(device_id_);
+      SJ_FAULT_BATCH(device_id_, ++batch_ordinal_);
       body(r.begin, r.end);
       todo.pop_back();
     } catch (const fault::TransientDeviceError&) {
@@ -372,7 +320,9 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
   }
 
   // --- Count-only and histogram: no offsets needed, so no count pass and
-  // no pair buffers — the launches bump a counter or the O(n) count plane.
+  // no pair buffers — one launch over every unit bumps a counter or the
+  // O(n) count plane. Nothing is transferred, so the batch minimum has no
+  // job here.
   if (req.mode == ResultMode::kCountOnly ||
       req.mode == ResultMode::kHistogram) {
     gpu::DeviceBuffer<std::uint32_t> counts;
@@ -381,8 +331,8 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
       std::fill_n(counts.data(), counts.size(), 0u);
     }
     for_each_range(
-        equal_ranges(units, config_.min_batches), "batch", mode.unit_name(),
-        acc, [&](std::uint32_t u0, std::uint32_t u1) {
+        {0, units}, "batch", mode.unit_name(), acc,
+        [&](std::uint32_t u0, std::uint32_t u1) {
           if (ctl != nullptr) ctl->check("pre-launch");
           gpu::DeviceCounter cursor;
           ResultBufferView result;
@@ -416,21 +366,17 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
 
   // Match masks (grouped kernel): the count pass stores which candidates
   // matched, so the fills write their pairs without computing a distance
-  // again. They are placed only where the arena still holds `streams`
+  // again. They are placed only where the arena still holds `num_streams`
   // buffers of max_buffer_pairs and the reserve beside them, so they never
   // change the batch plan; where they do not fit, the fills scan again.
-  std::uint64_t words = 0;
-  const std::vector<MaskSpan> layout = mode.mask_spans(words);
-  gpu::DeviceBuffer<MaskSpan> spans;
+  // Their layout came with the adjacency.
+  const std::uint64_t words = mode.num_mask_words();
   gpu::DeviceBuffer<std::uint16_t> masks;
   const unsigned __int128 room =
-      static_cast<unsigned __int128>(config_.streams) *
+      static_cast<unsigned __int128>(config_.num_streams) *
           config_.max_buffer_pairs * sizeof(Pair) +
-      reserve + static_cast<unsigned __int128>(words) * sizeof(std::uint16_t) +
-      layout.size() * sizeof(MaskSpan);
+      reserve + static_cast<unsigned __int128>(words) * sizeof(std::uint16_t);
   if (words > 0 && room <= arena_.free_bytes()) {
-    spans = gpu::DeviceBuffer<MaskSpan>(arena_, layout.size());
-    std::copy(layout.begin(), layout.end(), spans.data());
     masks = gpu::DeviceBuffer<std::uint16_t>(arena_, words);
   }
 
@@ -441,7 +387,6 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
                    ResultBufferView result;
                    result.unit_counts = offsets.data();
                    result.masks = masks.data();
-                   result.mask_spans = spans.data();
                    acc.kernel_seconds +=
                        mode.launch(arena_, u0, u1, result, &count_work)
                            .seconds;
@@ -458,13 +403,14 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
                       offsets.data(), std::uint64_t{0});
   const std::uint64_t total = offsets[units];
 
-  // Buffers: `streams` rotating result buffers within the free device
+  // Buffers: `num_streams` rotating result buffers within the free device
   // memory, after the reserve.
   const std::uint64_t free_bytes =
       arena_.free_bytes() > reserve ? arena_.free_bytes() - reserve : 0;
   const std::uint64_t buffer_cap = std::min<std::uint64_t>(
       config_.max_buffer_pairs,
-      free_bytes / (sizeof(Pair) * static_cast<std::uint64_t>(config_.streams)));
+      free_bytes /
+          (sizeof(Pair) * static_cast<std::uint64_t>(config_.num_streams)));
   const std::vector<std::uint32_t> bounds =
       plan_batches(offsets.data(), units, config_.min_batches, buffer_cap);
   std::uint64_t largest = 0;
@@ -479,7 +425,7 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
     gpu::Event landed;  ///< the buffer's last copy has drained
   };
   std::vector<Slot> slots(std::min<std::size_t>(
-      static_cast<std::size_t>(config_.streams), bounds.size() - 1));
+      static_cast<std::size_t>(config_.num_streams), bounds.size() - 1));
   for (Slot& s : slots) s.buffer = gpu::DeviceBuffer<Pair>(arena_, largest);
   std::unique_ptr<Pair[]> staging;  // sink mode's host landing buffer
   if (sinking) {
@@ -512,7 +458,6 @@ PipelineOutput BatchPipeline::run_impl(const Mode& mode,
         result.offsets = offsets.data();
         result.base = offsets[u0];
         result.masks = masks.data();
-        result.mask_spans = spans.data();
         acc.kernel_seconds += mode.launch(arena_, u0, u1, result, work).seconds;
         if (ctl != nullptr) ctl->check("pre-transfer");
         const std::uint64_t count = offsets[u1] - offsets[u0];

@@ -1,19 +1,22 @@
 // Batch pipeline — the Section V-A batching scheme as exact two-pass
-// output (see batcher.hpp for the scheme itself).
+// output (see batcher.hpp for the scheme itself and PipelineConfig for
+// its settings).
 //
 //   count launch (per-unit pair counts, and for the grouped kernel the
 //   match masks) -> exclusive prefix sum (offsets) -> batches cut from
 //   the exact counts -> per batch, in ascending order: fill launch into
-//   one of `streams` rotating device result buffers, then one async copy
-//   that lands the batch at its final offset of the output (pairs mode)
-//   or in a host staging buffer handed to the sink (sink mode).
+//   one of `num_streams` rotating device result buffers, then one async
+//   copy that lands the batch at its final offset of the output (pairs
+//   mode) or in a host staging buffer handed to the sink (sink mode).
 //
 // The match masks (ResultBufferView::masks, one bit per candidate) let
-// the grouped fills write their pairs without computing a distance. They
-// are allocated once per run, like the offsets, and only when the arena
-// still holds `streams` buffers of max_buffer_pairs and the work-item
-// reserve beside them, so they never change the batch plan; otherwise
-// the fills scan their candidates again.
+// the grouped fills write their pairs without computing a distance. Their
+// layout (one MaskSpan per group) comes with the adjacency
+// (upload_group_adjacency); the masks themselves are allocated once per
+// run, like the offsets, and only when the arena still holds
+// `num_streams` buffers of max_buffer_pairs and the work-item reserve
+// beside them, so they never change the batch plan; otherwise the fills
+// scan their candidates again.
 //
 // Fill launches run one at a time, in batch order — each gpu::launch
 // already spans every host core — while earlier batches' copies drain on
@@ -23,8 +26,9 @@
 // exhaustion, writes exactly the bytes the first attempt would have: the
 // output is deterministic by construction.
 //
-// Count-only and histogram runs need no offsets: they skip the count
-// pass and the buffers and run min_batches equal unit ranges.
+// Count-only and histogram runs need no offsets and transfer nothing:
+// they skip the count pass and the buffers and launch once over every
+// unit, so min_batches governs pairs and sink runs only.
 #pragma once
 
 #include <cstdint>
@@ -41,31 +45,6 @@ namespace sj {
 
 struct GroupAdjacency;  // kernels.hpp
 
-struct PipelineConfig {
-  int streams = 3;  ///< rotating device result buffers (copy overlap)
-  int block_size = 256;
-  std::size_t min_batches = 3;  ///< the paper's minimum batch count
-  /// Cap on one device result buffer (pairs); the arena's free memory
-  /// caps it further.
-  std::uint64_t max_buffer_pairs = 1ULL << 24;
-  RetryPolicy retry;   ///< transient-fault response (batcher.hpp)
-  int device_id = -1;  ///< simulated device id (gpu_shard); -1 = unsharded
-};
-
-/// The pipeline configuration a GPU engine's options describe (every
-/// engine option struct carries these batching members).
-template <typename Options>
-PipelineConfig pipeline_config(const Options& opt, int device_id = -1) {
-  PipelineConfig config;
-  config.streams = opt.num_streams;
-  config.block_size = opt.block_size;
-  config.min_batches = opt.min_batches;
-  config.max_buffer_pairs = opt.max_buffer_pairs;
-  config.retry = opt.retry;
-  config.device_id = device_id;
-  return config;
-}
-
 /// Rebuild `e` with `context + ": "` prefixed to its message, preserving
 /// the sj::fault taxonomy type (and DeviceOutOfMemory's byte counts /
 /// DeviceLost's device id) so callers can still dispatch on it. Unknown
@@ -81,8 +60,12 @@ std::exception_ptr annotate_exception(std::exception_ptr e,
 /// across its chunklets), one run at a time.
 class BatchPipeline {
  public:
+  /// Throws std::invalid_argument on an out-of-range setting
+  /// (check_pipeline_config). `device_id` names the simulated device the
+  /// runs arm fault injection for and errors name: the physical device of
+  /// a gpu_shard slot, -1 for the unsharded engines.
   BatchPipeline(gpu::GlobalMemoryArena& arena, const gpu::DeviceSpec& spec,
-                const PipelineConfig& config);
+                const PipelineConfig& config, int device_id = -1);
 
   /// Point-centric self-join (or join, when the view carries an external
   /// query set) over a legacy-layout grid: the units are the query ids.
@@ -114,6 +97,7 @@ class BatchPipeline {
   gpu::GlobalMemoryArena& arena_;
   gpu::DeviceSpec spec_;
   PipelineConfig config_;
+  int device_id_;
   /// 1-based range start ordinal, cumulative over every run on this
   /// pipeline — the trigger for targeted `device:shard<S>@batch<B>` loss
   /// injection. A pipeline re-armed across many chunklets (gpu_shard's

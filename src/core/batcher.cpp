@@ -1,12 +1,29 @@
 #include "core/batcher.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "common/contracts.hpp"
 #include "gpusim/arena.hpp"
 
 namespace sj {
+
+void check_pipeline_config(const PipelineConfig& config, const char* who) {
+  auto reject = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (config.num_streams <= 0) reject("num_streams must be positive");
+  if (config.block_size <= 0) reject("block_size must be positive");
+  if (config.min_batches == 0) reject("min_batches must be positive");
+  if (config.max_buffer_pairs == 0) {
+    reject("max_buffer_pairs must be positive");
+  }
+  if (config.retry.retries < 0) reject("retry.retries must be non-negative");
+  if (config.retry.backoff_ms < 0.0) {
+    reject("retry.backoff_ms must be non-negative");
+  }
+}
 
 std::vector<std::uint32_t> plan_batches(const std::uint64_t* offsets,
                                         std::uint32_t units,

@@ -1,4 +1,5 @@
-// The batching scheme (Section V-A), as exact two-pass output.
+// The batching scheme (Section V-A), as exact two-pass output, and the
+// one declaration of its settings (PipelineConfig).
 //
 // Low-dimensional self-joins produce result sets that can exceed the
 // GPU's global memory, so the output is produced in >= 3 batches (the
@@ -22,8 +23,10 @@
 //
 // No buffer can overflow and no batch needs a sort: the output — each
 // unit's pairs contiguous in scan order, units in ascending order — is the
-// same bytes for any batch count, buffer size or stream count. The
-// executor is BatchPipeline (batch_pipeline.hpp).
+// same bytes for any batch count, buffer size or stream count. Count-only
+// and histogram runs transfer nothing, so they skip all four steps and
+// launch once. The executor is BatchPipeline (batch_pipeline.hpp); every
+// GPU engine's options derive from PipelineConfig (core/join.hpp).
 #pragma once
 
 #include <cstdint>
@@ -109,5 +112,40 @@ struct RetryPolicy {
   int retries = 6;          ///< max re-runs per range (0 = fail fast)
   double backoff_ms = 0.5;  ///< initial backoff; doubles per attempt
 };
+
+/// The batching settings of every GPU self-join and join: GpuJoinOptions
+/// derives from this struct (and GpuSelfJoinOptions and
+/// ShardedSelfJoinOptions from it), and BatchPipeline runs on it. The
+/// defaults are the paper's configuration.
+struct PipelineConfig {
+  /// Rotating device result buffers: each batch's transfer to the host
+  /// overlaps the fills of the next num_streams - 1 batches.
+  int num_streams = 3;
+
+  /// Threads per block ("configured to run with 256 threads per block",
+  /// Section VI-B).
+  int block_size = 256;
+
+  /// "In all experiments, the minimum number of batches is set to 3"
+  /// (Section V-A). Governs pairs and sink runs only: count-only and
+  /// histogram runs transfer nothing and launch once.
+  std::size_t min_batches = 3;
+
+  /// Hard cap on one device result buffer (pairs); the effective size
+  /// also respects the device's free global memory.
+  std::uint64_t max_buffer_pairs = 1ULL << 24;
+
+  /// Transient-fault response: batches hit by a TransientDeviceError are
+  /// re-run up to retry.retries times with exponential backoff. Retries
+  /// never change the output.
+  RetryPolicy retry;
+};
+
+/// Reject an out-of-range setting: throws std::invalid_argument, prefixed
+/// with `who`, naming the first of num_streams, block_size, min_batches
+/// or max_buffer_pairs that is not positive, or of retry.retries or
+/// retry.backoff_ms that is negative. Every GPU engine calls it at its
+/// entry, before any index build, so an empty input is checked too.
+void check_pipeline_config(const PipelineConfig& config, const char* who);
 
 }  // namespace sj

@@ -7,7 +7,6 @@
 
 #include <memory>
 #include <stdexcept>
-#include <type_traits>
 
 #include "api/registry.hpp"
 #include "common/cancel.hpp"
@@ -85,12 +84,12 @@ void reject_threads(std::string_view backend, const api::RunConfig& config) {
   }
 }
 
-/// The batching knobs every GPU join-shaped engine shares
-/// (GpuSelfJoinOptions, GpuJoinOptions and ShardedSelfJoinOptions all
-/// carry these members) — parsed in ONE place so validation cannot drift
-/// between the self-join, join and shard adapters.
-template <typename Options>
-void apply_gpu_batch_knobs(const api::RunConfig& config, Options& opt) {
+/// The batching knobs every GPU join-shaped engine shares (its options
+/// derive from PipelineConfig) — parsed in ONE place so validation cannot
+/// drift between the self-join, join and shard adapters. The messages
+/// name the --opt keys, checked before the unsigned casts.
+void apply_gpu_batch_knobs(const api::RunConfig& config,
+                           PipelineConfig& opt) {
   opt.block_size = positive_int(config, "block_size", opt.block_size);
   opt.min_batches = static_cast<std::size_t>(positive_int(
       config, "min_batches", static_cast<int>(opt.min_batches)));
@@ -114,21 +113,22 @@ void apply_gpu_batch_knobs(const api::RunConfig& config, Options& opt) {
 }
 
 /// The normalised + native stats block of every GPU join-shaped run:
-/// self-join or join, one device or sharded (SelfJoinResult,
-/// GpuJoinResult and their sharded twins).
-template <typename Result>
-api::JoinOutcome make_gpu_outcome(Result r) {
+/// self-join or join, one device or sharded. Every outcome reports the
+/// same keys; a phase the engine does not have reads 0.
+api::JoinOutcome make_gpu_outcome(GpuJoinResult r) {
   api::JoinOutcome out;
   out.pairs = std::move(r.pairs);
   out.total_pairs = r.total_pairs;
   out.histogram = std::move(r.histogram);
-  const auto& s = r.stats;
+  const GpuJoinStats& s = r.stats;
   out.stats.seconds = s.total_seconds;
   out.stats.total_seconds = s.total_seconds;
   out.stats.build_seconds = s.index_build_seconds;
   out.stats.distance_calcs = s.metrics.distance_calcs;
   out.stats.native = {
       {"index_build_seconds", s.index_build_seconds},
+      {"upload_seconds", s.upload_seconds},
+      {"join_seconds", s.join_seconds},
       {"adjacency_seconds", s.adjacency_seconds},
       // The exact-sizing count pass (count launch, prefix sum, batch
       // cut), under the name the sampled estimator's phase had.
@@ -142,22 +142,15 @@ api::JoinOutcome make_gpu_outcome(Result r) {
       {"bytes_to_host", static_cast<double>(s.batch.bytes_to_host)},
       {"cells_examined", static_cast<double>(s.metrics.cells_examined)},
       {"cells_nonempty", static_cast<double>(s.metrics.cells_nonempty)},
+      {"grid_nonempty_cells", static_cast<double>(s.grid_nonempty_cells)},
+      {"grid_total_cells", static_cast<double>(s.grid_total_cells)},
+      {"query_groups", static_cast<double>(s.query_groups)},
+      {"cache_hit_rate", s.metrics.cache_hit_rate()},
+      {"cache_bw_gbs", s.metrics.cache_bw_gbs},
+      {"metrics_seconds", s.metrics_seconds},
+      {"occupancy", s.occupancy},
+      {"regs_per_thread", static_cast<double>(s.regs_per_thread)},
   };
-  if constexpr (std::is_same_v<std::decay_t<decltype(s)>, SelfJoinStats>) {
-    out.stats.native.insert({
-        {"upload_seconds", s.upload_seconds},
-        {"join_seconds", s.join_seconds},
-        {"grid_nonempty_cells", static_cast<double>(s.grid_nonempty_cells)},
-        {"grid_total_cells", static_cast<double>(s.grid_total_cells)},
-        {"cache_hit_rate", s.metrics.cache_hit_rate()},
-        {"cache_bw_gbs", s.metrics.cache_bw_gbs},
-        {"metrics_seconds", s.metrics_seconds},
-        {"occupancy", s.occupancy},
-        {"regs_per_thread", static_cast<double>(s.regs_per_thread)},
-    });
-  } else {
-    out.stats.native["query_groups"] = static_cast<double>(s.query_groups);
-  }
   return out;
 }
 

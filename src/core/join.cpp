@@ -10,6 +10,7 @@ namespace sj {
 
 GpuJoinResult gpu_join(const Dataset& queries, const Dataset& data,
                        double eps, GpuJoinOptions opt) {
+  check_pipeline_config(opt, "gpu_join");
   parse::non_negative("argument 'eps' of gpu_join", eps);
   parse::matching_dims("argument 'queries' of gpu_join", queries.dim(),
                        "argument 'data'", data.dim());
@@ -24,6 +25,7 @@ GpuJoinResult gpu_join(const Dataset& queries, const Dataset& data,
   const PreparedJoin prepared(data, eps, opt.device, opt.layout);
   GpuJoinResult result = prepared.run(queries, opt);
   result.stats.index_build_seconds = prepared.index_build_seconds();
+  result.stats.upload_seconds = prepared.upload_seconds();
   result.stats.total_seconds = total.seconds();
   return result;
 }

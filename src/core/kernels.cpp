@@ -702,6 +702,19 @@ GroupAdjacency upload_group_adjacency(gpu::GlobalMemoryArena& arena,
   std::copy(host.ranges.begin(), host.ranges.end(), adj.ranges.data());
   adj.offsets = gpu::DeviceBuffer<std::uint64_t>(arena, host.offsets.size());
   std::copy(host.offsets.begin(), host.offsets.end(), adj.offsets.data());
+  // The match-mask layout: group by group, each unit of a group owning one
+  // word per block of the group's ranges.
+  const std::size_t num_groups = host.num_groups();
+  const std::vector<std::uint32_t>& go = host.group_offsets;
+  adj.mask_spans = gpu::DeviceBuffer<MaskSpan>(arena, num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    std::uint32_t blocks = 0;
+    for (std::uint64_t r = host.offsets[g]; r < host.offsets[g + 1]; ++r) {
+      blocks += mask_words(host.ranges[r]);
+    }
+    adj.mask_spans[g] = MaskSpan{adj.num_mask_words, go[g], blocks};
+    adj.num_mask_words += std::uint64_t{blocks} * (go[g + 1] - go[g]);
+  }
   adj.group_offsets = std::move(host.group_offsets);
   adj.cells_examined = host.cells_examined;
   adj.cells_nonempty = host.cells_nonempty;

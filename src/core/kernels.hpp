@@ -24,7 +24,9 @@
 // amortises the per-point binary searches of Algorithm 1 across the
 // group and removes the A[] gather from the distance loop. Its count pass
 // can store each block's match mask, and a fill given those masks
-// writes its pairs without computing a distance (ResultBufferView).
+// writes its pairs without computing a distance (ResultBufferView). The
+// masks' layout (one MaskSpan per group) is laid out with the adjacency
+// when it is uploaded (upload_group_adjacency), once per adjacency.
 //
 // brute_force_thread() is the GPU brute-force nested-loop kernel used as
 // the paper's index-free baseline (Section VI-B).
@@ -102,7 +104,8 @@ struct ResultBufferView {
   std::uint32_t* counts = nullptr;
   /// Match masks, one word per (unit, candidate block): bit v set when
   /// lane v lies within eps. A block the prune skips, and the lanes past
-  /// a ragged block end, stay 0. Laid out by `mask_spans` (one per group).
+  /// a ragged block end, stay 0. Laid out by `mask_spans` (one per group,
+  /// GroupAdjacency::mask_spans).
   std::uint16_t* masks = nullptr;
   const MaskSpan* mask_spans = nullptr;
 };
@@ -199,11 +202,17 @@ GroupAdjacencyHost build_group_adjacency(const GridIndex& index,
 
 /// The device-resident group adjacency the grouped kernel reads. The
 /// group offsets stay on the host: the pipeline cuts work items from them.
+/// The match-mask layout travels with it: one MaskSpan per group (16 B),
+/// laid out group by group, and the words all units own together. It
+/// depends only on the ranges, so a cached adjacency (a prepared
+/// self-join's) lays it out once for every run.
 struct GroupAdjacency {
   gpu::DeviceBuffer<std::uint32_t> query_order;  // empty = identity
   std::vector<std::uint32_t> group_offsets;
   gpu::DeviceBuffer<CandidateRange> ranges;
   gpu::DeviceBuffer<std::uint64_t> offsets;
+  gpu::DeviceBuffer<MaskSpan> mask_spans;
+  std::uint64_t num_mask_words = 0;
   std::uint64_t cells_examined = 0;
   std::uint64_t cells_nonempty = 0;
   double build_seconds = 0.0;
@@ -213,7 +222,7 @@ struct GroupAdjacency {
   }
 };
 
-/// Ship a host adjacency into `arena`.
+/// Ship a host adjacency into `arena`, with its match-mask layout.
 GroupAdjacency upload_group_adjacency(gpu::GlobalMemoryArena& arena,
                                       GroupAdjacencyHost host);
 

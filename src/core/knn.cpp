@@ -95,7 +95,6 @@ class BestK {
 
 struct KnnKernelParams {
   GridDeviceView grid;
-  const GridIndex* index = nullptr;  // host-side helpers (masks etc.)
   KnnResult* out = nullptr;
   int k = 0;
   bool include_self = false;
@@ -287,7 +286,6 @@ KnnResult run_knn(const Dataset* queries, const Dataset& data,
   gpu::DeviceCounter rings;
   KnnKernelParams p;
   p.grid = grid;
-  p.index = &index;
   p.out = &result;
   p.k = opt.k;
   p.include_self = opt.include_self;

@@ -5,6 +5,11 @@
 // single-use one per call, so every sjtool one-shot run pays the index
 // build + upload per invocation while a session pays it per lifetime.
 //
+// Both facets run one body: the request, the pipeline, the grouped or
+// point-centric run, the cell counters and the output; they differ only
+// in where the emitting units come from (a join's uploaded queries, or
+// the staged data set itself) and in the self-join's adjacency cache.
+//
 // Thread safety: after construction, run()/self_join() may be called
 // concurrently from many threads. The shared arena's allocation is
 // mutex-protected (gpusim/arena.hpp), the staged grid buffers are
@@ -17,7 +22,6 @@
 
 #include "common/dataset.hpp"
 #include "core/device_view.hpp"
-#include "core/join.hpp"
 #include "core/kernels.hpp"
 #include "core/self_join.hpp"
 #include "gpusim/arena.hpp"
@@ -60,10 +64,17 @@ class PreparedJoin {
   /// per unicomp flag and cached across calls; its index-search counters
   /// are folded into every call's metrics, its build time only into the
   /// call that built it. opt.layout and opt.device are ignored.
-  SelfJoinResult self_join(const GpuSelfJoinOptions& opt) const;
+  GpuJoinResult self_join(const GpuSelfJoinOptions& opt) const;
 
  private:
   void stage();
+
+  /// The body of both facets: the join of `queries`, or with null
+  /// `queries` the self-join of the prepared data (with `unicomp`).
+  /// Reports every stat but the index build, the staging and the
+  /// Table II tail.
+  GpuJoinResult join_units(const Dataset* queries, const GpuJoinOptions& opt,
+                           bool unicomp) const;
 
   const Dataset* data_;
   GridIndex index_;

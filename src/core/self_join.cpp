@@ -1,6 +1,7 @@
 #include "core/self_join.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "core/kernels.hpp"
@@ -11,19 +12,11 @@
 
 namespace sj {
 
-GpuSelfJoin::GpuSelfJoin(GpuSelfJoinOptions opt) : opt_(opt) {
-  if (opt_.block_size <= 0) {
-    throw std::invalid_argument("GpuSelfJoin: block_size must be positive");
-  }
-  if (opt_.num_streams <= 0) {
-    throw std::invalid_argument("GpuSelfJoin: num_streams must be positive");
-  }
-  if (opt_.min_batches == 0) {
-    throw std::invalid_argument("GpuSelfJoin: min_batches must be positive");
-  }
+GpuSelfJoin::GpuSelfJoin(GpuSelfJoinOptions opt) : opt_(std::move(opt)) {
+  check_pipeline_config(opt_, "GpuSelfJoin");
 }
 
-SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
+GpuJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
   if (eps < 0.0) throw std::invalid_argument("GpuSelfJoin: eps must be >= 0");
   if (opt_.mode == ResultMode::kSink && !opt_.sink) {
     throw std::invalid_argument(
@@ -34,7 +27,7 @@ SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
   if (opt_.control != nullptr) opt_.control->check("self-join entry");
   Timer total;
   const PreparedJoin prepared(d, eps, opt_.device, opt_.layout);
-  SelfJoinResult result = prepared.self_join(opt_);
+  GpuJoinResult result = prepared.self_join(opt_);
   result.stats.index_build_seconds = prepared.index_build_seconds();
   result.stats.upload_seconds = prepared.upload_seconds();
   // The metrics replay ran last inside self_join; it is not join time.
@@ -44,7 +37,7 @@ SelfJoinResult GpuSelfJoin::run(const Dataset& d, double eps) const {
 }
 
 void collect_gpu_stats(const GridIndex& index, const GridDeviceView& grid,
-                       const GpuSelfJoinOptions& opt, SelfJoinStats& st) {
+                       const GpuSelfJoinOptions& opt, GpuJoinStats& st) {
   // --- Occupancy model (Table II).
   st.regs_per_thread = gpu::self_join_regs_per_thread(grid.dim, opt.unicomp);
   const gpu::OccupancyResult occ = gpu::theoretical_occupancy(

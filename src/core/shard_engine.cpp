@@ -38,15 +38,7 @@ void validate_shard_options(const ShardedSelfJoinOptions& opt,
   if (opt.chunklets < 0) {
     throw std::invalid_argument(name + ": chunklets must be >= 0 (0 = auto)");
   }
-  if (opt.block_size <= 0) {
-    throw std::invalid_argument(name + ": block_size must be positive");
-  }
-  if (opt.num_streams <= 0) {
-    throw std::invalid_argument(name + ": num_streams must be positive");
-  }
-  if (opt.min_batches == 0) {
-    throw std::invalid_argument(name + ": min_batches must be positive");
-  }
+  check_pipeline_config(opt, who);
   if (opt.layout != GridLayout::kCellMajor) {
     throw std::invalid_argument(
         name + ": sharding requires the cell-major layout (the shard "
@@ -325,8 +317,8 @@ void rearm_device(DeviceCtx& ctx, int device,
   ctx.qbuf = gpu::DeviceBuffer<double>();
   ctx.pipeline.reset();
   ctx.arena = std::make_unique<gpu::GlobalMemoryArena>(opt.device);
-  ctx.pipeline = std::make_unique<BatchPipeline>(*ctx.arena, opt.device,
-                                                 pipeline_config(opt, device));
+  ctx.pipeline =
+      std::make_unique<BatchPipeline>(*ctx.arena, opt.device, opt, device);
   ctx.device_id = device;
 }
 
@@ -524,10 +516,10 @@ ChunkletPlan plan_units(const std::vector<std::uint64_t>& weights,
 /// counts, histograms over `keys` entries, metrics and batch stats) and
 /// the per-device rows into result.shard, whose common_seconds the caller
 /// has set.
-template <typename Result, typename Job>
+template <typename Job>
 void drive_chunklets(const ChunkletPlan& cplan,
                      const ShardedSelfJoinOptions& opt, std::uint64_t keys,
-                     Result& result, const Job& job) {
+                     ShardedJoinResult& result, const Job& job) {
   const std::size_t k = cplan.devices();
   const std::size_t m = cplan.chunklets();
   result.shard.shards = k;
@@ -591,16 +583,16 @@ ShardedGpuSelfJoin::ShardedGpuSelfJoin(ShardedSelfJoinOptions opt)
   validate_shard_options(opt_, "ShardedGpuSelfJoin");
 }
 
-ShardedSelfJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
-                                              double eps) const {
+ShardedJoinResult ShardedGpuSelfJoin::run(const Dataset& d,
+                                          double eps) const {
   if (eps < 0.0) {
     throw std::invalid_argument("ShardedGpuSelfJoin: eps must be >= 0");
   }
   // Entry checkpoint: a query that arrives already expired or cancelled
   // must not pay for the index build.
   if (opt_.control != nullptr) opt_.control->check("sharded self-join entry");
-  ShardedSelfJoinResult result;
-  SelfJoinStats& st = result.stats;
+  ShardedJoinResult result;
+  GpuJoinStats& st = result.stats;
   Timer total;
 
   // --- Common host phases (done once, unsharded): grid index, cell-major
@@ -666,6 +658,8 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
   Timer phase;
   GridIndex index(data, eps);
   st.index_build_seconds = phase.seconds();
+  st.grid_nonempty_cells = index.num_nonempty_cells();
+  st.grid_total_cells = index.total_cells();
   if (queries.empty() || data.empty()) {
     if (opt.mode == ResultMode::kHistogram) {
       result.histogram.assign(queries.size(), 0);
@@ -674,7 +668,9 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
     return result;
   }
 
+  phase.reset();
   const HostStage stage(data, index);
+  st.upload_seconds = phase.seconds();
   GridDeviceView hv = stage.grid.view();
   hv.qpoints = queries.raw().data();
   hv.qn = queries.size();
@@ -689,12 +685,14 @@ ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
       plan_units(adj.weights, opt, "sharded_join(plan)");
   result.shard.common_seconds = total.seconds();
 
+  phase.reset();
   drive_chunklets(cplan, opt, queries.size(), result,
   [&](DeviceCtx& ctx, std::uint32_t c, const ResultRequest& req,
       ChunkOutput& out, AtomicWork& work) {
     run_chunklet(ctx, hv, adj, cplan.bounds[c], cplan.bounds[c + 1], req,
                  out, work);
   });
+  st.join_seconds = phase.seconds();
   st.metrics.cells_examined += adj.cells_examined;
   st.metrics.cells_nonempty += adj.cells_nonempty;
   st.total_seconds = total.seconds();

@@ -51,12 +51,16 @@
 // (the default) overlaps the devices on real host threads with
 // real-idleness stealing, which is also what the ThreadSanitizer job
 // exercises.
+//
+// Both facets take the self-join's options (batching settings, layout,
+// mode and control included, checked by check_pipeline_config) plus the
+// shard knobs, and return the GpuJoinResult of the single-device engines
+// with the shard balance beside it (ShardedJoinResult).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/join.hpp"
 #include "core/self_join.hpp"
 
 namespace sj {
@@ -124,16 +128,14 @@ struct ShardedRunStats {
   std::vector<ShardStats> per_shard;
 };
 
-struct ShardedSelfJoinResult {
-  ResultSet pairs;
-  /// Exact pair count in every result mode; per-point histogram (original
-  /// ids — shards are disjoint, so the per-shard histograms sum) only in
-  /// kHistogram. Mode kSink is NOT supported by the sharded engines: the
-  /// shard pipelines run concurrently, so streaming batches in the global
-  /// deterministic order would serialise the devices.
-  std::uint64_t total_pairs = 0;
-  std::vector<std::uint32_t> histogram;
-  SelfJoinStats stats;  ///< aggregate, same shape as the other engines
+/// What both sharded facets return: the single-device engines' result —
+/// pairs, the exact count, and a histogram in kHistogram (original ids for
+/// the self-join, query indices for the join; shards are disjoint, so the
+/// per-shard histograms sum) — plus the shard balance. Mode kSink is NOT
+/// supported by the sharded engines: the shard pipelines run
+/// concurrently, so streaming batches in the global deterministic order
+/// would serialise the devices.
+struct ShardedJoinResult : GpuJoinResult {
   ShardedRunStats shard;
 };
 
@@ -142,7 +144,7 @@ class ShardedGpuSelfJoin {
   explicit ShardedGpuSelfJoin(ShardedSelfJoinOptions opt = {});
 
   /// Compute the full self-join of `d` with distance threshold eps >= 0.
-  ShardedSelfJoinResult run(const Dataset& d, double eps) const;
+  ShardedJoinResult run(const Dataset& d, double eps) const;
 
   const ShardedSelfJoinOptions& options() const { return opt_; }
 
@@ -150,19 +152,10 @@ class ShardedGpuSelfJoin {
   ShardedSelfJoinOptions opt_;
 };
 
-struct ShardedJoinResult {
-  /// Pairs are (query index, data index), as in gpu_join.
-  ResultSet pairs;
-  /// As in ShardedSelfJoinResult; histogram keys are query indices.
-  std::uint64_t total_pairs = 0;
-  std::vector<std::uint32_t> histogram;
-  GpuJoinStats stats;
-  ShardedRunStats shard;
-};
-
 /// Epsilon join of `queries` against grid-indexed `data` across K
 /// simulated devices (query groups sharded; each shard's data slice is
-/// the slots its groups reference).
+/// the slots its groups reference). Pairs are (query index, data index),
+/// as in gpu_join.
 ShardedJoinResult sharded_join(const Dataset& queries, const Dataset& data,
                                double eps, const ShardedSelfJoinOptions& opt);
 

@@ -247,7 +247,7 @@ TEST(BatchPipelineDirect, OnePairBufferRecoversViaSplitsExactly) {
                  /*unicomp=*/false));
 
   PipelineConfig config;
-  config.streams = 3;
+  config.num_streams = 3;
   config.max_buffer_pairs = 1;
   BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;
@@ -284,7 +284,7 @@ TEST(BatchPipelineDirect, FatalOverflowOnlyOnUnsplittableSinglePoint) {
                  /*unicomp=*/false));
 
   PipelineConfig config;
-  config.streams = 2;
+  config.num_streams = 2;
   config.max_buffer_pairs = 1;
   BatchPipeline pipeline(arena, gpu::DeviceSpec::titan_x_pascal(), config);
   AtomicWork work;

@@ -126,10 +126,9 @@ ResultSet run_gpu(const Dataset& d, double eps) {
   return pairs;
 }
 
-ShardedSelfJoinResult run_chunked(const Dataset& d, double eps, int shards,
-                                  ShardSchedule schedule, int chunklets = 0,
-                                  std::uint64_t max_buffer_pairs = 1ULL
-                                                                   << 24) {
+ShardedJoinResult run_chunked(const Dataset& d, double eps, int shards,
+                              ShardSchedule schedule, int chunklets = 0,
+                              std::uint64_t max_buffer_pairs = 1ULL << 24) {
   ShardedSelfJoinOptions opt;
   opt.shards = shards;
   opt.schedule = schedule;

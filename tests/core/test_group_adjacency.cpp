@@ -207,7 +207,7 @@ TEST(AdjacencyParity, OverBudgetGridStagesNoTableAndMatchesBrute) {
 
   GpuSelfJoinOptions opt;
   opt.unicomp = true;
-  const SelfJoinResult self = GpuSelfJoin(opt).run(d, eps);
+  const GpuJoinResult self = GpuSelfJoin(opt).run(d, eps);
   ASSERT_GT(self.total_pairs, d.size());  // pairs beyond the self pairs
   EXPECT_TRUE(
       ResultSet::equal_normalized(self.pairs, brute::self_join(d, eps).pairs));

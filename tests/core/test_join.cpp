@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/datagen.hpp"
+#include "core/prepared.hpp"
+#include "core/self_join.hpp"
+#include "core/shard_engine.hpp"
 
 namespace sj {
 namespace {
@@ -159,6 +165,59 @@ TEST(GpuJoin, EmptySidesProduceEmptyResult) {
   const auto d = datagen::uniform(100, 3, 0.0, 10.0, 5);
   EXPECT_TRUE(gpu_join(Dataset(3), d, 1.0).pairs.empty());
   EXPECT_TRUE(gpu_join(d, Dataset(3), 1.0).pairs.empty());
+}
+
+TEST(GpuJoin, InvalidBatchingSettingsFailAtEntry) {
+  // Every GPU self-join and join checks its batching settings
+  // (check_pipeline_config) on entry, before any index build or staging,
+  // so an out-of-range value fails even on an empty input, where no
+  // pipeline would run.
+  struct Bad {
+    const char* setting;
+    std::function<void(PipelineConfig&)> apply;
+  };
+  const std::vector<Bad> bad = {
+      {"num_streams", [](PipelineConfig& c) { c.num_streams = 0; }},
+      {"block_size", [](PipelineConfig& c) { c.block_size = 0; }},
+      {"min_batches", [](PipelineConfig& c) { c.min_batches = 0; }},
+      {"max_buffer_pairs", [](PipelineConfig& c) { c.max_buffer_pairs = 0; }},
+      {"retry.retries", [](PipelineConfig& c) { c.retry.retries = -1; }},
+      {"retry.backoff_ms",
+       [](PipelineConfig& c) { c.retry.backoff_ms = -0.5; }},
+  };
+  const Dataset empty(2);
+  const PreparedJoin prepared(empty, 1.0);
+  for (const Bad& b : bad) {
+    ShardedSelfJoinOptions opt;  // also a GpuSelfJoinOptions, GpuJoinOptions
+    b.apply(opt);
+    const std::vector<std::pair<const char*, std::function<void()>>> entries = {
+        {"GpuSelfJoin", [&] { (void)GpuSelfJoin(opt).run(empty, 1.0); }},
+        {"gpu_join", [&] { (void)gpu_join(empty, empty, 1.0, opt); }},
+        {"PreparedJoin::run", [&] { (void)prepared.run(empty, opt); }},
+        {"PreparedJoin::self_join", [&] { (void)prepared.self_join(opt); }},
+        {"ShardedGpuSelfJoin",
+         [&] { (void)ShardedGpuSelfJoin(opt).run(empty, 1.0); }},
+        {"sharded_join",
+         [&] { (void)sharded_join(empty, empty, 1.0, opt); }},
+    };
+    for (const auto& [entry, call] : entries) {
+      try {
+        call();
+        ADD_FAILURE() << entry << " accepted an out-of-range " << b.setting;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(b.setting), std::string::npos)
+            << entry << ": " << e.what();
+      }
+    }
+  }
+  // The same entries accept the defaults on the same empty input.
+  const ShardedSelfJoinOptions ok;
+  EXPECT_EQ(GpuSelfJoin(ok).run(empty, 1.0).total_pairs, 0u);
+  EXPECT_EQ(gpu_join(empty, empty, 1.0, ok).total_pairs, 0u);
+  EXPECT_EQ(prepared.run(empty, ok).total_pairs, 0u);
+  EXPECT_EQ(prepared.self_join(ok).total_pairs, 0u);
+  EXPECT_EQ(ShardedGpuSelfJoin(ok).run(empty, 1.0).total_pairs, 0u);
+  EXPECT_EQ(sharded_join(empty, empty, 1.0, ok).total_pairs, 0u);
 }
 
 TEST(GpuJoin, DimensionMismatchThrows) {

@@ -325,7 +325,7 @@ TEST(ShardEngine, MetricsReplayIsTimedApart) {
   opt.shards = 2;
   opt.collect_metrics = true;
   const Timer wall;
-  const ShardedSelfJoinResult r = ShardedGpuSelfJoin(opt).run(d, 1.0);
+  const ShardedJoinResult r = ShardedGpuSelfJoin(opt).run(d, 1.0);
   const double wall_seconds = wall.seconds();
   EXPECT_GT(r.stats.metrics_seconds, 0.0);
   EXPECT_GE(wall_seconds, r.stats.total_seconds + r.stats.metrics_seconds);
