@@ -18,7 +18,6 @@
 // count, or on a distance count, in any run: the pairs mode's fills read
 // the count pass's match masks, so both modes compute every candidate
 // distance once.
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -35,26 +34,14 @@ namespace {
 
 constexpr int kSamples = 5;  // timed runs per mode and row
 
-/// The median, min and max of one mode's samples.
-struct Timing {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Timing summarize(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return {samples[samples.size() / 2], samples.front(), samples.back()};
-}
-
 struct Row {
   std::string workload;
   int dim = 0;
   std::size_t n = 0;
   double eps = 0.0;
   std::string algo;
-  Timing pairs_time;
-  Timing count_time;
+  sj::bench::Timing pairs_time;
+  sj::bench::Timing count_time;
   std::uint64_t pairs = 0;
   double count_speedup = 0.0;  // median pairs / median count-only
 };

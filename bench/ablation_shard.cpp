@@ -7,9 +7,16 @@
 // slowest device's busy clock, measured under the virtual-time serial
 // drive (schedule=steal) so device timings do not contend for the core
 // (the same modelling stance as the PCIe transfer model; the true wall
-// time is reported alongside). Every configuration is cross-checked
-// against the single-device gpu backend's pair count — the byte-level
-// parity lives in tests/core/test_shard.cpp and test_chunklet.cpp.
+// time is reported alongside). Every run is cross-checked against the
+// single-device gpu backend's pair count — the byte-level parity lives in
+// tests/core/test_shard.cpp and test_chunklet.cpp.
+//
+// Sampling: one untimed gpu_shard run per workload first (the first run
+// on a fresh dataset pays page faults and cache warm-up), then kSamples
+// timed runs of every device count, alternating the order of the device
+// counts from sample to sample. A row records the median makespan with
+// its min and max (and the median wall and busiest-device times); the
+// speedups and both headline figures divide medians.
 //
 // Output: the usual CSV under SJ_RESULTS_DIR plus BENCH_shard.json (path
 // overridable via SJ_BENCH_JSON) carrying two top-level metrics:
@@ -18,9 +25,10 @@
 // exists for). With SJ_SMOKE_CHECK=1 the process exits non-zero when the
 // geomean 4-device speedup falls below 1.44x or the IPPP 8-device
 // efficiency falls below 0.85 — the CI bench-smoke gates.
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <map>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -33,20 +41,66 @@
 
 namespace {
 
+constexpr int kSamples = 5;  // timed runs per device count
+constexpr int kShardCounts[] = {1, 2, 4, 8};
+
 struct Row {
   std::string workload;
   std::size_t n = 0;
   double eps = 0.0;
   int shards = 0;
+  sj::bench::Timing makespan;       // seconds
+  double wall_seconds = 0.0;        // median
+  double max_shard_seconds = 0.0;   // median
+  std::uint64_t chunklets = 0;
+  std::uint64_t stolen = 0;         // median
+  double speedup = 0.0;             // median makespan, 1 device / K
+  double efficiency = 0.0;          // speedup / K
+  std::uint64_t pairs = 0;
+};
+
+/// One gpu_shard run's figures.
+struct ShardRun {
   double wall_seconds = 0.0;
   double makespan_seconds = 0.0;
   double max_shard_seconds = 0.0;
   std::uint64_t chunklets = 0;
   std::uint64_t stolen = 0;
-  double speedup = 0.0;     // makespan(1 device) / makespan(K devices)
-  double efficiency = 0.0;  // speedup / K
-  std::uint64_t pairs = 0;
 };
+
+/// Run gpu_shard on `shards` devices and check its pair count against the
+/// single-device gpu backend's; exits 1 when they disagree.
+ShardRun run_shards(const sj::Dataset& d, const std::string& workload,
+                    double eps, int shards, std::uint64_t want_pairs) {
+  sj::api::RunConfig config;
+  config.extra["shards"] = std::to_string(shards);
+  // Virtual-time drive: per-device busy timings free of host-core
+  // contention, which is what the makespan models.
+  config.extra["schedule"] = "steal";
+  const auto r =
+      sj::api::BackendRegistry::instance().at("gpu_shard").run(d, eps, config);
+  if (r.pairs.size() != want_pairs) {
+    std::cerr << "FATAL: gpu_shard(" << shards << ") disagrees on "
+              << workload << ": got " << r.pairs.size() << " pairs, gpu "
+              << want_pairs << "\n";
+    std::exit(1);
+  }
+  ShardRun run;
+  run.wall_seconds = r.stats.seconds;
+  run.makespan_seconds = r.stats.native_value("makespan_seconds");
+  run.chunklets =
+      static_cast<std::uint64_t>(r.stats.native_value("chunklets"));
+  run.stolen =
+      static_cast<std::uint64_t>(r.stats.native_value("chunklets_stolen"));
+  const auto devices =
+      static_cast<std::size_t>(r.stats.native_value("shards"));
+  for (std::size_t s = 0; s < devices; ++s) {
+    run.max_shard_seconds = std::max(
+        run.max_shard_seconds,
+        r.stats.native_value("shard" + std::to_string(s) + "_seconds"));
+  }
+  return run;
+}
 
 }  // namespace
 
@@ -81,58 +135,58 @@ int main(int argc, char** argv) {
                  "speedup", "efficiency", "stolen", "max shard (s)",
                  "pairs"});
     csv::Table out({"workload", "n", "eps", "shards", "makespan_seconds",
+                    "makespan_min_seconds", "makespan_max_seconds",
                     "wall_seconds", "speedup", "efficiency", "chunklets",
                     "stolen", "max_shard_seconds", "pairs"});
     for (const auto& w : workloads) {
       const std::uint64_t want_pairs =
           registry.at("gpu").run(w.data, w.eps).pairs.size();
-      double base_makespan = 0.0;
-      for (int shards : {1, 2, 4, 8}) {
-        api::RunConfig config;
-        config.extra["shards"] = std::to_string(shards);
-        // Virtual-time drive: per-device busy timings free of host-core
-        // contention, which is what the makespan models.
-        config.extra["schedule"] = "steal";
-        const auto r = registry.at("gpu_shard").run(w.data, w.eps, config);
-        if (r.pairs.size() != want_pairs) {
-          std::cerr << "FATAL: gpu_shard(" << shards << ") disagrees on "
-                    << w.name << ": got " << r.pairs.size() << " pairs, gpu "
-                    << want_pairs << "\n";
-          std::exit(1);
+      (void)run_shards(w.data, w.name, w.eps, 1, want_pairs);  // warm-up
+      constexpr std::size_t kCounts = std::size(kShardCounts);
+      std::vector<ShardRun> samples[kCounts];
+      for (int s = 0; s < kSamples; ++s) {
+        for (std::size_t i = 0; i < kCounts; ++i) {
+          // Alternate the order of the device counts between samples.
+          const std::size_t c = s % 2 == 0 ? i : kCounts - 1 - i;
+          samples[c].push_back(run_shards(w.data, w.name, w.eps,
+                                          kShardCounts[c], want_pairs));
+        }
+      }
+      double base_makespan = 0.0;  // the 1-device median
+      for (std::size_t c = 0; c < kCounts; ++c) {
+        std::vector<double> makespan, wall, max_shard, stolen;
+        for (const ShardRun& run : samples[c]) {
+          makespan.push_back(run.makespan_seconds);
+          wall.push_back(run.wall_seconds);
+          max_shard.push_back(run.max_shard_seconds);
+          stolen.push_back(static_cast<double>(run.stolen));
         }
         Row row;
         row.workload = w.name;
         row.n = w.data.size();
         row.eps = w.eps;
-        row.shards = shards;
-        row.wall_seconds = r.stats.seconds;
-        row.makespan_seconds = r.stats.native_value("makespan_seconds");
-        row.chunklets =
-            static_cast<std::uint64_t>(r.stats.native_value("chunklets"));
-        row.stolen = static_cast<std::uint64_t>(
-            r.stats.native_value("chunklets_stolen"));
-        row.pairs = r.pairs.size();
-        const auto devices =
-            static_cast<std::size_t>(r.stats.native_value("shards"));
-        for (std::size_t s = 0; s < devices; ++s) {
-          row.max_shard_seconds = std::max(
-              row.max_shard_seconds,
-              r.stats.native_value("shard" + std::to_string(s) + "_seconds"));
-        }
-        if (shards == 1) base_makespan = row.makespan_seconds;
-        row.speedup = row.makespan_seconds > 0.0
-                          ? base_makespan / row.makespan_seconds
+        row.shards = kShardCounts[c];
+        row.makespan = summarize(makespan);
+        row.wall_seconds = summarize(wall).median;
+        row.max_shard_seconds = summarize(max_shard).median;
+        row.chunklets = samples[c].front().chunklets;
+        row.stolen = static_cast<std::uint64_t>(summarize(stolen).median);
+        row.pairs = want_pairs;
+        if (row.shards == 1) base_makespan = row.makespan.median;
+        row.speedup = row.makespan.median > 0.0
+                          ? base_makespan / row.makespan.median
                           : 0.0;
-        row.efficiency = row.speedup / shards;
+        row.efficiency = row.speedup / row.shards;
         t.add_row({row.workload, std::to_string(row.shards),
-                   csv::fmt(row.makespan_seconds), csv::fmt(row.wall_seconds),
+                   csv::fmt(row.makespan.median), csv::fmt(row.wall_seconds),
                    csv::fmt(row.speedup), csv::fmt(row.efficiency),
                    std::to_string(row.stolen),
                    csv::fmt(row.max_shard_seconds),
                    std::to_string(row.pairs)});
         out.add_row({row.workload, std::to_string(row.n), csv::fmt(row.eps),
                      std::to_string(row.shards),
-                     csv::fmt(row.makespan_seconds),
+                     csv::fmt(row.makespan.median),
+                     csv::fmt(row.makespan.min), csv::fmt(row.makespan.max),
                      csv::fmt(row.wall_seconds), csv::fmt(row.speedup),
                      csv::fmt(row.efficiency), std::to_string(row.chunklets),
                      std::to_string(row.stolen),
@@ -142,7 +196,8 @@ int main(int argc, char** argv) {
       }
     }
     std::cout << "\n== ablation: gpu_shard strong scaling with work "
-                 "stealing (modelled multi-device makespan) ==\n";
+                 "stealing (modelled multi-device makespan, median of "
+              << kSamples << " runs) ==\n";
     t.print(std::cout);
     std::cout << "(every configuration returns the identical pair set; "
                  "asserted above and byte-exactly by "
@@ -168,7 +223,10 @@ int main(int argc, char** argv) {
                            .field("n", static_cast<std::uint64_t>(r.n))
                            .field("eps", r.eps)
                            .field("shards", r.shards)
-                           .field("makespan_seconds", r.makespan_seconds)
+                           .field("samples", kSamples)
+                           .field("makespan_seconds", r.makespan.median)
+                           .field("makespan_min_seconds", r.makespan.min)
+                           .field("makespan_max_seconds", r.makespan.max)
                            .field("wall_seconds", r.wall_seconds)
                            .field("speedup", r.speedup)
                            .field("efficiency", r.efficiency)

@@ -2,6 +2,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -160,6 +161,11 @@ double geomean(const std::vector<double>& values) {
     }
   }
   return counted > 0 ? std::exp(acc / static_cast<double>(counted)) : 0.0;
+}
+
+Timing summarize(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
 }
 
 std::string json_escape(const std::string& s) {

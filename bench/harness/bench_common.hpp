@@ -87,6 +87,17 @@ int bench_main(int argc, char** argv, const std::function<void()>& body);
 /// Geometric mean of the positive entries; 0.0 when none are positive.
 double geomean(const std::vector<double>& values);
 
+/// The median, min and max of one configuration's timed samples.
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Summarise a non-empty sample set (the median of an even count is its
+/// upper middle sample).
+Timing summarize(std::vector<double> samples);
+
 /// JSON string escaping for the BENCH_*.json artefacts (quotes,
 /// backslashes and control characters), in ONE place instead of
 /// hand-rolled per ablation.

@@ -309,15 +309,35 @@ void for_each_task(std::size_t tasks, F&& task) {
   for (std::int64_t k = 0; k < n; ++k) task(static_cast<std::size_t>(k));
 }
 
+/// Squared distances from `pt` to the Lanes candidates from slot k0,
+/// accumulated plane by plane in dimension order: a constant trip count
+/// the compiler unrolls into packed arithmetic with acc[] in registers.
+template <int Lanes>
+inline void block_sq_dists(const GridDeviceView& g, std::uint32_t k0,
+                           const double* pt, double* acc) {
+  for (int v = 0; v < Lanes; ++v) acc[v] = 0.0;
+  for (int j = 0; j < g.dim; ++j) {
+    const double* plane = g.coord[j] + k0;
+    const double pj = pt[j];
+    SJ_SIMD_LOOP
+    for (int v = 0; v < Lanes; ++v) {
+      const double diff = plane[v] - pj;
+      acc[v] += diff * diff;
+    }
+  }
+}
+
 /// Scan one contiguous candidate range for one query point over the SoA
-/// coordinate planes: for each block of kSoaScanBlock candidates (wide
-/// enough that a full AVX2/AVX-512 register set covers the lane loop,
-/// small enough that a block of partial sums stays in registers) the
-/// per-dimension lane loop reads coord[j][k0..k0+bw) — a unit-stride
+/// coordinate planes: for each block of up to kSoaScanBlock candidates
+/// (wide enough that a full AVX2/AVX-512 register set covers the lane
+/// loop, small enough that a block of partial sums stays in registers)
+/// the per-dimension lane loop reads coord[j][k0..) — a unit-stride
 /// stream with no index arithmetic or gather — and accumulates squared
 /// differences branch-free, so the compiler turns it into packed FMAs.
-/// The dimension loop still bails out at BLOCK granularity once every
-/// lane's partial sum exceeds eps^2.
+/// In 4 and more dimensions a block of bw candidates is computed at 4, 8
+/// or 16 lanes, the fewest that cover bw: the lanes past bw read points of
+/// other cells, whose results no loop below looks at. A block whose lanes
+/// would run past the planes' end computes exactly its bw lanes.
 ///
 /// A fill or histogram compacts each block's matching ids; the count pass
 /// and count-only runs count by popcount without loading orig[]. With
@@ -372,31 +392,24 @@ inline void scan_range(const GridDeviceView& g, LocalWork& w, Emitter& em,
         acc[v] = d0 * d0 + d1 * d1 + d2 * d2;
       }
     } else {
-      for (int v = 0; v < bw; ++v) acc[v] = 0.0;
-      bool block_pruned = false;
-      for (int j = 0; j < dim; ++j) {
-        const double* plane = g.coord[j] + k0;
-        const double pj = pt[j];
-        SJ_SIMD_LOOP
-        for (int v = 0; v < bw; ++v) {
-          const double diff = plane[v] - pj;
-          acc[v] += diff * diff;
-        }
-        // Only bother with the per-block prune in higher dimensions,
-        // where the remaining per-lane work it saves outweighs the
-        // min-reduction.
-        if (j + 1 < dim) {
-          double m = acc[0];
-          for (int v = 1; v < bw; ++v) m = std::min(m, acc[v]);
-          if (m > eps2) {
-            block_pruned = true;
-            break;
+      const int lanes = bw <= 4 ? 4 : bw <= 8 ? 8 : kSoaScanBlock;
+      if (std::uint64_t{k0} + lanes > g.n) {
+        for (int v = 0; v < bw; ++v) acc[v] = 0.0;
+        for (int j = 0; j < dim; ++j) {
+          const double* plane = g.coord[j] + k0;
+          const double pj = pt[j];
+          SJ_SIMD_LOOP
+          for (int v = 0; v < bw; ++v) {
+            const double diff = plane[v] - pj;
+            acc[v] += diff * diff;
           }
         }
-      }
-      if (block_pruned) {
-        if (masks != nullptr) masks[b] = 0;
-        continue;
+      } else if (lanes == 4) {
+        block_sq_dists<4>(g, k0, pt, acc);
+      } else if (lanes == 8) {
+        block_sq_dists<8>(g, k0, pt, acc);
+      } else {
+        block_sq_dists<kSoaScanBlock>(g, k0, pt, acc);
       }
     }
     if (!ids) {

@@ -103,8 +103,8 @@ struct ResultBufferView {
   gpu::DeviceCounter* cursor = nullptr;
   std::uint32_t* counts = nullptr;
   /// Match masks, one word per (unit, candidate block): bit v set when
-  /// lane v lies within eps. A block the prune skips, and the lanes past
-  /// a ragged block end, stay 0. Laid out by `mask_spans` (one per group,
+  /// lane v lies within eps. A block with no match, and the lanes past a
+  /// ragged block end, stay 0. Laid out by `mask_spans` (one per group,
   /// GroupAdjacency::mask_spans).
   std::uint16_t* masks = nullptr;
   const MaskSpan* mask_spans = nullptr;

@@ -2,11 +2,13 @@
 // threads.
 //
 // A kernel is any callable taking a ThreadCtx. launch() executes it for
-// every logical thread of the grid. Blocks are distributed across OpenMP
-// worker threads (dynamic schedule, mirroring how a GPU scheduler assigns
-// thread blocks to SMs in arbitrary order); threads within a block run
-// sequentially. The paper's kernels (Algorithms 1 and 2) use no intra-
-// block synchronisation or shared memory ("Threads do not utilize shared
+// every logical thread of the grid. Blocks are handed to OpenMP worker
+// threads one at a time (a dynamic schedule with chunks of one block,
+// mirroring how a GPU's block scheduler gives each thread block to the
+// next free SM, in arbitrary order), so even a launch of a few blocks
+// spreads over the team; threads within a block run sequentially. The
+// paper's kernels (Algorithms 1 and 2) use no intra-block
+// synchronisation or shared memory ("Threads do not utilize shared
 // memory in this kernel", Section IV-E), so this execution order is
 // semantically indistinguishable from the CUDA one.
 #pragma once
@@ -73,7 +75,7 @@ KernelStats launch(const LaunchConfig& cfg, F&& body,
   Timer t;
   const std::int64_t grid = static_cast<std::int64_t>(cfg.grid_dim);
   if (mode == ExecMode::kParallel) {
-#pragma omp parallel for schedule(dynamic, 8)
+#pragma omp parallel for schedule(dynamic, 1)
     for (std::int64_t b = 0; b < grid; ++b) {
       ThreadCtx ctx{static_cast<std::uint64_t>(b), 0, cfg.block_dim,
                     cfg.grid_dim};

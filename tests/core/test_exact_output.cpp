@@ -6,6 +6,7 @@
 // the bytes of one that scans its candidates again.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/join.hpp"
 #include "core/prepared.hpp"
 #include "core/self_join.hpp"
+#include "core/shard_engine.hpp"
 #include "gpusim/device.hpp"
 
 namespace sj {
@@ -59,9 +61,10 @@ gpu::DeviceSpec maskless_device() {
 }
 
 /// `dim`-D points that stress the mask fill: uniform points (in 4-6-D
-/// most candidate blocks are pruned to a zero mask), duplicates, the
-/// origin (the data minimum, so on a cell face) and a point exactly
-/// eps = 1 from it, and a 37-point cell (a ragged last block).
+/// most candidate blocks match nothing and store a zero mask),
+/// duplicates, the origin (the data minimum, so on a cell face) and a
+/// point exactly eps = 1 from it, and a 37-point cell (a ragged last
+/// block).
 Dataset mask_case(int dim, std::uint64_t seed) {
   Dataset d = datagen::uniform(500, dim, 0.0, 8.0, seed);
   for (std::size_t i = 0; i < 5; ++i) d.push_back(d.pt(i));
@@ -78,9 +81,9 @@ Dataset mask_case(int dim, std::uint64_t seed) {
 /// counts against a count-only run's: one pass with masks, two without.
 /// (Under injected faults a fill re-run after its landing copy failed
 /// scans again, so only a scanning run without retries computes exactly
-/// two passes.)
+/// two passes.) Returns the mask run's result.
 template <typename Run>
-void expect_masked_equals_scanned(Run run, const std::string& label) {
+auto expect_masked_equals_scanned(Run run, const std::string& label) {
   const gpu::DeviceSpec device = gpu::DeviceSpec::titan_x_pascal();
   const auto masked = run(device, ResultMode::kPairs);
   const auto scanned = run(maskless_device(), ResultMode::kPairs);
@@ -99,6 +102,7 @@ void expect_masked_equals_scanned(Run run, const std::string& label) {
               2 * counted.stats.metrics.distance_calcs)
         << label;
   }
+  return masked;
 }
 
 TEST(ExactOutput, MaskedFillMatchesRecomputingFill) {
@@ -170,6 +174,100 @@ TEST(ExactOutput, MaskedFillOfAnEmptyResult) {
     const auto got = gpu_join(queries, data, eps);
     EXPECT_EQ(got.total_pairs, 0u) << label;
     EXPECT_EQ(got.stats.metrics.distance_calcs, 50u * 37u) << label;
+  }
+}
+
+/// `dim`-D points (for eps = 1) whose scan blocks take every lane width
+/// of the 4-D-and-up distance loop, and whose lanes past a block's
+/// candidates read points within eps: scattered points, so cells of 1-3
+/// (4- and 8-lane blocks); clumps of 9, 23 and 40 points, one cell each
+/// (16 lanes, ranges of several blocks), each followed in slot order by a
+/// shifted copy in the next cell along dimension 0; copies of every third
+/// scattered point 0.55 further along dimension 0, often in the next cell;
+/// and, apart from the rest at the top of the grid, a 3-point cell beside
+/// a 2-point cell, the highest, so ranges end in the planes' last slots.
+Dataset wide_block_case(int dim, std::uint64_t seed) {
+  Dataset d(dim);
+  double p[kMaxDims] = {};
+  d.push_back(p);  // data minimum 0: the cell faces sit near the integers
+  const Dataset scatter = datagen::uniform(150, dim, 0.0, 5.0, seed);
+  for (std::size_t i = 0; i < scatter.size(); ++i) {
+    d.push_back(scatter.pt(i));
+    if (i % 3 != 0) continue;
+    std::copy(scatter.pt(i), scatter.pt(i) + dim, p);
+    p[0] += 0.55;
+    d.push_back(p);
+  }
+  double lo = 1.1;
+  for (const std::size_t size : {9, 23, 40}) {
+    const Dataset clump =
+        datagen::uniform(size, dim, lo, lo + 0.8, seed + size);
+    for (std::size_t i = 0; i < clump.size(); ++i) {
+      d.push_back(clump.pt(i));
+      std::copy(clump.pt(i), clump.pt(i) + dim, p);
+      p[0] += 0.97;
+      d.push_back(p);
+    }
+    lo += 1.0;
+  }
+  for (const double x : {0.2, 0.5, 0.8, 1.2, 1.6}) {
+    for (int j = 0; j < dim; ++j) p[j] = 0.5;
+    p[0] = x;
+    p[dim - 1] = 6.5;
+    d.push_back(p);
+  }
+  return d;
+}
+
+TEST(ExactOutput, WideBlocksKeepOnlyTheirCandidates) {
+  const double eps = 1.0;
+  for (int dim = 4; dim <= 6; ++dim) {
+    const Dataset d =
+        wide_block_case(dim, 950 + static_cast<std::uint64_t>(dim));
+    const auto want = brute::self_join(d, eps).pairs;
+    const std::string name = std::to_string(dim) + "-D";
+    for (const bool unicomp : {false, true}) {
+      const std::string label = name + (unicomp ? " gpu_unicomp" : " gpu");
+      const auto got = expect_masked_equals_scanned(
+          [&](const gpu::DeviceSpec& device, ResultMode mode) {
+            GpuSelfJoinOptions opt;
+            opt.unicomp = unicomp;
+            opt.device = device;
+            opt.mode = mode;
+            return GpuSelfJoin(opt).run(d, eps);
+          },
+          label);
+      EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want)) << label;
+    }
+    for (const int shards : {2, 3}) {
+      const std::string label =
+          name + " gpu_shard shards " + std::to_string(shards);
+      const auto got = expect_masked_equals_scanned(
+          [&](const gpu::DeviceSpec& device, ResultMode mode) {
+            ShardedSelfJoinOptions opt;
+            opt.shards = shards;
+            opt.device = device;
+            opt.mode = mode;
+            return ShardedGpuSelfJoin(opt).run(d, eps);
+          },
+          label);
+      EXPECT_TRUE(ResultSet::equal_normalized(got.pairs, want)) << label;
+    }
+    // Queries that repeat every third data point, the clumps and the top
+    // cells among them.
+    Dataset queries = datagen::uniform(80, dim, 0.0, 5.0, 961);
+    for (std::size_t i = 0; i < d.size(); i += 3) queries.push_back(d.pt(i));
+    const auto got = expect_masked_equals_scanned(
+        [&](const gpu::DeviceSpec& device, ResultMode mode) {
+          GpuJoinOptions opt;
+          opt.device = device;
+          opt.mode = mode;
+          return gpu_join(queries, d, eps, opt);
+        },
+        name + " gpu_join");
+    EXPECT_TRUE(ResultSet::equal_normalized(
+        got.pairs, brute::join(queries, d, eps).pairs))
+        << name;
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
+#include "common/omp_compat.hpp"
 #include "gpusim/atomic.hpp"
 
 namespace sj::gpu {
@@ -63,6 +66,35 @@ TEST(Launch, SerialModeIsDeterministicOrder) {
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_EQ(order[i], order[i - 1] + 1);
   }
+}
+
+TEST(Launch, SmallGridSpreadsOverTheTeam) {
+  // Blocks go to the team one at a time, as a GPU's block scheduler hands
+  // them out: a launch of a few blocks must not run them all on one
+  // worker. Each body waits (at most 2 s in all) for a second body to be
+  // running at the same time.
+  if (omp_get_max_threads() < 2) {
+    GTEST_SKIP() << "needs an OpenMP team of at least two threads";
+  }
+  std::atomic<int> running{0};
+  std::atomic<bool> overlapped{false};
+  std::atomic<bool> gave_up{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  launch(LaunchConfig{8, 1}, [&](const ThreadCtx&) {
+    running.fetch_add(1);
+    while (!overlapped.load() && !gave_up.load()) {
+      if (running.load() >= 2) {
+        overlapped.store(true);
+      } else if (std::chrono::steady_clock::now() >= deadline) {
+        gave_up.store(true);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    running.fetch_sub(1);
+  });
+  EXPECT_TRUE(overlapped.load());
 }
 
 TEST(DeviceCounter, FetchAddReturnsOldValue) {
